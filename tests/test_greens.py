@@ -25,10 +25,14 @@ from neutroncp import (
     PerfectConductor,
     Plasma,
     UnsupportedModelError,
+    contracted_green_imag,
+    contracted_green_real,
     fresnel_imag,
     fresnel_real,
     magnetic_green_diag_imag,
     magnetic_green_diag_real,
+    permittivity_imag,
+    permittivity_real,
 )
 
 C = CONSTANTS.c
@@ -120,6 +124,55 @@ def test_real_axis_total_internal_reflection_kink():
     assert abs(r.r_s.imag) < 1e-12  # propagating on both sides: real r
     r_evan = fresnel_real(m, omega, 2.0 * omega / C)
     assert abs(r_evan.r_s) > 0.0  # evanescent branch still defined
+
+
+def _textbook(eps, k_z, k_m):
+    # r_s and r_p in the usual normal-wavevector form, without the
+    # contrast rewriting the package uses
+    return (k_z - k_m) / (k_z + k_m), (eps * k_z - k_m) / (eps * k_z + k_m)
+
+
+def _upper(k):
+    # the normal wavevector of a wave that decays away from the surface
+    return k if k.imag >= 0.0 else -k
+
+
+@pytest.mark.parametrize(
+    "m, xi, k_scaled",
+    [(GOLD_DRUDE, 1e15, 0.3), (GOLD_DRUDE, 1e13, 50.0), (SILICON_DL, 1e16, 2.0)],
+)
+def test_fresnel_imag_matches_textbook(m, xi, k_scaled):
+    # at imaginary frequency both normal wavevectors are i times a decay
+    # constant; the textbook form holds with the decay constants directly
+    k_par = k_scaled * xi / C
+    eps = permittivity_imag(m, xi)
+    q = math.hypot(xi / C, k_par)
+    q_m = math.sqrt(eps * (xi / C) ** 2 + k_par**2)
+    r_s, r_p = _textbook(eps, q, q_m)
+    got = fresnel_imag(m, xi, k_par)
+    assert got.r_s == pytest.approx(r_s, rel=1e-12)
+    assert got.r_p == pytest.approx(r_p, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "m, omega, k_scaled",
+    [
+        (GOLD_DRUDE, 1e15, 0.5),  # complex eps, propagating
+        (GOLD_DRUDE, 1e15, 3.0),  # complex eps, evanescent
+        (SILICON_DL, 1e15, 1.02),  # lossless, frustrated total reflection
+        (SILICON_DL, 1e15, 2.0),  # lossless, evanescent in both media
+        (GOLD_PLASMA, 2.0 * GOLD_PLASMA.omega_p, 0.95),  # 0 < eps < 1, beyond the kink
+    ],
+)
+def test_fresnel_real_matches_textbook(m, omega, k_scaled):
+    k_par = k_scaled * omega / C
+    eps = permittivity_real(m, omega)
+    k_z = _upper(cmath.sqrt((omega / C) ** 2 - k_par**2))
+    k_m = _upper(cmath.sqrt(eps * (omega / C) ** 2 - k_par**2))
+    r_s, r_p = _textbook(eps, k_z, k_m)
+    got = fresnel_real(m, omega, k_par)
+    assert got.r_s == pytest.approx(r_s, rel=1e-12)
+    assert got.r_p == pytest.approx(r_p, rel=1e-12)
 
 
 # ------------------------------------------------- imaginary-axis Green
@@ -247,3 +300,54 @@ def test_non_convergence_carries_result():
     res = info.value.result
     assert res.abs_error > 0.0
     assert not res.converged
+
+
+# ---------------------------------------------------------- frozen values
+#
+# 1.3 h_xx + 0.7 h_zz at the default rel_tol, as the code computed it
+# before the reflection formulas were shared between the two axes.  At
+# each point the values at rel_tol 1e-9 and 1e-11 agree to about 1e-10,
+# so the 1e-9 bound below catches a change of algebra or of square-root
+# branch, not quadrature noise.  The lossless Drude-Lorentz points below
+# resonance integrate across the frustrated-total-reflection band, where
+# the medium wavevector is real; choosing the other branch there flips
+# the sign of Im h (by 2e-3 of |h| at omega = 1e12 rad/s, z = 100 nm).
+
+FROZEN_IMAG = [
+    (GOLD_PLASMA, 0.0, 1e-08, 1.465642138414742e21),
+    (GOLD_PLASMA, 1e15, 1e-08, 1.4822140168417973e21),
+    (GOLD_PLASMA, 1e17, 1e-08, 4.14038203975775e18),
+    (GOLD_DRUDE, 1e12, 1e-07, 8.652053669169768e18),
+    (GOLD_DRUDE, 1e16, 1e-09, 3.7189550367918254e22),
+    (SILICON_DL, 1e16, 1e-09, 2.672038203973628e21),
+    (SILICON_DL, 1e14, 1e-06, 127586971041518.2),
+    (SILICON_DL, 3e17, 1e-08, 15937175653317.21),
+]
+
+FROZEN_REAL = [
+    # plasma above omega_p: 0 < eps < 1, total-reflection kink in k
+    (GOLD_PLASMA, 1.5e16, 1e-08, 3.356778119649114e21 + 6.232191232018868e21j),
+    # lossless Drude-Lorentz below resonance: eps > 1
+    (SILICON_DL, 1e12, 1e-07, -300254312026.2769 - 308305478.8716587j),
+    (SILICON_DL, 1e14, 1e-07, -2973095840551781 - 297006026378976.8j),
+    (SILICON_DL, 1e15, 5e-08, -5.122398852218108e17 - 2.5351912704810048e17j),
+    (SILICON_DL, 3e16, 3e-09, -6.943265834086119e21 - 6.977675908298434e21j),
+    # lossless Drude-Lorentz above the surface-mode band: 0 < eps < 1
+    (SILICON_DL, 1e17, 5e-10, 5.554611992722492e23 + 2.6556062786987233e23j),
+    # lossy Drude
+    (GOLD_DRUDE, 1e12, 1e-07, 8.913938029514101e18 - 5.34934436256526e18j),
+    (GOLD_DRUDE, 1e15, 1e-08, 1.4465737551916158e21 - 6.119184815253728e18j),
+    (GOLD_DRUDE, 2e16, 1e-08, 2.7323848896442525e20 + 5.444278112359053e21j),
+]
+
+
+@pytest.mark.parametrize("m, xi, z, ref", FROZEN_IMAG)
+def test_contracted_green_imag_frozen(m, xi, z, ref):
+    got = contracted_green_imag(m, z, xi, 1.3, 0.7)
+    assert abs(got - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("m, omega, z, ref", FROZEN_REAL)
+def test_contracted_green_real_frozen(m, omega, z, ref):
+    got = contracted_green_real(m, z, omega, 1.3, 0.7)
+    assert abs(got - ref) <= 1e-9 * abs(ref)
