@@ -10,14 +10,11 @@ from .constants import CONSTANTS, NEUTRON, NeutronSpec, PhysicalConstants
 from .gravity import SphereSpec, earth_potential, sphere_potential
 from .greens import (
     IntegrationError,
-    MagneticGreenDiag,
     ReflectionPair,
     contracted_green_imag,
     contracted_green_real,
     fresnel_imag,
     fresnel_real,
-    magnetic_green_diag_imag,
-    magnetic_green_diag_real,
 )
 from .materials import (
     Drude,
@@ -31,13 +28,11 @@ from .materials import (
     permittivity_real,
 )
 from .potential import (
-    DipoleMatrixElements,
     FieldConfig,
     PotentialBreakdown,
     atomic_c3,
     c3_ratio,
     critical_distance,
-    dipole_elements,
     ground_state_potential,
     local_power_law,
     neutron_c3,
@@ -64,14 +59,11 @@ __all__ = [
     "earth_potential",
     "sphere_potential",
     "IntegrationError",
-    "MagneticGreenDiag",
     "ReflectionPair",
     "contracted_green_imag",
     "contracted_green_real",
     "fresnel_imag",
     "fresnel_real",
-    "magnetic_green_diag_imag",
-    "magnetic_green_diag_real",
     "Drude",
     "DrudeLorentz",
     "Material",
@@ -81,13 +73,11 @@ __all__ = [
     "longitudinal_frequency",
     "permittivity_imag",
     "permittivity_real",
-    "DipoleMatrixElements",
     "FieldConfig",
     "PotentialBreakdown",
     "atomic_c3",
     "c3_ratio",
     "critical_distance",
-    "dipole_elements",
     "ground_state_potential",
     "local_power_law",
     "neutron_c3",

@@ -34,7 +34,6 @@ from .materials import (
     Material,
     PerfectConductor,
     Plasma,
-    UnsupportedModelError,
 )
 from .potential import (
     FieldConfig,
@@ -128,14 +127,13 @@ def _sweep_point(payload: tuple[SweepRequest, float]) -> dict[str, object]:
     except IntegrationError:
         status = "error"
 
+    # without a field there is no resonant channel: nan, not a failure
     resonant = math.nan
-    if want & {"u_resonant", "u_excited"} and status == "ok":
+    if want & {"u_resonant", "u_excited"} and status == "ok" and req.b_ext > 0.0:
         try:
             resonant = u_resonant(z, cfg, m, rel_tol=req.rel_tol)
-        except (IntegrationError, UnsupportedModelError):
+        except (IntegrationError, ValueError):
             status = "error"
-        except ValueError:
-            pass  # no field, no resonant channel; not a runtime failure
 
     row["u_dd"] = dd
     row["u_du"] = du

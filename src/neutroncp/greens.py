@@ -31,10 +31,25 @@ under xi -> -i omega gives the real-axis oracle.
 Numerical form
 --------------
 All integrals are taken over t = k z (dimensionless), so a single
-quadrature configuration covers nine decades of z.  Reflection
-coefficients are evaluated through the wavevector contrast
-(eps - 1) xi^2 / c^2 rather than eps itself, which keeps them exact in
-the xi -> 0 limit and free of large-eps cancellation.
+quadrature configuration covers nine decades of z.  Both axes share one
+reflection kernel, _reflection(q, q_m, contrast, eps, s2), written in the
+vacuum and medium decay constants q, q_m of the imaginary axis and the
+frequency term s2 = xi^2/c^2:
+
+    r_s = -contrast / (q + q_m)^2
+    r_p = (eps - 1) ((eps + 1) q^2 - s2) / (eps q + q_m)^2
+
+The wavevector contrast q_m^2 - q^2 = (eps - 1) s2 comes per model from
+the materials module rather than from eps, which keeps r_s exact in the
+xi -> 0 limit; neither numerator is a difference of nearly equal squares.
+
+Branch rule.  On the real axis k_z is the vacuum normal wavevector
+(k_z = v on the propagating segment, i u on the evanescent tail) and the
+medium one is k_m = sqrt(k_z^2 + (eps - 1) omega^2/c^2) on the principal
+branch; the kernel gets q = -i k_z, q_m = -i k_m and s2 = -omega^2/c^2.
+A root taken of q^2 + contrast instead can land on the other branch
+where k_m is real and k_z imaginary (frustrated total reflection), which
+flips the sign of Im h there.
 """
 
 from __future__ import annotations
@@ -88,20 +103,22 @@ class ReflectionPair:
     r_p: Union[float, complex]
 
 
-@dataclass(frozen=True)
-class MagneticGreenDiag:
-    """Diagonal (h_xx = h_yy, h_zz) at one frequency and height."""
-
-    h_xx: Union[float, complex]
-    h_zz: Union[float, complex]
-    z: float
-    frequency: float
-    axis: str  # "imaginary" or "real"
-
-
 def _require_height(z: float) -> None:
     if z <= 0.0 or not math.isfinite(z):
         raise ValueError("z must be positive and finite")
+
+
+def _reflection(q, q_m, contrast, eps, s2):
+    """r_s and r_p; see "Numerical form" above for the arguments.
+
+    Scalars or arrays, real or complex.  eps = None skips r_p (returned
+    as None), for callers without a finite permittivity.
+    """
+    r_s = -contrast / (q + q_m) ** 2
+    if eps is None:
+        return r_s, None
+    r_p = (eps - 1.0) * ((eps + 1.0) * q * q - s2) / (eps * q + q_m) ** 2
+    return r_s, r_p
 
 
 def fresnel_imag(m: Material, xi: float, k_par: float) -> ReflectionPair:
@@ -113,17 +130,12 @@ def fresnel_imag(m: Material, xi: float, k_par: float) -> ReflectionPair:
     c = SPEED_OF_LIGHT
     kappa = math.hypot(xi / c, k_par)
     dq2 = wavevector_contrast_imag(m, xi, c)
-    km = math.sqrt(kappa**2 + dq2)
-    r_s = -dq2 / (kappa + km) ** 2
-    if xi > 0.0:
-        eps = permittivity_imag(m, xi)
-        r_p = (eps - 1.0) * (eps * (xi / c) ** 2 + (eps + 1.0) * k_par**2) / (
-            eps * kappa + km
-        ) ** 2
-    elif isinstance(m, DrudeLorentz):
+    eps = permittivity_imag(m, xi) if xi > 0.0 else None
+    r_s, r_p = _reflection(kappa, math.sqrt(kappa**2 + dq2), dq2, eps, (xi / c) ** 2)
+    if r_p is None and isinstance(m, DrudeLorentz):
         eps0 = 1.0 + (m.omega_p / m.omega_t) ** 2
         r_p = (eps0 - 1.0) / (eps0 + 1.0)
-    else:
+    elif r_p is None:
         # plasma and Drude permittivities diverge at xi -> 0; r_p -> 1
         # unless the medium is degenerate vacuum
         r_p = 1.0 if m.omega_p > 0.0 else 0.0
@@ -150,8 +162,7 @@ def fresnel_real(m: Material, omega: float, k_par: float) -> ReflectionPair:
     eps = permittivity_real(m, omega)
     kperp = np.sqrt(complex(w2 - k_par**2))
     km = np.sqrt(kperp**2 + dq2)
-    r_s = -dq2 / (kperp + km) ** 2
-    r_p = (eps - 1.0) * (eps * w2 - (eps + 1.0) * k_par**2) / (eps * kperp + km) ** 2
+    r_s, r_p = _reflection(-1j * kperp, -1j * km, -dq2, eps, -w2)
     return ReflectionPair(r_s=complex(r_s), r_p=complex(r_p))
 
 
@@ -210,11 +221,9 @@ def contracted_green_imag(
         if mirror:
             acc = weight_xx * (x2 + rho * rho) + 2.0 * weight_zz * t * t
         else:
-            km = np.sqrt(rho * rho + dq2z2)
-            r_s = -dq2z2 / (rho + km) ** 2
+            r_s, r_p = _reflection(rho, np.sqrt(rho * rho + dq2z2), dq2z2, eps, x2)
             acc = -r_s * (weight_xx * rho * rho + 2.0 * weight_zz * t * t)
-            if eps is not None:
-                r_p = (eps - 1.0) * (eps * x2 + (eps + 1.0) * t * t) / (eps * rho + km) ** 2
+            if r_p is not None:
                 acc = acc + weight_xx * r_p * x2
         return (t / rho) * acc * np.exp(-2.0 * rho)
 
@@ -234,19 +243,6 @@ def contracted_green_imag(
             res,
         )
     return res.value / (8.0 * math.pi * z**3)
-
-
-def magnetic_green_diag_imag(
-    m: Material,
-    z: float,
-    xi: float,
-    rel_tol: float = 1e-10,
-    max_evaluations: int = 400_000,
-) -> MagneticGreenDiag:
-    """Both diagonal components at imaginary frequency i*xi."""
-    h_xx = contracted_green_imag(m, z, xi, 1.0, 0.0, rel_tol, max_evaluations)
-    h_zz = contracted_green_imag(m, z, xi, 0.0, 1.0, rel_tol, max_evaluations)
-    return MagneticGreenDiag(h_xx=h_xx, h_zz=h_zz, z=z, frequency=xi, axis="imaginary")
 
 
 def _check_surface_mode(m: Material, omega: float) -> None:
@@ -292,19 +288,17 @@ def contracted_green_real(
         _check_surface_mode(m, omega)
         eps = permittivity_real(m, omega)
 
-    # propagating segment: v = k_perp z in (0, w), phase e^(2 i v)
-    def f_prop(v: np.ndarray) -> np.ndarray:
-        v = v.astype(complex)
-        ksq = w2 - v * v  # (k_par z)^2
+    # k-integrand at vacuum normal wavevector k_z (times z): k_z = v in
+    # (0, w) on the propagating segment, k_z = i u on the evanescent tail
+    def integrand(kz: np.ndarray) -> np.ndarray:
+        kz2 = kz * kz
         if mirror:
-            r_s = -1.0
-            r_p = 1.0
+            r_s, r_p = -1.0, 1.0
         else:
-            km = np.sqrt(v * v + dq2z2)
-            r_s = -dq2z2 / (v + km) ** 2
-            r_p = (eps - 1.0) * (eps * w2 - (eps + 1.0) * ksq) / (eps * v + km) ** 2
-        bracket = weight_xx * (r_p * w2 - r_s * v * v) + 2.0 * weight_zz * ksq * r_s
-        return bracket * np.exp(2.0j * v)
+            km = np.sqrt(kz2 + dq2z2)
+            r_s, r_p = _reflection(-1j * kz, -1j * km, -dq2z2, eps, -w2)
+        bracket = weight_xx * (r_p * w2 - r_s * kz2) + 2.0 * weight_zz * (w2 - kz2) * r_s
+        return bracket * np.exp(2.0j * kz)
 
     prop_bps: list[float] = []
     if not mirror and dq2z2.imag == 0.0 and dq2z2.real < 0.0:
@@ -313,27 +307,13 @@ def contracted_green_real(
             prop_bps.append(v_edge)
     cfg_prop = _quad_config(rel_tol, max_evaluations, 1.0)
     res_prop = integrate_finite_oscillatory(
-        f_prop, 0.0, w, phase_scale=w / math.pi, cfg=cfg_prop, breakpoints=prop_bps
+        integrand, 0.0, w, phase_scale=w / math.pi, cfg=cfg_prop, breakpoints=prop_bps
     )
     if not res_prop.converged:
         raise IntegrationError(
             f"propagating-segment integral did not converge (omega={omega:.3e}, z={z:.3e})",
             res_prop,
         )
-
-    # evanescent tail: u = q z in (0, inf), vacuum normal component i u / z
-    def f_evan(u: np.ndarray) -> np.ndarray:
-        u = u.astype(complex)
-        ksq = w2 + u * u
-        if mirror:
-            r_s = -1.0
-            r_p = 1.0
-        else:
-            km = np.sqrt(dq2z2 - u * u)
-            r_s = -dq2z2 / (1j * u + km) ** 2
-            r_p = (eps - 1.0) * (eps * w2 - (eps + 1.0) * ksq) / (eps * 1j * u + km) ** 2
-        bracket = weight_xx * (r_p * w2 + r_s * u * u) + 2.0 * weight_zz * ksq * r_s
-        return bracket * np.exp(-2.0 * u)
 
     evan_bps = [0.25, 1.0, 4.0]
     scale = abs(np.sqrt(dq2z2)) if not mirror else 0.0
@@ -342,7 +322,9 @@ def contracted_green_real(
     if w < 50.0:
         evan_bps.append(max(w, 1e-6))
     cfg_evan = _quad_config(rel_tol, max_evaluations, 0.5)
-    res_evan = integrate_semi_infinite(f_evan, cfg_evan, breakpoints=evan_bps)
+    res_evan = integrate_semi_infinite(
+        lambda u: integrand(1j * u), cfg_evan, breakpoints=evan_bps
+    )
     if not res_evan.converged:
         raise IntegrationError(
             f"evanescent-segment integral did not converge (omega={omega:.3e}, z={z:.3e})",
@@ -352,15 +334,3 @@ def contracted_green_real(
     pref = 1.0 / (8.0 * math.pi * z**3)
     return pref * (-1j * res_prop.value - res_evan.value)
 
-
-def magnetic_green_diag_real(
-    m: Material,
-    z: float,
-    omega: float,
-    rel_tol: float = 1e-10,
-    max_evaluations: int = 400_000,
-) -> MagneticGreenDiag:
-    """Both diagonal components at real frequency omega (complex values)."""
-    h_xx = contracted_green_real(m, z, omega, 1.0, 0.0, rel_tol, max_evaluations)
-    h_zz = contracted_green_real(m, z, omega, 0.0, 1.0, rel_tol, max_evaluations)
-    return MagneticGreenDiag(h_xx=h_xx, h_zz=h_zz, z=z, frequency=omega, axis="real")

@@ -7,7 +7,8 @@ dielectric.  All model parameters are angular frequencies in rad/s.
 
 omega_p = 0 is accepted as an explicit degenerate case (the medium
 becomes vacuum); it is useful for null tests.  Damping and resonance
-frequencies must be strictly positive where the model has them.
+frequencies must be strictly positive where the model has them, and
+every parameter must be finite.
 """
 
 from __future__ import annotations
@@ -21,6 +22,12 @@ class UnsupportedModelError(ValueError):
     """An operation is not defined for the given material model."""
 
 
+def _require_finite(model: object) -> None:
+    for name, value in vars(model).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class PerfectConductor:
     """Ideal mirror: r_s = -1, r_p = +1 at all frequencies and angles."""
@@ -31,6 +38,7 @@ class Plasma:
     omega_p: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.omega_p < 0.0:
             raise ValueError("omega_p must be >= 0")
 
@@ -41,6 +49,7 @@ class Drude:
     gamma: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.omega_p < 0.0:
             raise ValueError("omega_p must be >= 0")
         if self.gamma <= 0.0:
@@ -53,6 +62,7 @@ class DrudeLorentz:
     omega_t: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.omega_p < 0.0:
             raise ValueError("omega_p must be >= 0")
         if self.omega_t <= 0.0:

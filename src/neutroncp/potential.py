@@ -84,25 +84,6 @@ class PotentialBreakdown:
     u_excited: Optional[float] = None
 
 
-@dataclass(frozen=True, eq=False)
-class DipoleMatrixElements:
-    """Spin matrix elements of the magnetic moment at angle theta.
-
-    m_uu is the diagonal element (the lower state's is its negative);
-    m_ud couples the two states.  |m_ud|^2 = 2 |m_uu|^2 at every angle.
-    """
-
-    m_uu: np.ndarray
-    m_ud: np.ndarray
-
-
-def dipole_elements(spec: NeutronSpec, theta: float) -> DipoleMatrixElements:
-    half_moment = spec.constants.hbar * spec.gamma_n / 2.0
-    m_uu = half_moment * np.array([math.sin(theta), 0.0, math.cos(theta)])
-    m_ud = half_moment * np.array([math.cos(theta), -1.0j, -math.sin(theta)])
-    return DipoleMatrixElements(m_uu=m_uu, m_ud=m_ud)
-
-
 def transition_frequency(cfg: FieldConfig, spec: NeutronSpec = NEUTRON) -> float:
     """Spin-flip frequency |gamma_n| B in rad/s."""
     return spec.spin_flip_frequency(cfg.b_ext)

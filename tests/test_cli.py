@@ -208,6 +208,45 @@ def test_cli_runtime_failure_exit_code(tmp_path):
     assert data[1].endswith(",error")
 
 
+def test_cli_resonant_failures_are_errors(tmp_path):
+    # the fig1 plasma has eps = 0 at the transition frequency; where the
+    # resonant quadrature meets a non-finite integrand the row must say
+    # error, never carry nan under status ok
+    config = Path(__file__).resolve().parents[1] / "configs" / "fig1.cfg"
+    req = SweepRequest(
+        model="plasma",
+        omega_p=363494611.93541175,
+        b_ext=2.0,
+        z_min=8.247507615140914e-4,
+        z_max=8.247507615140914e2,
+        points=61,
+        outputs=("u_dd", "u_resonant"),
+        rel_tol=1e-8,
+    )
+    rows = run_sweep(req)
+    assert len(rows) == 61
+    for row in rows:
+        if row["status"] == "ok":
+            assert math.isfinite(row["u_dd"]) and math.isfinite(row["u_resonant"])
+    out = tmp_path / "fig1.csv"
+    args = ["sweep", "--config", str(config), "--outputs", "u_dd,u_resonant"]
+    assert main([*args, "--out", str(out)]) == 1
+    # without a field there is no resonant channel: nan, but not a failure
+    assert main([*args, "--b-ext", "0", "--points", "2", "--out", str(out)]) == 0
+    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert all(l.endswith(",nan,ok") for l in data[1:])
+
+
+def test_cli_rejects_non_finite_material_parameters():
+    for args in (
+        ["--model", "plasma", "--omega-p", "nan"],
+        ["--model", "plasma", "--omega-p", "inf"],
+        ["--model", "drude", "--omega-p", "1e16", "--gamma", "nan"],
+        ["--model", "drude-lorentz", "--omega-p", "1e16", "--omega-t", "inf"],
+    ):
+        assert main(["sweep", *args, "--points", "1"]) == 2, args
+
+
 def test_cli_subprocess_determinism(tmp_path):
     args = [
         "sweep", "--model", "drude", "--omega-p", "1.37e16", "--gamma",

@@ -29,8 +29,6 @@ from neutroncp import (
     contracted_green_real,
     fresnel_imag,
     fresnel_real,
-    magnetic_green_diag_imag,
-    magnetic_green_diag_real,
     permittivity_imag,
     permittivity_real,
 )
@@ -41,6 +39,21 @@ GOLD_PLASMA = Plasma(omega_p=1.37e16)
 GOLD_DRUDE = Drude(omega_p=1.37e16, gamma=4.10e12)
 SILICON_DL = DrudeLorentz(omega_p=2.3e16, omega_t=7.1e16)
 MODELS = [GOLD_PLASMA, GOLD_DRUDE, SILICON_DL]
+
+
+def diag_imag(m, z, xi, **kw):
+    # (h_xx, h_zz) through unit weights on the contracted quadrature
+    return (
+        contracted_green_imag(m, z, xi, 1.0, 0.0, **kw),
+        contracted_green_imag(m, z, xi, 0.0, 1.0, **kw),
+    )
+
+
+def diag_real(m, z, omega):
+    return (
+        contracted_green_real(m, z, omega, 1.0, 0.0),
+        contracted_green_real(m, z, omega, 0.0, 1.0),
+    )
 
 
 def mirror_imag(z, x):
@@ -181,36 +194,33 @@ def test_fresnel_real_matches_textbook(m, omega, k_scaled):
 @pytest.mark.parametrize("x", [0.0, 0.05, 0.5, 3.0, 20.0])
 def test_mirror_green_imag(x):
     z = 1e-6
-    got = magnetic_green_diag_imag(PC, z, x * C / z)
+    h_xx, h_zz = diag_imag(PC, z, x * C / z)
     ref_xx, ref_zz = mirror_imag(z, x)
-    assert got.h_xx == pytest.approx(ref_xx, rel=1e-9)
-    assert got.h_zz == pytest.approx(ref_zz, rel=1e-9)
-    assert got.axis == "imaginary"
+    assert h_xx == pytest.approx(ref_xx, rel=1e-9)
+    assert h_zz == pytest.approx(ref_zz, rel=1e-9)
 
 
 def test_mirror_green_scale_invariance():
     # z^3 h depends on xi z/c only; checks the internal t = k z scaling
     x = 0.7
     for z1, z2 in [(1e-9, 1e-6), (1e-6, 1e-3)]:
-        a = magnetic_green_diag_imag(PC, z1, x * C / z1)
-        b = magnetic_green_diag_imag(PC, z2, x * C / z2)
-        assert a.h_xx * z1**3 == pytest.approx(b.h_xx * z2**3, rel=1e-9)
-        assert a.h_zz * z1**3 == pytest.approx(b.h_zz * z2**3, rel=1e-9)
+        a_xx, a_zz = diag_imag(PC, z1, x * C / z1)
+        b_xx, b_zz = diag_imag(PC, z2, x * C / z2)
+        assert a_xx * z1**3 == pytest.approx(b_xx * z2**3, rel=1e-9)
+        assert a_zz * z1**3 == pytest.approx(b_zz * z2**3, rel=1e-9)
 
 
 def test_static_zz_is_twice_xx():
     for m in [PC, GOLD_PLASMA]:
         for z in (1e-9, 1e-7, 1e-5):
-            g = magnetic_green_diag_imag(m, z, 0.0)
-            assert g.h_zz == pytest.approx(2.0 * g.h_xx, rel=1e-9)
-            assert g.h_xx > 0.0
+            h_xx, h_zz = diag_imag(m, z, 0.0)
+            assert h_zz == pytest.approx(2.0 * h_xx, rel=1e-9)
+            assert h_xx > 0.0
 
 
 def test_static_response_vanishes_without_dc_conductivity():
     for m in [GOLD_DRUDE, SILICON_DL]:
-        g = magnetic_green_diag_imag(m, 1e-7, 0.0)
-        assert g.h_xx == 0.0
-        assert g.h_zz == 0.0
+        assert diag_imag(m, 1e-7, 0.0) == (0.0, 0.0)
 
 
 def test_imag_axis_sign_and_mirror_bound():
@@ -218,27 +228,26 @@ def test_imag_axis_sign_and_mirror_bound():
     for m in MODELS:
         for z in (1e-9, 1e-7, 1e-5):
             for x in (0.01, 0.3, 2.0):
-                g = magnetic_green_diag_imag(m, z, x * C / z)
-                ref = magnetic_green_diag_imag(PC, z, x * C / z)
-                assert 0.0 < g.h_xx <= ref.h_xx * (1 + 1e-9)
-                assert 0.0 < g.h_zz <= ref.h_zz * (1 + 1e-9)
+                h_xx, h_zz = diag_imag(m, z, x * C / z)
+                ref_xx, ref_zz = diag_imag(PC, z, x * C / z)
+                assert 0.0 < h_xx <= ref_xx * (1 + 1e-9)
+                assert 0.0 < h_zz <= ref_zz * (1 + 1e-9)
 
 
 def test_static_limit_continuous():
     # approaching xi = 0 from above must agree with the xi = 0 branch
     z = 1e-7
-    scale = magnetic_green_diag_imag(PC, z, 0.0).h_xx
+    scale = diag_imag(PC, z, 0.0)[0]
     for m in [PC, GOLD_PLASMA, GOLD_DRUDE, SILICON_DL]:
-        lo = magnetic_green_diag_imag(m, z, 1e-12 * C / z)
-        at0 = magnetic_green_diag_imag(m, z, 0.0)
-        assert abs(lo.h_xx - at0.h_xx) < 1e-6 * scale
-        assert abs(lo.h_zz - at0.h_zz) < 1e-6 * scale
+        lo_xx, lo_zz = diag_imag(m, z, 1e-12 * C / z)
+        at0_xx, at0_zz = diag_imag(m, z, 0.0)
+        assert abs(lo_xx - at0_xx) < 1e-6 * scale
+        assert abs(lo_zz - at0_zz) < 1e-6 * scale
 
 
 def test_deep_evanescent_cutoff():
     # xi z / c beyond exp underflow is exactly zero, not an overflow trap
-    g = magnetic_green_diag_imag(GOLD_PLASMA, 1e-3, 400.0 * C / 1e-3)
-    assert g.h_xx == 0.0 and g.h_zz == 0.0
+    assert diag_imag(GOLD_PLASMA, 1e-3, 400.0 * C / 1e-3) == (0.0, 0.0)
 
 
 # ------------------------------------------------------ real-axis Green
@@ -247,19 +256,18 @@ def test_deep_evanescent_cutoff():
 @pytest.mark.parametrize("w", [0.01, 0.3, 2.0, 10.0])
 def test_mirror_green_real(w):
     z = 1e-6
-    got = magnetic_green_diag_real(PC, z, w * C / z)
+    h_xx, h_zz = diag_real(PC, z, w * C / z)
     ref_xx, ref_zz = mirror_real(z, w)
-    assert got.h_xx == pytest.approx(ref_xx, rel=1e-9)
-    assert got.h_zz == pytest.approx(ref_zz, rel=1e-9)
-    assert got.axis == "real"
+    assert h_xx == pytest.approx(ref_xx, rel=1e-9)
+    assert h_zz == pytest.approx(ref_zz, rel=1e-9)
 
 
 def test_real_axis_response_grows_with_frequency():
     # |Re h_xx| at omega z/c = 10 is ~145x the static value for a mirror
     z = 1e-6
-    static = magnetic_green_diag_imag(PC, z, 0.0).h_xx
-    g = magnetic_green_diag_real(PC, z, 10.0 * C / z)
-    ratio = g.h_xx.real / static
+    static = diag_imag(PC, z, 0.0)[0]
+    h_xx = diag_real(PC, z, 10.0 * C / z)[0]
+    ratio = h_xx.real / static
     expected = (math.cos(20.0) * (1 - 400.0) + 20.0 * math.sin(20.0)) / 1.0
     assert ratio == pytest.approx(expected, rel=1e-6)
     assert abs(ratio) > 100.0
@@ -267,36 +275,34 @@ def test_real_axis_response_grows_with_frequency():
 
 def test_real_axis_static_continuity():
     z = 1e-7
-    g = magnetic_green_diag_real(PC, z, 1e-3 * C / z)
-    static = magnetic_green_diag_imag(PC, z, 0.0)
-    assert g.h_xx.real == pytest.approx(static.h_xx, rel=1e-5)
-    assert g.h_zz.real == pytest.approx(static.h_zz, rel=1e-5)
+    h_xx, h_zz = diag_real(PC, z, 1e-3 * C / z)
+    static_xx, static_zz = diag_imag(PC, z, 0.0)
+    assert h_xx.real == pytest.approx(static_xx, rel=1e-5)
+    assert h_zz.real == pytest.approx(static_zz, rel=1e-5)
 
 
 def test_surface_mode_region_rejected():
     # lossless permittivity <= -1 puts a pole on the integration path
     with pytest.raises(UnsupportedModelError):
-        magnetic_green_diag_real(GOLD_PLASMA, 1e-7, 0.5 * GOLD_PLASMA.omega_p)
+        diag_real(GOLD_PLASMA, 1e-7, 0.5 * GOLD_PLASMA.omega_p)
     w_t = SILICON_DL.omega_t
     with pytest.raises(UnsupportedModelError):
-        magnetic_green_diag_real(SILICON_DL, 1e-7, 1.01 * w_t)
+        diag_real(SILICON_DL, 1e-7, 1.01 * w_t)
 
 
 def test_real_axis_outside_surface_mode_region():
     # plasma is transparent above omega_p; dielectric below resonance
-    g = magnetic_green_diag_real(GOLD_PLASMA, 1e-7, 2.0 * GOLD_PLASMA.omega_p)
-    assert math.isfinite(abs(g.h_xx)) and math.isfinite(abs(g.h_zz))
-    g2 = magnetic_green_diag_real(SILICON_DL, 1e-7, 1e15)
-    assert math.isfinite(abs(g2.h_xx))
-    g3 = magnetic_green_diag_real(GOLD_DRUDE, 1e-7, 1e12)
-    assert math.isfinite(abs(g3.h_xx))
+    h_xx, h_zz = diag_real(GOLD_PLASMA, 1e-7, 2.0 * GOLD_PLASMA.omega_p)
+    assert math.isfinite(abs(h_xx)) and math.isfinite(abs(h_zz))
+    assert math.isfinite(abs(diag_real(SILICON_DL, 1e-7, 1e15)[0]))
+    assert math.isfinite(abs(diag_real(GOLD_DRUDE, 1e-7, 1e12)[0]))
 
 
 def test_non_convergence_carries_result():
     # tolerance below the roundoff floor cannot be met; the error object
     # still exposes the best estimate for diagnostics
     with pytest.raises(IntegrationError) as info:
-        magnetic_green_diag_imag(GOLD_PLASMA, 1e-7, 1e15, rel_tol=1e-15)
+        diag_imag(GOLD_PLASMA, 1e-7, 1e15, rel_tol=1e-15)
     res = info.value.result
     assert res.abs_error > 0.0
     assert not res.converged
@@ -310,8 +316,8 @@ def test_non_convergence_carries_result():
 # so the 1e-9 bound below catches a change of algebra or of square-root
 # branch, not quadrature noise.  The lossless Drude-Lorentz points below
 # resonance integrate across the frustrated-total-reflection band, where
-# the medium wavevector is real; choosing the other branch there flips
-# the sign of Im h (by 2e-3 of |h| at omega = 1e12 rad/s, z = 100 nm).
+# the medium wavevector is real; taking the other square-root branch
+# there moves Im h by more than 1e-3 of |h|.
 
 FROZEN_IMAG = [
     (GOLD_PLASMA, 0.0, 1e-08, 1.465642138414742e21),

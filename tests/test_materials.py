@@ -96,6 +96,20 @@ def test_validation():
         DrudeLorentz(omega_p=1e16, omega_t=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validation_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Plasma(omega_p=bad)
+    with pytest.raises(ValueError, match="finite"):
+        Drude(omega_p=bad, gamma=1e13)
+    with pytest.raises(ValueError, match="finite"):
+        Drude(omega_p=1e16, gamma=bad)
+    with pytest.raises(ValueError, match="finite"):
+        DrudeLorentz(omega_p=bad, omega_t=1e13)
+    with pytest.raises(ValueError, match="finite"):
+        DrudeLorentz(omega_p=1e16, omega_t=bad)
+
+
 def test_vacuum_degenerate_case():
     m = Plasma(omega_p=0.0)
     assert permittivity_imag(m, 1e15) == 1.0

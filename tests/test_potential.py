@@ -2,10 +2,7 @@
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from neutroncp import (
     CONSTANTS,
@@ -19,7 +16,6 @@ from neutroncp import (
     atomic_c3,
     c3_ratio,
     critical_distance,
-    dipole_elements,
     ground_state_potential,
     local_power_law,
     neutron_c3,
@@ -37,22 +33,6 @@ from neutroncp import (
 K = CONSTANTS
 PC = PerfectConductor()
 BASE = K.hbar**2 * NEUTRON.gamma_n**2 * K.mu0
-
-
-def test_dipole_elements_values():
-    el = dipole_elements(NEUTRON, 0.0)
-    half = K.hbar * NEUTRON.gamma_n / 2.0
-    assert el.m_uu == pytest.approx([0.0, 0.0, half])
-    assert el.m_ud == pytest.approx([half, -1.0j * half, 0.0])
-
-
-@given(st.floats(min_value=0.0, max_value=math.pi))
-@settings(max_examples=50, deadline=None)
-def test_cross_element_twice_diagonal(theta):
-    el = dipole_elements(NEUTRON, theta)
-    diag = float(np.sum(np.abs(el.m_uu) ** 2))
-    cross = float(np.sum(np.abs(el.m_ud) ** 2))
-    assert cross == pytest.approx(2.0 * diag, rel=1e-12)
 
 
 def test_transition_frequency_and_critical_distance():
