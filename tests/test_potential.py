@@ -243,3 +243,38 @@ def test_field_config_validation():
         FieldConfig(-1.0, 0.3)
     with pytest.raises(ValueError):
         FieldConfig(2.0, 3.5)
+
+
+# ---------------------------------------------------------- frozen values
+#
+# u_du for the fig2 surfaces at 2 T, orientation averaged, and one fig1
+# plasma point, as the per-node double quadrature computed them at
+# rel_tol 1e-11.  At each point the values at rel_tol 1e-9 and 1e-11
+# agree to 1e-10 or better, so the bound below is the requested
+# tolerance, not quadrature noise.  The ideal mirror has its own oracle
+# (test_mirror_dual_route); these pin the non-mirror models.
+
+GOLD_PLASMA = Plasma(omega_p=1.37e16)
+GOLD_DRUDE = Drude(omega_p=1.37e16, gamma=4.10e12)
+SILICON_DL = DrudeLorentz(omega_p=2.3e16, omega_t=7.1e16)
+FIG1_PLASMA = Plasma(omega_p=363494611.93541175)
+
+FROZEN_U_DU = [
+    (GOLD_PLASMA, 1e-9, 1.4634324311219348e-36),
+    (GOLD_PLASMA, 3e-8, 1.2611724294075038e-38),
+    (GOLD_PLASMA, 1e-6, 1.434446170806248e-42),
+    (GOLD_DRUDE, 1e-9, 8.257144252209017e-40),
+    (GOLD_DRUDE, 3e-8, 2.0225888634654273e-41),
+    (GOLD_DRUDE, 1e-6, 1.1903695152581635e-43),
+    (SILICON_DL, 1e-9, 2.2870726275350594e-44),
+    (SILICON_DL, 3e-8, 5.504047454599285e-47),
+    (SILICON_DL, 1e-6, 4.991273567346724e-50),
+    (FIG1_PLASMA, 8.247507615140914e-2, 1.2797666921788448e-59),
+]
+
+
+@pytest.mark.parametrize("m, z, ref", FROZEN_U_DU)
+def test_u_du_frozen(m, z, ref):
+    rel_tol = 1e-9
+    got = u_du(z, FieldConfig(2.0, None), m, rel_tol=rel_tol)
+    assert abs(got - ref) <= rel_tol * abs(ref)
