@@ -71,6 +71,7 @@ from .materials import (
     wavevector_contrast_real,
 )
 from .quadrature import (
+    NODES,
     QuadratureConfig,
     QuadratureResult,
     integrate_finite_oscillatory,
@@ -166,7 +167,7 @@ def fresnel_real(m: Material, omega: float, k_par: float) -> ReflectionPair:
     return ReflectionPair(r_s=complex(r_s), r_p=complex(r_p))
 
 
-def _quad_config(rel_tol: float, max_evaluations: int, decay_scale: float) -> QuadratureConfig:
+def _quad_config(rel_tol: float, max_evaluations: int, decay_scale) -> QuadratureConfig:
     return QuadratureConfig(
         rel_tol=rel_tol,
         abs_tol=0.0,
@@ -178,43 +179,77 @@ def _quad_config(rel_tol: float, max_evaluations: int, decay_scale: float) -> Qu
 def contracted_green_imag(
     m: Material,
     z: float,
-    xi: float,
+    xi,
     weight_xx: float,
     weight_zz: float,
     rel_tol: float = 1e-10,
     max_evaluations: int = 400_000,
-) -> float:
+):
     """weight_xx * h_xx(i xi) + weight_zz * h_zz(i xi), in 1/m^3.
 
     The weighted sum is a single quadrature, which is what the potential
     assembly uses; unit weights recover the individual components.
     xi = 0 evaluates the exact static limit of the integrand (the plasma
     keeps a finite wavevector contrast there, Drude-type media lose it).
+
+    xi may be an array: its k-integrals are then one vector-valued
+    quadrature, one component per entry, each with its own breakpoints
+    and decay scale, and the result is an array of xi's shape.  A scalar
+    xi is the batch of one and returns a float.  Entries whose tensor is
+    zero at double precision (underflow, vanishing contrast) skip the
+    quadrature.  max_evaluations bounds each entry's evaluations.
     """
     _require_height(z)
-    if xi < 0.0:
+    xis = np.asarray(xi, dtype=float)
+    if (xis < 0.0).any():
         raise ValueError("xi must be >= 0")
     c = SPEED_OF_LIGHT
-    x = xi * z / c
-    if x > _UNDERFLOW_X:
-        return 0.0
-
     mirror = isinstance(m, PerfectConductor)
-    if mirror:
-        dq2z2 = 0.0
-        eps = None
-    else:
-        dq2z2 = wavevector_contrast_imag(m, xi, c) * z * z
-        if dq2z2 == 0.0 and (xi == 0.0 or permittivity_imag(m, xi) == 1.0):
-            return 0.0
-        eps = permittivity_imag(m, xi) if xi > 0.0 else None
-        if eps is not None and not math.isfinite(eps):
-            # eps overflows only when xi is hundreds of orders below the
-            # plasma frequency; there x^2 underflows and the r_p term is
-            # exactly zero at double precision, so drop it
-            eps = None
 
-    x2 = x * x
+    live, x2, dq2z2, eps, scales, bps = [], [], [], [], [], []
+    for i, xi_i in enumerate(xis.flat):
+        xi_i = float(xi_i)
+        x = xi_i * z / c
+        if x > _UNDERFLOW_X:
+            continue
+        if mirror:
+            d, e = 0.0, None
+        else:
+            d = wavevector_contrast_imag(m, xi_i, c) * z * z
+            if d == 0.0 and (xi_i == 0.0 or permittivity_imag(m, xi_i) == 1.0):
+                continue
+            e = permittivity_imag(m, xi_i) if xi_i > 0.0 else None
+            if e is not None and not math.isfinite(e):
+                # eps overflows only when xi is hundreds of orders below
+                # the plasma frequency; there x^2 underflows and the r_p
+                # term is exactly zero at double precision, so drop it
+                e = None
+        pts = [0.25, 1.0, 4.0]
+        if x > 1.0:
+            # decay in t is Gaussian-like with width ~sqrt(x) once x >> 1
+            root = math.sqrt(x)
+            pts += [root, 3.0 * root]
+        if d > 0.04:
+            edge = math.sqrt(d)  # r_s crossover scale
+            pts += [0.3 * edge, edge, 3.0 * edge]
+        live.append(i)
+        x2.append(x * x)
+        dq2z2.append(d)
+        eps.append(e)
+        scales.append(0.5 * max(1.0, math.sqrt(max(x, 1.0))))
+        bps.append(pts)
+
+    if not live:
+        return 0.0 if xis.ndim == 0 else np.zeros(xis.shape)
+    # r_p is skipped when no entry has a permittivity; otherwise
+    # eps = 1 makes it exactly zero for an entry without one
+    with_rp = any(e is not None for e in eps)
+    eps = [1.0 if e is None else e for e in eps]
+    # the engine passes the (n, 15) nodes of one panel; parameters of
+    # that shape keep every operation free of broadcasting
+    x2, dq2z2, eps = np.repeat(np.array([x2, dq2z2, eps])[:, :, None], len(NODES), axis=2)
+    if not with_rp:
+        eps = None
 
     def integrand(t: np.ndarray) -> np.ndarray:
         rho = np.sqrt(x2 + t * t)
@@ -227,22 +262,23 @@ def contracted_green_imag(
                 acc = acc + weight_xx * r_p * x2
         return (t / rho) * acc * np.exp(-2.0 * rho)
 
-    bps = [0.25, 1.0, 4.0]
-    if x > 1.0:
-        # decay in t is Gaussian-like with width ~sqrt(x) once x >> 1
-        root = math.sqrt(x)
-        bps += [root, 3.0 * root]
-    if dq2z2 > 0.04:
-        edge = math.sqrt(dq2z2)  # r_s crossover scale
-        bps += [0.3 * edge, edge, 3.0 * edge]
-    cfg = _quad_config(rel_tol, max_evaluations, 0.5 * max(1.0, math.sqrt(max(x, 1.0))))
+    cfg = _quad_config(rel_tol, max_evaluations, tuple(scales))
     res = integrate_semi_infinite(integrand, cfg, breakpoints=bps)
     if not res.converged:
+        j = res.unconverged[0]
         raise IntegrationError(
-            f"transverse-wavevector integral did not converge (xi={xi:.3e}, z={z:.3e})",
-            res,
+            "transverse-wavevector integral did not converge "
+            f"(xi={xis.flat[live[j]]:.3e}, z={z:.3e})",
+            QuadratureResult(
+                float(res.value[j]), float(res.abs_error[j]), res.evaluations, False
+            ),
         )
-    return res.value / (8.0 * math.pi * z**3)
+    values = res.value / (8.0 * math.pi * z**3)
+    if xis.ndim == 0:
+        return float(values[0])
+    out = np.zeros(xis.size)
+    out[live] = values
+    return out.reshape(xis.shape)
 
 
 def _check_surface_mode(m: Material, omega: float) -> None:

@@ -150,7 +150,17 @@ def u_du(
     spec: NeutronSpec = NEUTRON,
     rel_tol: float = _DEFAULT_REL_TOL,
 ) -> float:
-    """Cross-state piece: Lorentzian-weighted imaginary-frequency sum."""
+    """Cross-state piece: Lorentzian-weighted imaginary-frequency sum.
+
+    A double integral: an adaptive quadrature over xi whose integrand at
+    each node is the transverse-wavevector integral of
+    contracted_green_imag.  The 15 xi nodes of an outer panel go to
+    contracted_green_imag as one array, so their inner integrals are one
+    vector-valued quadrature in which each node must meet the inner
+    tolerance rel_tol/10 (at least 1e-13).  Raises IntegrationError,
+    naming xi and z, if any inner integral or the outer one misses its
+    tolerance.
+    """
     w_xx, w_zz = _cross_weights(cfg.theta)
     k = spec.constants
     omega = transition_frequency(cfg, spec)
@@ -161,11 +171,8 @@ def u_du(
     inner_tol = max(rel_tol / 10.0, 1e-13)
 
     def outer(xi: np.ndarray) -> np.ndarray:
-        out = np.empty_like(xi)
-        for i, x in enumerate(xi):
-            g = contracted_green_imag(m, z, float(x), w_xx, w_zz, rel_tol=inner_tol)
-            out[i] = g * omega / (x * x + omega * omega)
-        return out
+        g = contracted_green_imag(m, z, xi, w_xx, w_zz, rel_tol=inner_tol)
+        return g * omega / (xi * xi + omega * omega)
 
     quad_cfg = QuadratureConfig(
         rel_tol=rel_tol,
@@ -240,10 +247,12 @@ def ground_state_potential(
 def orientation_average(fn: Callable[[float], float]) -> float:
     """Uniform average of fn(theta) over field orientations on the sphere.
 
-    Gauss-Legendre in cos(theta); exact for the polynomial angle
-    dependence of every potential in this package.
+    Gauss-Legendre in cos(theta) with two nodes, which is exact for
+    polynomials of degree up to 3 in cos(theta).  Every potential in this
+    package depends on the angle only through cos^2(theta), linearly
+    (see the module docstring), so two nodes give its exact average.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes, weights = np.polynomial.legendre.leggauss(2)
     return 0.5 * sum(w * fn(math.acos(x)) for x, w in zip(nodes, weights))
 
 

@@ -15,6 +15,19 @@ Integrands are vectorized: ``f`` receives a 1-D numpy array of abscissas
 and must return an array of the same shape.  Complex-valued integrands
 are supported throughout; error magnitudes use ``abs``.
 
+:func:`integrate_semi_infinite` also takes vector-valued integrands:
+n related integrals done in one refinement loop, one numpy call per
+panel instead of n.  A sequence of n decay scales selects this form.
+Each component keeps its own u-map, its own initial edges and its own
+value and error sums; ``f`` then receives the (n, 15) nodes of one panel,
+row j for component j, and returns the same shape.  Panels are
+split in lockstep by index, and a panel's heap key is its largest error
+relative to the tolerance of a component that has not yet converged, so
+refinement follows whichever components still need it.  The run counts
+as converged only when every component meets its own tolerance.  A
+scalar integrand is the one-component case: its refinement order and
+its results are those of a plain scalar loop.
+
 Both entry points accept optional ``breakpoints``: abscissas (in the
 caller's coordinates) where the integrand changes scale or character.
 Seeding them is essential when the integrand's support is far narrower
@@ -25,6 +38,7 @@ value.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -79,13 +93,15 @@ class QuadratureConfig:
 
     decay_scale is the coordinate scale of the integrand's decay; it
     parametrizes the (0, inf) -> (0, 1) map and is ignored for finite
-    intervals.
+    intervals.  A tuple of scales, one per component, makes the
+    semi-infinite integrand vector-valued.  The tolerances apply to each
+    component, and max_evaluations bounds each component's evaluations.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 0.0
     max_evaluations: int = 1_000_000
-    decay_scale: float = 1.0
+    decay_scale: Union[float, tuple[float, ...]] = 1.0
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0.0 and self.abs_tol <= 0.0:
@@ -94,111 +110,182 @@ class QuadratureConfig:
             raise ValueError("tolerances must be >= 0")
         if self.max_evaluations < 15:
             raise ValueError("max_evaluations must allow at least one panel")
-        if self.decay_scale <= 0.0 or not math.isfinite(self.decay_scale):
+        scales = self.decay_scale if isinstance(self.decay_scale, tuple) else (self.decay_scale,)
+        if not scales or not all(s > 0.0 and math.isfinite(s) for s in scales):
             raise ValueError("decay_scale must be positive and finite")
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: Number
-    abs_error: float
+    """Value and error estimate of one run.
+
+    For a vector integrand value and abs_error are arrays, evaluations
+    counts every component's integrand values, and unconverged lists the
+    components that missed their tolerance.
+    """
+
+    value: Union[Number, np.ndarray]
+    abs_error: Union[float, np.ndarray]
     evaluations: int
     converged: bool
+    unconverged: tuple[int, ...] = ()
 
 
-def _eval_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    """Return (kronrod, |kronrod - gauss|) for one panel."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fv = np.asarray(f(mid + half * NODES))
-    val_k = half * np.sum(WEIGHTS_K * fv)
-    val_g = half * np.sum(WEIGHTS_G * fv[1::2])
-    if not math.isfinite(abs(val_k)):
-        raise ValueError(f"integrand returned non-finite values on [{a}, {b}]")
-    return complex(val_k) if np.iscomplexobj(fv) else float(val_k), float(abs(val_k - val_g))
+def _eval_panels(f: Callable[[np.ndarray], np.ndarray], a: list, b: list):
+    """Kronrod values and |Kronrod - Gauss| errors of the panels [a[i], b[i]].
+
+    a[i] and b[i] hold panel i's ends, one per component; the result is
+    two nested lists indexed [panel][component].  f is called once per
+    panel with its (n, 15) nodes; the node arithmetic and the weighted
+    sums run once for all the panels.
+    """
+    ends = np.array([[(0.5 * (x + y), 0.5 * (y - x)) for x, y in zip(ap, bp)] for ap, bp in zip(a, b)])
+    half = ends[..., 1]
+    fv = np.array([f(x) for x in ends[..., :1] + half[..., None] * NODES])
+    vals = (half * np.add.reduce(WEIGHTS_K * fv, axis=-1)).tolist()
+    gauss = (half * np.add.reduce(WEIGHTS_G * fv[..., 1::2], axis=-1)).tolist()
+    for ap, bp, row in zip(a, b, vals):
+        if not all(map(cmath.isfinite, row)):
+            j = [cmath.isfinite(v) for v in row].index(False)
+            where = f" (component {j})" if len(row) > 1 else ""
+            raise ValueError(f"integrand returned non-finite values on [{ap[j]}, {bp[j]}]{where}")
+    errs = [[abs(k - g) for k, g in zip(vk, vg)] for vk, vg in zip(vals, gauss)]
+    return vals, errs
 
 
-def _tolerance(cfg: QuadratureConfig, value: Number) -> float:
-    return max(cfg.abs_tol, cfg.rel_tol * abs(value))
+def _tolerance(cfg: QuadratureConfig, value: list) -> list[float]:
+    return [max(cfg.abs_tol, cfg.rel_tol * abs(v)) for v in value]
+
+
+def _weights(tol: list[float], err: list[float], active: list[bool]) -> list[float]:
+    """Heap-key weight per component: a power of two near 1/tolerance.
+
+    Inactive components weigh nothing.  A power of two scales an error
+    exactly, so a one-component run keeps the plain largest-error order.
+    """
+    return [
+        math.ldexp(1.0, -math.frexp(t if t > 0.0 else e)[1]) if on else 0.0
+        for t, e, on in zip(tol, err, active)
+    ]
+
+
+def _entry(seq: int, a: list, b: list, val: list, err: list[float], weights: list[float]) -> tuple:
+    """Heap entry of a panel, keyed by its largest weighted error.
+
+    The entry keeps the index of that component, which decides whether
+    the panel is still wide enough to split.
+    """
+    keys = [e * w for e, w in zip(err, weights)]
+    key = max(keys)
+    return (-key, seq, a, b, val, err, keys.index(key))
 
 
 def _adapt(
     f: Callable[[np.ndarray], np.ndarray],
-    edges: Sequence[float],
+    edges: list[list[float]],
     cfg: QuadratureConfig,
+    vector: bool,
 ) -> QuadratureResult:
-    """Worst-panel-first refinement over the initial panel edges."""
-    span = edges[-1] - edges[0]
-    heap: list = []
-    evals = 0
-    seq = 0
-    total_val: Number = 0.0
-    total_err = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, err = _eval_panel(f, a, b)
-        evals += 15
-        total_val += val
-        total_err += err
-        heapq.heappush(heap, (-err, seq, a, b, val))
-        seq += 1
+    """Worst-panel-first refinement over the initial panel edges.
 
-    # Refinement stops on: tolerance met, budget exhausted, roundoff
-    # floor reached, every panel too narrow to split, or a long run of
-    # refinements that fail to improve the estimate (stuck on noise).
-    stall = 0
+    edges has one equally long row of initial edges per component;
+    panel i of every component is evaluated and split together.  A
+    panel's key is its largest error relative to the tolerance of a
+    component that is still above it; the loop runs until every
+    component meets its tolerance.  With vector False the run is the
+    one-component case and the result holds plain numbers.
+
+    Panel ends, values and errors are kept as lists of Python floats:
+    for a handful of components that costs less than numpy calls on
+    tiny arrays, and numpy does the work that scales, the nodes and sums.
+    """
+    columns = [list(c) for c in zip(*edges)]
+    span = [b - a for a, b in zip(columns[0], columns[-1])]
+    n = len(span)
+    vals, errs = _eval_panels(f, columns[:-1], columns[1:])
+    heap: list = []
+    panels = len(vals)
+    total_val: list = [0.0] * n
+    total_err = [0.0] * n
+    for seq, (a, b, val, err) in enumerate(zip(columns[:-1], columns[1:], vals, errs)):
+        total_val = [t + v for t, v in zip(total_val, val)]
+        total_err = [t + e for t, e in zip(total_err, err)]
+        heap.append((0.0, seq, a, b, val, err, 0))
+    seq = len(heap)
+
+    # Refinement stops on: every component within tolerance or at the
+    # roundoff floor, budget exhausted, or every panel too narrow to
+    # split.  A component whose own refinements fail to improve its error
+    # for a long run is stuck on noise or a divergence: its cap goes to
+    # inf, so it stops driving the refinement and cannot starve the
+    # others, and it is reported as unconverged.
+    # err > max(tol, floor |value|) is err > max(abs_tol, rel |value|):
+    rel = max(cfg.rel_tol, _ERROR_FLOOR_REL)
+    cap = [cfg.abs_tol] * n
+    stalls = [0] * n
     stall_limit = max(200, 2 * len(heap))
+    weights: list[float] = []
+    keyed = None
     while True:
-        if total_err <= _tolerance(cfg, total_val):
+        active = [e > max(c, rel * abs(v)) for e, c, v in zip(total_err, cap, total_val)]
+        if not any(active) or 15 * panels + 30 > cfg.max_evaluations or not heap:
             break
-        if total_err <= _ERROR_FLOOR_REL * abs(total_val):
-            break
-        if evals + 30 > cfg.max_evaluations:
-            break
-        if not heap:
-            break
-        if stall >= stall_limit:
-            break
-        neg_err, _, a, b, val = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        if mid - a < 1e-15 * span:
+        if active != keyed:
+            # the set of components still refining changed: re-key every panel
+            keyed = active
+            weights = _weights(_tolerance(cfg, total_val), total_err, active)
+            heap = [_entry(s, a, b, v, e, weights) for _, s, a, b, v, e, _ in heap]
+            heapq.heapify(heap)
+        _, _, a, b, val, err, j = heapq.heappop(heap)
+        mid = [0.5 * (x + y) for x, y in zip(a, b)]
+        if mid[j] - a[j] < 1e-15 * span[j]:
             # cannot subdivide further in float64; park the panel
             # (its value and error stay counted in the totals)
             continue
-        val_l, err_l = _eval_panel(f, a, mid)
-        val_r, err_r = _eval_panel(f, mid, b)
-        evals += 30
-        prev_err = total_err
-        total_val += val_l + val_r - val
-        total_err += err_l + err_r - (-neg_err)
-        heapq.heappush(heap, (-err_l, seq, a, mid, val_l))
-        seq += 1
-        heapq.heappush(heap, (-err_r, seq, mid, b, val_r))
-        seq += 1
-        if total_err > 0.999 * prev_err:
-            stall += 1
+        (val_l, val_r), (err_l, err_r) = _eval_panels(f, [a, mid], [mid, b])
+        panels += 2
+        prev_err = total_err[j]
+        total_val = [t + (l + r - v) for t, l, r, v in zip(total_val, val_l, val_r, val)]
+        total_err = [t + (l + r - e) for t, l, r, e in zip(total_err, err_l, err_r, err)]
+        heapq.heappush(heap, _entry(seq, a, mid, val_l, err_l, weights))
+        heapq.heappush(heap, _entry(seq + 1, mid, b, val_r, err_r, weights))
+        seq += 2
+        if total_err[j] > 0.999 * prev_err:
+            stalls[j] += 1
+            if stalls[j] >= stall_limit:
+                cap[j] = math.inf
         else:
-            stall = 0
+            stalls[j] = 0
 
-    value = total_val
-    abs_error = max(total_err, _ERROR_FLOOR_REL * abs(value))
+    tol = _tolerance(cfg, total_val)
+    abs_error = [max(e, _ERROR_FLOOR_REL * abs(v)) for e, v in zip(total_err, total_val)]
+    missed = tuple(j for j in range(n) if not abs_error[j] <= tol[j])
+    if not vector:
+        return QuadratureResult(total_val[0], abs_error[0], 15 * panels, not missed, missed)
     return QuadratureResult(
-        value=value,
-        abs_error=abs_error,
-        evaluations=evals,
-        converged=abs_error <= _tolerance(cfg, value),
+        np.array(total_val), np.array(abs_error), 15 * panels * n, not missed, missed
     )
 
 
+def _first_row(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """A scalar integrand as the one-component case: 1-D nodes in."""
+    return lambda x: [f(x[0])]
+
+
 def _merged_edges(a: float, b: float, base: Sequence[float], extra: Sequence[float]) -> list[float]:
-    pts = [a, b]
-    pts.extend(p for p in base if a < p < b)
-    pts.extend(p for p in extra if a < p < b)
-    pts.sort()
-    out = [pts[0]]
-    for p in pts[1:]:
-        if p - out[-1] > 1e-15 * (b - a):
+    """Sorted panel edges from a to b, dropping near-duplicate points.
+
+    No panel is narrower than 1e-15 of the span: an interior point that
+    close to b is replaced by b instead of leaving a sliver panel.
+    """
+    tol = 1e-15 * (b - a)
+    out = [a]
+    for p in sorted([p for p in (*base, *extra) if a < p < b]):
+        if p - out[-1] > tol:
             out.append(p)
-    if out[-1] != b:
+    if b - out[-1] <= tol:
+        out[-1] = b
+    else:
         out.append(b)
     return out
 
@@ -206,7 +293,7 @@ def _merged_edges(a: float, b: float, base: Sequence[float], extra: Sequence[flo
 def integrate_semi_infinite(
     f: Callable[[np.ndarray], np.ndarray],
     cfg: QuadratureConfig,
-    breakpoints: Sequence[float] = (),
+    breakpoints: Sequence = (),
 ) -> QuadratureResult:
     """Integrate f over (0, inf).
 
@@ -215,10 +302,24 @@ def integrate_semi_infinite(
     t-coordinates; they are mapped into u and become initial panel
     edges, together with a default ladder at t = s/9, s/3, s, 3s, 9s.
 
+    With a tuple of n decay scales f is vector-valued (see the module
+    docstring) and ``breakpoints`` holds one sequence per component.  A
+    component with fewer initial edges than the others is padded with
+    empty panels at u = 1.
+
     Never raises on non-convergence: the result carries converged=False
     and the caller decides whether that is fatal.
     """
-    s = cfg.decay_scale
+    vector = isinstance(cfg.decay_scale, tuple)
+    scales = list(cfg.decay_scale) if vector else [cfg.decay_scale]
+    # one row per component, as wide as a panel's nodes: same-shape numpy
+    # operations cost less than broadcast ones on arrays this small
+    s = np.repeat(np.array(scales)[:, None], len(NODES), axis=1)
+    f_rows = f if vector else _first_row(f)
+    if not vector:
+        breakpoints = [breakpoints]
+    if len(breakpoints) != len(scales):
+        raise ValueError("need one breakpoint sequence per component")
 
     def g(u: np.ndarray) -> np.ndarray:
         one_minus = 1.0 - u
@@ -226,13 +327,26 @@ def integrate_semi_infinite(
         # the largest representable t and carries zero weight for any
         # integrable decay, so clamp it instead of feeding f an inf
         safe = one_minus > 0.0
-        t = np.where(safe, s * u / np.where(safe, one_minus, 1.0), s)
-        jac = np.where(safe, s / np.where(safe, one_minus, 1.0) ** 2, 0.0)
-        return np.asarray(f(t)) * jac
+        den = np.where(safe, one_minus, 1.0)
+        t = s * u / den
+        jac = s / den**2
+        if not safe.all():
+            t = np.where(safe, t, s)
+            jac = np.where(safe, jac, 0.0)
+        return np.asarray(f_rows(t)) * jac
 
-    mapped = [t / (t + s) for t in breakpoints if t > 0.0 and math.isfinite(t)]
-    edges = _merged_edges(0.0, 1.0, [0.1, 0.25, 0.5, 0.75, 0.9], mapped)
-    return _adapt(g, edges, cfg)
+    rows = [
+        _merged_edges(
+            0.0,
+            1.0,
+            [0.1, 0.25, 0.5, 0.75, 0.9],
+            [t / (t + sj) for t in bps if t > 0.0 and math.isfinite(t)],
+        )
+        for sj, bps in zip(scales, breakpoints)
+    ]
+    width = max(len(r) for r in rows)
+    edges = [r + [1.0] * (width - len(r)) for r in rows]
+    return _adapt(g, edges, cfg, vector)
 
 
 def integrate_finite_oscillatory(
@@ -256,6 +370,6 @@ def integrate_finite_oscillatory(
         raise ValueError("phase_scale must be >= 0 and finite")
     n = max(1, math.ceil(phase_scale))
     n = min(n, max(1, cfg.max_evaluations // 30))
-    base = list(np.linspace(a, b, n + 1)[1:-1])
-    edges = _merged_edges(a, b, base, list(breakpoints))
-    return _adapt(f, edges, cfg)
+    base = np.linspace(a, b, n + 1)[1:-1].tolist()
+    edges = [_merged_edges(a, b, base, list(breakpoints))]
+    return _adapt(_first_row(f), edges, cfg, vector=False)

@@ -11,6 +11,7 @@ import pytest
 
 import neutroncp
 from neutroncp import CONSTANTS, neutron_c3
+from neutroncp import cli
 from neutroncp.cli import SweepRequest, main, run_sweep, run_table1
 
 FAST = dict(rel_tol=1e-6)
@@ -208,10 +209,11 @@ def test_cli_runtime_failure_exit_code(tmp_path):
     assert data[1].endswith(",error")
 
 
-def test_cli_resonant_failures_are_errors(tmp_path):
-    # the fig1 plasma has eps = 0 at the transition frequency; where the
-    # resonant quadrature meets a non-finite integrand the row must say
-    # error, never carry nan under status ok
+def test_cli_resonant_failures_are_errors(tmp_path, monkeypatch):
+    # the fig1 plasma has eps = 0 at the transition frequency, so the
+    # total-reflection kink of the resonant k-integral sits 1-2 ulp below
+    # the light line; that must cost no panel of its own, and every row
+    # of the sweep is a finite ok value
     config = Path(__file__).resolve().parents[1] / "configs" / "fig1.cfg"
     req = SweepRequest(
         model="plasma",
@@ -226,15 +228,29 @@ def test_cli_resonant_failures_are_errors(tmp_path):
     rows = run_sweep(req)
     assert len(rows) == 61
     for row in rows:
-        if row["status"] == "ok":
-            assert math.isfinite(row["u_dd"]) and math.isfinite(row["u_resonant"])
+        assert row["status"] == "ok", row
+        assert math.isfinite(row["u_dd"]) and math.isfinite(row["u_resonant"])
     out = tmp_path / "fig1.csv"
     args = ["sweep", "--config", str(config), "--outputs", "u_dd,u_resonant"]
-    assert main([*args, "--out", str(out)]) == 1
+    assert main([*args, "--out", str(out)]) == 0
+    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert len(data) == 62
+    assert all(l.endswith(",ok") and "nan" not in l for l in data[1:])
     # without a field there is no resonant channel: nan, but not a failure
     assert main([*args, "--b-ext", "0", "--points", "2", "--out", str(out)]) == 0
     data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert all(l.endswith(",nan,ok") for l in data[1:])
+
+    # a resonant evaluation that fails makes its row say error, never
+    # nan under status ok, and the run exit 1
+    def failing(*a, **k):
+        raise ValueError("integrand returned non-finite values")
+
+    monkeypatch.setattr(cli, "u_resonant", failing)
+    assert main([*args, "--points", "2", "--out", str(out)]) == 1
+    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert len(data) == 3
+    assert all(l.endswith(",nan,error") for l in data[1:])
 
 
 def test_cli_rejects_non_finite_material_parameters():

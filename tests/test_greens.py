@@ -14,9 +14,12 @@ omega z / c is enhanced, not suppressed.
 
 import cmath
 import math
+import re
 
+import numpy as np
 import pytest
 
+from neutroncp import greens
 from neutroncp import (
     CONSTANTS,
     Drude,
@@ -306,6 +309,47 @@ def test_non_convergence_carries_result():
     res = info.value.result
     assert res.abs_error > 0.0
     assert not res.converged
+
+
+# ------------------------------------------------------------- xi batches
+
+# At z = 1e-8 m the last entry has x = xi z / c ~ 1.7e3, past the
+# underflow cutoff; Drude-type contrasts vanish at xi = 0.
+BATCH_XI = np.array([0.0, 1e10, 1e13, 1e15, 1e16, 3e16, 1e17, 1e18, 5e19])
+
+
+@pytest.mark.parametrize("m", [PC, GOLD_PLASMA, GOLD_DRUDE, SILICON_DL])
+def test_batched_contraction_matches_scalar(m):
+    z, rel_tol = 1e-8, 1e-10
+    batch = contracted_green_imag(m, z, BATCH_XI, 1.3, 0.7, rel_tol=rel_tol)
+    assert batch.shape == BATCH_XI.shape
+    for xi, got in zip(BATCH_XI, batch):
+        ref = contracted_green_imag(m, z, float(xi), 1.3, 0.7, rel_tol=rel_tol)
+        assert abs(got - ref) <= rel_tol * abs(ref)
+    assert batch[-1] == 0.0
+    if isinstance(m, (Drude, DrudeLorentz)):
+        assert batch[0] == 0.0
+
+
+def test_batch_names_the_xi_that_did_not_converge(monkeypatch):
+    # component 7 of 15 becomes 1/t, whose integral diverges at both
+    # ends; the error must name its xi, not a component it starved
+    xis = np.geomspace(1e12, 1e18, 15)
+    z = 1e-8
+    engine = greens.integrate_semi_infinite
+
+    def one_divergent(f, cfg, breakpoints=()):
+        def rows(t):
+            out = np.array(f(t))
+            out[7] = 1.0 / t[7]
+            return out
+
+        return engine(rows, cfg, breakpoints)
+
+    monkeypatch.setattr(greens, "integrate_semi_infinite", one_divergent)
+    with pytest.raises(IntegrationError, match=re.escape(f"xi={xis[7]:.3e}, z={z:.3e}")) as info:
+        contracted_green_imag(GOLD_DRUDE, z, xis, 1.3, 0.7)
+    assert not info.value.result.converged
 
 
 # ---------------------------------------------------------- frozen values

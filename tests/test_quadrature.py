@@ -1,5 +1,6 @@
 """Adaptive Gauss-Kronrod engine: analytic integrals and error honesty."""
 
+import heapq
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neutroncp import QuadratureConfig, integrate_finite_oscillatory, integrate_semi_infinite
+from neutroncp.quadrature import NODES, WEIGHTS_G, WEIGHTS_K, _merged_edges
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=0.0, max_evaluations=400_000)
 
@@ -21,6 +23,10 @@ def test_config_validation():
         QuadratureConfig(max_evaluations=10)
     with pytest.raises(ValueError):
         QuadratureConfig(decay_scale=0.0)
+    with pytest.raises(ValueError):
+        QuadratureConfig(decay_scale=(1.0, math.inf))
+    with pytest.raises(ValueError):
+        QuadratureConfig(decay_scale=())
 
 
 def test_exponential():
@@ -177,3 +183,130 @@ def test_polynomial_times_exponential(coeffs):
     res = integrate_semi_infinite(f, QuadratureConfig(rel_tol=1e-10, abs_tol=1e-12))
     assert res.converged
     assert res.value == pytest.approx(exact, rel=1e-7, abs=1e-9)
+
+
+# ------------------------------------------------------ vector integrands
+
+
+def test_vector_components_keep_their_own_map_and_edges():
+    # component j is exp(-t/s_j)/s_j under its own decay scale s_j; the
+    # breakpoint lists differ in length, so the shorter rows are padded
+    scales = (1.0, 100.0, 0.01)
+    s = np.array(scales)[:, None]
+    cfg = QuadratureConfig(rel_tol=1e-12, decay_scale=scales)
+    res = integrate_semi_infinite(
+        lambda t: np.exp(-t / s) / s, cfg, breakpoints=[(), (30.0, 50.0, 300.0), (0.02,)]
+    )
+    assert res.converged and res.unconverged == ()
+    assert res.value.shape == res.abs_error.shape == (3,)
+    np.testing.assert_allclose(res.value, 1.0, rtol=1e-12)
+
+
+def test_vector_convergence_is_per_component():
+    # the 1/t component diverges at both ends; the others must still
+    # meet their own tolerance, and only the divergent one is reported
+    cfg = QuadratureConfig(rel_tol=1e-10, max_evaluations=20_000, decay_scale=(1.0, 1.0, 1.0))
+    rows = lambda t: np.stack([np.exp(-t[0]), 1.0 / t[1], t[2] ** 2 * np.exp(-t[2])])
+    res = integrate_semi_infinite(rows, cfg, breakpoints=[(), (), ()])
+    assert not res.converged
+    assert res.unconverged == (1,)
+    assert res.value[0] == pytest.approx(1.0, rel=1e-10)
+    assert res.value[2] == pytest.approx(2.0, rel=1e-10)
+    assert res.abs_error[1] > 1e-10 * abs(res.value[1])
+
+
+def test_vector_nonfinite_integrand_raises():
+    cfg = QuadratureConfig(decay_scale=(1.0, 2.0))
+    rows = lambda t: np.stack([np.exp(-t[0]), np.full_like(t[1], math.nan)])
+    with pytest.raises(ValueError, match="component 1"):
+        integrate_semi_infinite(rows, cfg, breakpoints=[(), ()])
+
+
+def test_vector_needs_one_breakpoint_list_per_component():
+    with pytest.raises(ValueError):
+        integrate_semi_infinite(np.exp, QuadratureConfig(decay_scale=(1.0, 2.0)), [()])
+
+
+def _plain_scalar_loop(f, edges, cfg):
+    """The scalar worst-panel-first loop, written with Python numbers.
+
+    Reference for the one-component case of the vector engine: same
+    panel rule, largest-error order, stall rule and stopping tests.
+    """
+
+    def panel(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        fv = f(mid + half * NODES)
+        val = half * np.sum(WEIGHTS_K * fv)
+        return float(val), float(abs(val - half * np.sum(WEIGHTS_G * fv[1::2])))
+
+    span = edges[-1] - edges[0]
+    heap, total_val, total_err, evals, seq = [], 0.0, 0.0, 0, 0
+    for a, b in zip(edges[:-1], edges[1:]):
+        val, err = panel(a, b)
+        evals, total_val, total_err = evals + 15, total_val + val, total_err + err
+        heapq.heappush(heap, (-err, seq, a, b, val))
+        seq += 1
+    stall, stall_limit = 0, max(200, 2 * len(heap))
+    while (
+        total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
+        and total_err > 1e-14 * abs(total_val)
+        and evals + 30 <= cfg.max_evaluations
+        and heap
+        and stall < stall_limit
+    ):
+        neg_err, _, a, b, val = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        if mid - a < 1e-15 * span:
+            continue
+        (val_l, err_l), (val_r, err_r) = panel(a, mid), panel(mid, b)
+        evals += 30
+        prev_err = total_err
+        total_val += val_l + val_r - val
+        total_err += err_l + err_r - (-neg_err)
+        heapq.heappush(heap, (-err_l, seq, a, mid, val_l))
+        heapq.heappush(heap, (-err_r, seq + 1, mid, b, val_r))
+        seq += 2
+        stall = stall + 1 if total_err > 0.999 * prev_err else 0
+    return total_val, max(total_err, 1e-14 * abs(total_val)), evals
+
+
+@pytest.mark.parametrize(
+    "f, rel_tol, max_evaluations",
+    [
+        (lambda x: np.sqrt(x) * np.exp(-x), 1e-10, 1_000_000),
+        (lambda x: np.exp(x) * np.cos(50.0 * x), 1e-12, 1_000_000),
+        (lambda x: 1.0 / (1e-3 + (x - 0.7) ** 2), 1e-11, 1_000_000),
+        (lambda x: np.sqrt(x) * np.exp(-x), 1e-14, 300),  # budget
+        (lambda x: 1.0 / x, 1e-9, 1_000_000),  # stall on a divergence
+    ],
+)
+def test_scalar_is_the_one_component_case(f, rel_tol, max_evaluations):
+    cfg = QuadratureConfig(rel_tol=rel_tol, max_evaluations=max_evaluations)
+    res = integrate_finite_oscillatory(f, 0.0, 1.0, phase_scale=3.0, cfg=cfg)
+    value, abs_error, evals = _plain_scalar_loop(f, _merged_edges(0.0, 1.0, [1 / 3, 2 / 3], []), cfg)
+    assert (res.value, res.abs_error, res.evaluations) == (value, abs_error, evals)
+
+
+def test_merged_edges_drop_the_ulp_wide_top_panel():
+    # a kink 1 ulp below the light line w: the old merge dropped w as a
+    # near-duplicate of the kink, then appended it again
+    w = 0.0031622776601683794
+    kink = 0.003162277660168379
+    assert kink < w
+    assert _merged_edges(0.0, w, [w / 3, 2 * w / 3], [kink]) == [0.0, w / 3, 2 * w / 3, w]
+
+
+@given(
+    st.lists(st.floats(min_value=-0.5, max_value=1.5), max_size=10),
+    st.lists(st.integers(min_value=0, max_value=4), max_size=4),
+    st.floats(min_value=1e-6, max_value=1e6),
+)
+@settings(max_examples=200, deadline=None)
+def test_merged_edges_never_emit_a_sliver(points, ulps_below_b, b):
+    # points a few ulp below b, at a and at b are the dangerous ones
+    near_b = [b - k * math.ulp(b) for k in ulps_below_b]
+    edges = _merged_edges(0.0, b, [0.5 * b], [p * b for p in points] + near_b + [0.0, b])
+    assert edges[0] == 0.0 and edges[-1] == b
+    widths = np.diff(edges)
+    assert np.all(widths >= 1e-15 * b)
