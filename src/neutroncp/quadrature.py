@@ -38,7 +38,6 @@ value.
 
 from __future__ import annotations
 
-import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -142,15 +141,14 @@ def _eval_panels(f: Callable[[np.ndarray], np.ndarray], a: list, b: list):
     ends = np.array([[(0.5 * (x + y), 0.5 * (y - x)) for x, y in zip(ap, bp)] for ap, bp in zip(a, b)])
     half = ends[..., 1]
     fv = np.array([f(x) for x in ends[..., :1] + half[..., None] * NODES])
-    vals = (half * np.add.reduce(WEIGHTS_K * fv, axis=-1)).tolist()
-    gauss = (half * np.add.reduce(WEIGHTS_G * fv[..., 1::2], axis=-1)).tolist()
-    for ap, bp, row in zip(a, b, vals):
-        if not all(map(cmath.isfinite, row)):
-            j = [cmath.isfinite(v) for v in row].index(False)
-            where = f" (component {j})" if len(row) > 1 else ""
-            raise ValueError(f"integrand returned non-finite values on [{ap[j]}, {bp[j]}]{where}")
-    errs = [[abs(k - g) for k, g in zip(vk, vg)] for vk, vg in zip(vals, gauss)]
-    return vals, errs
+    kronrod = half * np.add.reduce(WEIGHTS_K * fv, axis=-1)
+    gauss = half * np.add.reduce(WEIGHTS_G * fv[..., 1::2], axis=-1)
+    finite = np.isfinite(kronrod)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        where = f" (component {j})" if finite.shape[1] > 1 else ""
+        raise ValueError(f"integrand returned non-finite values on [{a[i][j]}, {b[i][j]}]{where}")
+    return kronrod.tolist(), np.abs(kronrod - gauss).tolist()
 
 
 def _tolerance(cfg: QuadratureConfig, value: list) -> list[float]:
