@@ -167,7 +167,9 @@ def fresnel_real(m: Material, omega: float, k_par: float) -> ReflectionPair:
     return ReflectionPair(r_s=complex(r_s), r_p=complex(r_p))
 
 
-def _quad_config(rel_tol: float, max_evaluations: int, decay_scale) -> QuadratureConfig:
+def _quad_config(
+    rel_tol: float, max_evaluations: int, decay_scale: Union[float, tuple[float, ...]]
+) -> QuadratureConfig:
     return QuadratureConfig(
         rel_tol=rel_tol,
         abs_tol=0.0,
@@ -179,12 +181,12 @@ def _quad_config(rel_tol: float, max_evaluations: int, decay_scale) -> Quadratur
 def contracted_green_imag(
     m: Material,
     z: float,
-    xi,
+    xi: Union[float, np.ndarray],
     weight_xx: float,
     weight_zz: float,
     rel_tol: float = 1e-10,
     max_evaluations: int = 400_000,
-):
+) -> Union[float, np.ndarray]:
     """weight_xx * h_xx(i xi) + weight_zz * h_zz(i xi), in 1/m^3.
 
     The weighted sum is a single quadrature, which is what the potential

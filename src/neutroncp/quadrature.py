@@ -138,7 +138,9 @@ def _eval_panels(f: Callable[[np.ndarray], np.ndarray], a: list, b: list):
     panel with its (n, 15) nodes; the node arithmetic and the weighted
     sums run once for all the panels.
     """
-    ends = np.array([[(0.5 * (x + y), 0.5 * (y - x)) for x, y in zip(ap, bp)] for ap, bp in zip(a, b)])
+    ends = np.array(
+        [[(0.5 * (x + y), 0.5 * (y - x)) for x, y in zip(ap, bp)] for ap, bp in zip(a, b)]
+    )
     half = ends[..., 1]
     fv = np.array([f(x) for x in ends[..., :1] + half[..., None] * NODES])
     kronrod = half * np.add.reduce(WEIGHTS_K * fv, axis=-1)
@@ -208,7 +210,7 @@ def _adapt(
     for seq, (a, b, val, err) in enumerate(zip(columns[:-1], columns[1:], vals, errs)):
         total_val = [t + v for t, v in zip(total_val, val)]
         total_err = [t + e for t, e in zip(total_err, err)]
-        heap.append((0.0, seq, a, b, val, err, 0))
+        heap.append((0.0, seq, a, b, val, err, 0))  # keyed on the first pass
     seq = len(heap)
 
     # Refinement stops on: every component within tolerance or at the
@@ -265,12 +267,18 @@ def _adapt(
     )
 
 
-def _first_row(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """A scalar integrand as the one-component case: 1-D nodes in."""
+def _first_row(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], list]:
+    """A scalar integrand as the one-component case.
+
+    f gets the 1-D nodes of the only row; its values come back as that
+    row, a one-element list.
+    """
     return lambda x: [f(x[0])]
 
 
-def _merged_edges(a: float, b: float, base: Sequence[float], extra: Sequence[float]) -> list[float]:
+def _merged_edges(
+    a: float, b: float, base: Sequence[float], extra: Sequence[float]
+) -> list[float]:
     """Sorted panel edges from a to b, dropping near-duplicate points.
 
     No panel is narrower than 1e-15 of the span: an interior point that

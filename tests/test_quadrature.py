@@ -284,7 +284,8 @@ def _plain_scalar_loop(f, edges, cfg):
 def test_scalar_is_the_one_component_case(f, rel_tol, max_evaluations):
     cfg = QuadratureConfig(rel_tol=rel_tol, max_evaluations=max_evaluations)
     res = integrate_finite_oscillatory(f, 0.0, 1.0, phase_scale=3.0, cfg=cfg)
-    value, abs_error, evals = _plain_scalar_loop(f, _merged_edges(0.0, 1.0, [1 / 3, 2 / 3], []), cfg)
+    edges = _merged_edges(0.0, 1.0, np.linspace(0.0, 1.0, 4)[1:-1].tolist(), [])
+    value, abs_error, evals = _plain_scalar_loop(f, edges, cfg)
     assert (res.value, res.abs_error, res.evaluations) == (value, abs_error, evals)
 
 
