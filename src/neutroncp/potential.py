@@ -157,9 +157,9 @@ def u_du(
     contracted_green_imag.  The 15 xi nodes of an outer panel go to
     contracted_green_imag as one array, so their inner integrals are one
     vector-valued quadrature in which each node must meet the inner
-    tolerance rel_tol/10 (at least 1e-13).  Raises IntegrationError,
-    naming xi and z, if any inner integral or the outer one misses its
-    tolerance.
+    tolerance rel_tol/10 (at least 1e-13).  Raises IntegrationError if
+    an inner integral misses its tolerance (the message names xi and z)
+    or the outer one does (it names z and B).
     """
     w_xx, w_zz = _cross_weights(cfg.theta)
     k = spec.constants
