@@ -10,11 +10,8 @@ from .constants import CONSTANTS, NEUTRON, NeutronSpec, PhysicalConstants
 from .gravity import SphereSpec, earth_potential, sphere_potential
 from .greens import (
     IntegrationError,
-    ReflectionPair,
     contracted_green_imag,
     contracted_green_real,
-    fresnel_imag,
-    fresnel_real,
 )
 from .materials import (
     Drude,
@@ -29,11 +26,9 @@ from .materials import (
 )
 from .potential import (
     FieldConfig,
-    PotentialBreakdown,
     atomic_c3,
     c3_ratio,
     critical_distance,
-    ground_state_potential,
     local_power_law,
     neutron_c3,
     nonretarded_leading,
@@ -59,11 +54,8 @@ __all__ = [
     "earth_potential",
     "sphere_potential",
     "IntegrationError",
-    "ReflectionPair",
     "contracted_green_imag",
     "contracted_green_real",
-    "fresnel_imag",
-    "fresnel_real",
     "Drude",
     "DrudeLorentz",
     "Material",
@@ -74,11 +66,9 @@ __all__ = [
     "permittivity_imag",
     "permittivity_real",
     "FieldConfig",
-    "PotentialBreakdown",
     "atomic_c3",
     "c3_ratio",
     "critical_distance",
-    "ground_state_potential",
     "local_power_law",
     "neutron_c3",
     "nonretarded_leading",

@@ -10,9 +10,11 @@ Exit codes: 0 success, 1 runtime failure in at least one row (quadrature
 non-convergence or an unsupported model request), 2 usage error.
 
 A config file (`key = value` lines, '#' comments, keys named like the
-long flags) supplies defaults; explicit flags win.  The header never
-records argv, job counts, or timestamps, so output bytes depend only on
-the physics request; serial and parallel runs are identical.
+long flags) is read as `--key=value` flags placed before the command
+line's own, so one parser checks both and explicit flags win.  The
+header never records argv, job counts, or timestamps, so output bytes
+depend only on the physics request; serial and parallel runs are
+identical.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, TextIO
 
 from .constants import CONSTANTS
@@ -61,7 +63,7 @@ ALL_OUTPUTS = (
 )
 _ENERGY_COLUMNS = frozenset(ALL_OUTPUTS) - {"exponent"}
 _MODEL_ORDER = ("pc", "plasma", "drude", "drude-lorentz")
-_DEFAULT_OUTPUTS = "u_dd,u_du,u_ground"
+_UNIT_FACTORS = {"J": 1.0, "eV": CONSTANTS.e, "neV": CONSTANTS.e * 1e-9}
 
 
 class UsageError(Exception):
@@ -80,7 +82,7 @@ class SweepRequest:
     z_max: float = 1e-6
     points: int = 25
     scale: str = "log"
-    outputs: tuple[str, ...] = tuple(_DEFAULT_OUTPUTS.split(","))
+    outputs: tuple[str, ...] = ("u_dd", "u_du", "u_ground")
     rel_tol: float = 1e-9
     energy_unit: str = "J"
 
@@ -182,9 +184,12 @@ def _sweep_point(payload: tuple[SweepRequest, float]) -> dict[str, object]:
 def run_sweep(req: SweepRequest, jobs: int = 1) -> list[dict[str, object]]:
     """Rows in grid order, energies in joules; caller converts units."""
     payloads = [(req, z) for z in _grid(req)]
-    if jobs <= 1:
+    # a fork-started pool forks all its workers at the first submit, so
+    # never ask for more than there are points
+    workers = min(jobs, len(payloads))
+    if workers <= 1:
         return [_sweep_point(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_point, payloads, chunksize=1))
 
 
@@ -204,20 +209,10 @@ def run_table1(req: SweepRequest) -> list[dict[str, object]]:
     return rows
 
 
-def _unit_factor(unit: str) -> float:
-    if unit == "J":
-        return 1.0
-    if unit == "eV":
-        return CONSTANTS.e
-    if unit == "neV":
-        return CONSTANTS.e * 1e-9
-    raise UsageError(f"unknown energy unit {unit!r}")
-
-
 def _convert_units(
     rows: list[dict[str, object]], columns: Sequence[str], unit: str
 ) -> list[dict[str, object]]:
-    factor = _unit_factor(unit)
+    factor = _UNIT_FACTORS[unit]
     out = []
     for row in rows:
         new = dict(row)
@@ -270,6 +265,9 @@ def write_json(
     stream.write("\n")
 
 
+_WRITERS = {"csv": write_csv, "json": write_json}
+
+
 def _sweep_header(req: SweepRequest, command: str) -> dict[str, object]:
     header: dict[str, object] = {
         "tool": f"neutroncp {command}",
@@ -291,51 +289,38 @@ def _sweep_header(req: SweepRequest, command: str) -> dict[str, object]:
     return header
 
 
-_CONFIG_CONVERTERS = {
-    "model": str,
-    "omega_p": float,
-    "gamma": float,
-    "omega_t": float,
-    "b_ext": float,
-    "theta": str,
-    "z": float,
-    "z_min": float,
-    "z_max": float,
-    "points": int,
-    "scale": str,
-    "outputs": str,
-    "rel_tol": float,
-    "jobs": int,
-    "energy_unit": str,
-    "format": str,
-    "out": str,
-}
-
-
-def _load_config(path: str) -> dict[str, object]:
-    cfg: dict[str, object] = {}
+def _theta(raw: str) -> Optional[float]:
+    if raw == "avg":
+        return None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = (part.strip() for part in line.split("=", 1))
-                key = key.replace("-", "_")
-                if key not in _CONFIG_CONVERTERS:
-                    raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    cfg[key] = _CONFIG_CONVERTERS[key](value)
-                except ValueError as exc:
-                    raise UsageError(f"{path}:{lineno}: {exc}") from exc
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
-    return cfg
+        return float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid theta {raw!r}: use radians or 'avg'"
+        ) from None
+
+
+def _outputs(raw: str) -> tuple[str, ...]:
+    names = [s.strip() for s in raw.split(",") if s.strip()]
+    unknown = [s for s in names if s not in ALL_OUTPUTS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown outputs {unknown}; choose from {','.join(ALL_OUTPUTS)}"
+        )
+    if not names:
+        raise argparse.ArgumentTypeError("outputs must name at least one column")
+    # canonical column order regardless of how the request spells it
+    return tuple(o for o in ALL_OUTPUTS if o in set(names))
+
+
+def _request_flag(p: argparse.ArgumentParser, field: str, help: str, **kw) -> None:
+    """--field-name for a SweepRequest field, with the field's default."""
+    flag = "--" + field.replace("_", "-")
+    p.add_argument(flag, default=getattr(SweepRequest, field), help=help, **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one option schema; config file keys are its long flag names."""
     parser = argparse.ArgumentParser(
         prog="neutroncp",
         description="Neutron-surface dispersion potential sweeps and tables.",
@@ -344,111 +329,104 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="config file with key = value defaults")
-        p.add_argument(
-            "--model", choices=_MODEL_ORDER, help="surface response model"
+        _request_flag(p, "model", "surface response model", choices=_MODEL_ORDER)
+        _request_flag(p, "omega_p", "plasma frequency in rad/s", type=float)
+        _request_flag(p, "gamma", "Drude damping rate in rad/s", type=float)
+        _request_flag(
+            p, "omega_t", "transverse resonance frequency in rad/s", type=float
         )
-        p.add_argument("--omega-p", type=float, help="plasma frequency in rad/s")
-        p.add_argument("--gamma", type=float, help="Drude damping rate in rad/s")
-        p.add_argument(
-            "--omega-t", type=float, help="transverse resonance frequency in rad/s"
+        _request_flag(p, "b_ext", "external field in tesla", type=float)
+        _request_flag(
+            p, "theta", "field angle to the normal in radians, or 'avg'", type=_theta
         )
-        p.add_argument("--b-ext", type=float, help="external field in tesla")
-        p.add_argument(
-            "--theta", help="field angle to the normal in radians, or 'avg'"
+        _request_flag(p, "rel_tol", "relative quadrature tolerance", type=float)
+        _request_flag(
+            p, "energy_unit", "output energy unit", choices=tuple(_UNIT_FACTORS)
         )
-        p.add_argument("--rel-tol", type=float, help="relative quadrature tolerance")
+        p.add_argument("--out", default="-", help="output path, '-' for stdout")
         p.add_argument(
-            "--energy-unit", choices=("J", "eV", "neV"), help="output energy unit"
+            "--format", choices=tuple(_WRITERS), default="csv", help="output format"
         )
-        p.add_argument("--out", help="output path, '-' for stdout")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
 
-    sweep = sub.add_parser("sweep", help="sweep the potential over distance")
-    add_common(sweep)
-    sweep.add_argument("--z-min", type=float, help="smallest distance in m")
-    sweep.add_argument("--z-max", type=float, help="largest distance in m")
-    sweep.add_argument("--points", type=int, help="number of grid points")
-    sweep.add_argument("--scale", choices=("log", "linear"), help="grid spacing")
-    sweep.add_argument(
-        "--outputs",
-        help="comma-separated subset of: " + ",".join(ALL_OUTPUTS),
+    sweep = sub.add_parser(
+        "sweep", help="sweep the potential over distance", allow_abbrev=False
     )
-    sweep.add_argument("--jobs", type=int, help="worker processes (default 1)")
+    add_common(sweep)
+    _request_flag(sweep, "z_min", "smallest distance in m", type=float)
+    _request_flag(sweep, "z_max", "largest distance in m", type=float)
+    _request_flag(sweep, "points", "number of grid points", type=int)
+    _request_flag(sweep, "scale", "grid spacing", choices=("log", "linear"))
+    _request_flag(
+        sweep,
+        "outputs",
+        "comma-separated subset of: " + ",".join(ALL_OUTPUTS),
+        type=_outputs,
+    )
+    sweep.add_argument(
+        "--jobs", type=int, default=1, help="worker processes (default 1)"
+    )
 
     table = sub.add_parser(
-        "table1", help="leading small-distance coefficient for all four models"
+        "table1",
+        help="leading small-distance coefficient for all four models",
+        allow_abbrev=False,
     )
     add_common(table)
-    table.add_argument("--z", type=float, help="distance in m")
+    table.add_argument(
+        "--z", type=float, default=SweepRequest.z_min, help="distance in m"
+    )
     return parser
 
 
-def _pick(args: argparse.Namespace, cfg: dict[str, object], key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return cfg.get(key, default)
-
-
-def _parse_theta(raw: object) -> Optional[float]:
-    if raw is None or raw == "avg":
-        return None
+def _config_flags(path: str) -> list[str]:
+    """A config file's `key = value` lines as `--key=value` flags."""
+    flags = []
     try:
-        return float(raw)  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise UsageError(f"invalid theta {raw!r}: use radians or 'avg'") from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                key, sep, value = (part.strip() for part in line.partition("="))
+                if not (sep and key):
+                    raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+                key = key.replace("_", "-")
+                if key == "config":
+                    raise UsageError(f"{path}:{lineno}: config files do not nest")
+                flags.append(f"--{key}={value}")
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
+    return flags
 
 
-def _parse_outputs(raw: str) -> tuple[str, ...]:
-    names = [s.strip() for s in raw.split(",") if s.strip()]
-    unknown = [s for s in names if s not in ALL_OUTPUTS]
-    if unknown:
-        raise UsageError(
-            f"unknown outputs {unknown}; choose from {','.join(ALL_OUTPUTS)}"
-        )
-    if not names:
-        raise UsageError("outputs must name at least one column")
-    # canonical column order regardless of how the request spells it
-    return tuple(o for o in ALL_OUTPUTS if o in set(names))
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse argv; a --config file's lines count as flags given before argv's.
+
+    Exits through argparse (SystemExit) on a bad flag, also one from the
+    config file; raises UsageError if the config file cannot be read.
+    """
+    argv = list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        rest = argv[argv.index(args.command) + 1 :]
+        args = parser.parse_args([args.command, *_config_flags(args.config), *rest])
+    return args
 
 
-def _build_request(args: argparse.Namespace, cfg: dict[str, object]) -> SweepRequest:
-    is_sweep = args.command == "sweep"
-    if is_sweep:
-        z_min = float(_pick(args, cfg, "z_min", 1e-9))
-        z_max = float(_pick(args, cfg, "z_max", 1e-6))
-        points = int(_pick(args, cfg, "points", 25))
-        outputs = _parse_outputs(str(_pick(args, cfg, "outputs", _DEFAULT_OUTPUTS)))
-    else:
-        z_min = z_max = float(_pick(args, cfg, "z", 1e-9))
-        points = 1
-        outputs = ("table1",)
-    req = SweepRequest(
-        model=str(_pick(args, cfg, "model", "pc")),
-        omega_p=float(_pick(args, cfg, "omega_p", 0.0)),
-        gamma=float(_pick(args, cfg, "gamma", 0.0)),
-        omega_t=float(_pick(args, cfg, "omega_t", 0.0)),
-        b_ext=float(_pick(args, cfg, "b_ext", 2.0)),
-        theta=_parse_theta(_pick(args, cfg, "theta", None)),
-        z_min=z_min,
-        z_max=z_max,
-        points=points,
-        scale=str(_pick(args, cfg, "scale", "log")),
-        outputs=outputs,
-        rel_tol=float(_pick(args, cfg, "rel_tol", 1e-9)),
-        energy_unit=str(_pick(args, cfg, "energy_unit", "J")),
-    )
-    _validate_request(req, is_sweep)
+_REQUEST_FIELDS = frozenset(f.name for f in fields(SweepRequest))
+
+
+def _build_request(args: argparse.Namespace) -> SweepRequest:
+    given = {k: v for k, v in vars(args).items() if k in _REQUEST_FIELDS}
+    if args.command == "table1":
+        given.update(z_min=args.z, z_max=args.z, points=1, outputs=("table1",))
+    req = SweepRequest(**given)
+    _validate_request(req, args.command == "sweep")
     return req
 
 
 def _validate_request(req: SweepRequest, is_sweep: bool) -> None:
-    if req.model not in _MODEL_ORDER:
-        raise UsageError(f"unknown model {req.model!r}")
-    if req.scale not in ("log", "linear"):
-        raise UsageError(f"unknown scale {req.scale!r}")
-    if req.energy_unit not in ("J", "eV", "neV"):
-        raise UsageError(f"unknown energy unit {req.energy_unit!r}")
     if not (req.z_min > 0.0 and math.isfinite(req.z_min)):
         raise UsageError("z_min must be > 0 and finite")
     if is_sweep:
@@ -470,22 +448,14 @@ def _validate_request(req: SweepRequest, is_sweep: bool) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
-        cfg = _load_config(args.config) if args.config else {}
-        req = _build_request(args, cfg)
-        jobs = int(_pick(args, cfg, "jobs", 1)) if args.command == "sweep" else 1
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        req = _build_request(args)
+        jobs = args.jobs if args.command == "sweep" else 1
         if jobs < 1:
             raise UsageError("jobs must be >= 1")
-        out_path = str(_pick(args, cfg, "out", "-"))
-        fmt = str(_pick(args, cfg, "format", "csv"))
-        if fmt not in ("csv", "json"):
-            raise UsageError(f"unknown format {fmt!r}")
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -499,11 +469,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             columns = ["model", "z", "table1", "status"]
         rows = _convert_units(rows, columns, req.energy_unit)
         header = _sweep_header(req, args.command)
-        writer = write_csv if fmt == "csv" else write_json
-        if out_path == "-":
+        writer = _WRITERS[args.format]
+        if args.out == "-":
             writer(rows, columns, header, sys.stdout)
         else:
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 writer(rows, columns, header, fh)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

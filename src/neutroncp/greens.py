@@ -55,13 +55,11 @@ flips the sign of Im h there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .materials import (
-    DrudeLorentz,
     Material,
     PerfectConductor,
     UnsupportedModelError,
@@ -98,12 +96,6 @@ class IntegrationError(RuntimeError):
         self.result = result
 
 
-@dataclass(frozen=True)
-class ReflectionPair:
-    r_s: Union[float, complex]
-    r_p: Union[float, complex]
-
-
 def _require_height(z: float) -> None:
     if z <= 0.0 or not math.isfinite(z):
         raise ValueError("z must be positive and finite")
@@ -120,51 +112,6 @@ def _reflection(q, q_m, contrast, eps, s2):
         return r_s, None
     r_p = (eps - 1.0) * ((eps + 1.0) * q * q - s2) / (eps * q + q_m) ** 2
     return r_s, r_p
-
-
-def fresnel_imag(m: Material, xi: float, k_par: float) -> ReflectionPair:
-    """Reflection amplitudes at imaginary frequency i*xi, wavevector k_par."""
-    if xi < 0.0 or k_par < 0.0 or (xi == 0.0 and k_par == 0.0):
-        raise ValueError("require xi >= 0, k_par >= 0, not both zero")
-    if isinstance(m, PerfectConductor):
-        return ReflectionPair(r_s=-1.0, r_p=1.0)
-    c = SPEED_OF_LIGHT
-    kappa = math.hypot(xi / c, k_par)
-    dq2 = wavevector_contrast_imag(m, xi, c)
-    eps = permittivity_imag(m, xi) if xi > 0.0 else None
-    r_s, r_p = _reflection(kappa, math.sqrt(kappa**2 + dq2), dq2, eps, (xi / c) ** 2)
-    if r_p is None and isinstance(m, DrudeLorentz):
-        eps0 = 1.0 + (m.omega_p / m.omega_t) ** 2
-        r_p = (eps0 - 1.0) / (eps0 + 1.0)
-    elif r_p is None:
-        # plasma and Drude permittivities diverge at xi -> 0; r_p -> 1
-        # unless the medium is degenerate vacuum
-        r_p = 1.0 if m.omega_p > 0.0 else 0.0
-    return ReflectionPair(r_s=r_s, r_p=r_p)
-
-
-def fresnel_real(m: Material, omega: float, k_par: float) -> ReflectionPair:
-    """Reflection amplitudes at real frequency omega, wavevector k_par.
-
-    k_par may exceed omega/c (evanescent incidence); the vacuum normal
-    component is then i*q with q > 0.  Lossless media with eps < -1
-    have a surface-mode pole at one evanescent k_par; this function
-    returns the off-pole values and the caller must keep clear of it.
-    """
-    if omega <= 0.0 or k_par < 0.0:
-        raise ValueError("require omega > 0 and k_par >= 0")
-    if isinstance(m, PerfectConductor):
-        return ReflectionPair(r_s=complex(-1.0), r_p=complex(1.0))
-    c = SPEED_OF_LIGHT
-    w2 = (omega / c) ** 2
-    dq2 = wavevector_contrast_real(m, omega, c)
-    if dq2 == 0:
-        return ReflectionPair(r_s=complex(0.0), r_p=complex(0.0))
-    eps = permittivity_real(m, omega)
-    kperp = np.sqrt(complex(w2 - k_par**2))
-    km = np.sqrt(kperp**2 + dq2)
-    r_s, r_p = _reflection(-1j * kperp, -1j * km, -dq2, eps, -w2)
-    return ReflectionPair(r_s=complex(r_s), r_p=complex(r_p))
 
 
 def _quad_config(

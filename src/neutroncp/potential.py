@@ -68,22 +68,6 @@ class FieldConfig:
             raise ValueError("theta must lie in [0, pi]")
 
 
-@dataclass(frozen=True)
-class PotentialBreakdown:
-    """All potential pieces at one distance, in joules.
-
-    u_resonant and u_excited are None unless the excited state was
-    requested; the ground state never needs the real-frequency response.
-    """
-
-    z: float
-    u_dd: float
-    u_du: float
-    u_ground: float
-    u_resonant: Optional[float] = None
-    u_excited: Optional[float] = None
-
-
 def transition_frequency(cfg: FieldConfig, spec: NeutronSpec = NEUTRON) -> float:
     """Spin-flip frequency |gamma_n| B in rad/s."""
     return spec.spin_flip_frequency(cfg.b_ext)
@@ -210,38 +194,6 @@ def u_resonant(
     omega = transition_frequency(cfg, spec)
     contraction = contracted_green_real(m, z, omega, w_xx, w_zz, rel_tol=rel_tol)
     return spec.constants.mu0 * _moment_sq(spec) * contraction.real
-
-
-def ground_state_potential(
-    z: float,
-    cfg: FieldConfig,
-    m: Material,
-    spec: NeutronSpec = NEUTRON,
-    include_excited: bool = False,
-    rel_tol: float = _DEFAULT_REL_TOL,
-) -> PotentialBreakdown:
-    """Full breakdown at one distance.
-
-    The excited-state pieces are skipped by default: they need the
-    real-frequency surface response, which does not exist for the
-    lossless plasma model (see u_resonant), and the ground state must
-    not fail on an excited-state pathology.
-    """
-    dd = u_dd(z, cfg, m, spec, rel_tol)
-    du = u_du(z, cfg, m, spec, rel_tol)
-    resonant: Optional[float] = None
-    excited: Optional[float] = None
-    if include_excited:
-        resonant = u_resonant(z, cfg, m, spec, rel_tol)
-        excited = dd - du + resonant
-    return PotentialBreakdown(
-        z=z,
-        u_dd=dd,
-        u_du=du,
-        u_ground=dd + du,
-        u_resonant=resonant,
-        u_excited=excited,
-    )
 
 
 def orientation_average(fn: Callable[[float], float]) -> float:

@@ -3,18 +3,31 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import neutroncp
-from neutroncp import CONSTANTS, neutron_c3
+from neutroncp import (
+    CONSTANTS,
+    Drude,
+    FieldConfig,
+    local_power_law,
+    neutron_c3,
+    u_dd,
+    u_du,
+    u_resonant,
+)
 from neutroncp import cli
 from neutroncp.cli import SweepRequest, main, run_sweep, run_table1
 
 FAST = dict(rel_tol=1e-6)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args, cwd):
@@ -64,6 +77,79 @@ def test_run_sweep_parallel_identical():
     serial = run_sweep(req, jobs=1)
     parallel = run_sweep(req, jobs=3)
     assert serial == parallel  # bitwise equality, not approx
+
+
+def test_run_sweep_caps_workers_at_points(monkeypatch):
+    # a fork-started pool forks every worker it may use at the first
+    # submit; this stand-in records the pool size and starts no process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    req = SweepRequest(z_min=1e-8, z_max=1e-7, points=3, outputs=("gravity_earth",))
+    serial = run_sweep(req)
+    assert run_sweep(req, jobs=64) == serial
+    assert sizes == [3]
+    one = SweepRequest(z_min=1e-8, z_max=1e-8, points=1, outputs=("gravity_earth",))
+    assert run_sweep(one, jobs=8) == run_sweep(one)
+    assert sizes == [3]  # one point runs in this process
+
+
+def test_run_sweep_assembly():
+    # the rows the CLI writes are assembled from the potential pieces
+    # exactly, and exponent is the log-slope of u_dd + u_du
+    req = SweepRequest(
+        model="drude",
+        omega_p=1.37e16,
+        gamma=4.1e12,
+        b_ext=2.0,
+        theta=0.4,
+        z_min=1e-8,
+        z_max=1e-7,
+        points=2,
+        outputs=("u_dd", "u_du", "u_resonant", "u_ground", "u_excited", "exponent"),
+        rel_tol=1e-7,
+    )
+    cfg = FieldConfig(b_ext=2.0, theta=0.4)
+    m = Drude(omega_p=1.37e16, gamma=4.1e12)
+
+    def ground(z):
+        return u_dd(z, cfg, m, rel_tol=1e-7) + u_du(z, cfg, m, rel_tol=1e-7)
+
+    rows = run_sweep(req)
+    assert len(rows) == 2
+    for row in rows:
+        z = row["z"]
+        assert row["status"] == "ok"
+        assert row["u_dd"] == u_dd(z, cfg, m, rel_tol=1e-7)
+        assert row["u_du"] == u_du(z, cfg, m, rel_tol=1e-7)
+        assert row["u_resonant"] == u_resonant(z, cfg, m, rel_tol=1e-7)
+        assert row["u_ground"] == row["u_dd"] + row["u_du"]
+        assert row["u_excited"] == row["u_dd"] - row["u_du"] + row["u_resonant"]
+        assert row["exponent"] == local_power_law(z, ground)
+
+
+def test_run_sweep_ground_state_positive_across_models():
+    base = dict(omega_p=1.37e16, gamma=4.1e12, omega_t=7.1e16, b_ext=2.0)
+    for model in ("pc", "plasma", "drude", "drude-lorentz"):
+        req = SweepRequest(
+            model=model, z_min=3e-8, z_max=3e-8, points=1,
+            outputs=("u_ground",), rel_tol=1e-7, **base,
+        )
+        (row,) = run_sweep(req)
+        assert row["status"] == "ok" and row["u_ground"] > 0.0, model
 
 
 def test_run_table1_rows():
@@ -214,7 +300,7 @@ def test_cli_resonant_failures_are_errors(tmp_path, monkeypatch):
     # total-reflection kink of the resonant k-integral sits 1-2 ulp below
     # the light line; that must cost no panel of its own, and every row
     # of the sweep is a finite ok value
-    config = Path(__file__).resolve().parents[1] / "configs" / "fig1.cfg"
+    config = ROOT / "configs" / "fig1.cfg"
     req = SweepRequest(
         model="plasma",
         omega_p=363494611.93541175,
@@ -276,3 +362,111 @@ def test_cli_subprocess_determinism(tmp_path):
     assert one.returncode == two.returncode == three.returncode == 0
     assert one.stdout == two.stdout == three.stdout
     assert "jobs" not in one.stdout  # header stays execution independent
+
+
+def script_calls():
+    """Arguments of each neutroncp.cli call in scripts/reproduce_*.sh."""
+    calls = []
+    for script in sorted((ROOT / "scripts").glob("reproduce_*.sh")):
+        text = script.read_text(encoding="utf-8").replace("\\\n", " ")
+        for line in text.splitlines():
+            tokens = shlex.split(line, comments=True)
+            if "neutroncp.cli" in tokens:
+                calls.append(tokens[tokens.index("neutroncp.cli") + 1 :])
+    return calls
+
+
+def config_lines(path):
+    """(key, value) of each line of a config file."""
+    pairs = []
+    for raw in path.read_text(encoding="utf-8").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            key, value = (part.strip() for part in line.split("=", 1))
+            pairs.append((key, value))
+    return pairs
+
+
+def request(argv):
+    return cli._build_request(cli._parse_args(argv))
+
+
+def test_configs_parse_under_their_scripts_subcommand(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    used = {}
+    for call in script_calls():
+        used[call[call.index("--config") + 1]] = call[0]
+        request(call)  # raises on any key or value the subcommand rejects
+    assert sorted(used) == sorted(
+        str(p.relative_to(ROOT)) for p in (ROOT / "configs").glob("*.cfg")
+    )
+    for path, command in used.items():
+        # a config line and the same flag on the command line give the
+        # same request
+        flags = [t for k, v in config_lines(ROOT / path) for t in (f"--{k}", v)]
+        assert request([command, "--config", path]) == request([command, *flags])
+
+
+def test_sweep_rejects_table1_config(capsys):
+    # table1.cfg names the distance z, which sweep does not have; the
+    # sweep must not fall back to its default grid
+    assert main(["sweep", "--config", str(ROOT / "configs" / "table1.cfg")]) == 2
+    assert "--z=3e-8" in capsys.readouterr().err
+
+
+def test_cli_config_usage_errors(tmp_path):
+    fast = ["--points", "1", "--outputs", "gravity_earth", "--out", os.devnull]
+    assert main(["sweep", *fast]) == 0
+    assert main(["sweep", *fast, "--rel", "1e-6"]) == 2  # no abbreviations
+    cfg = tmp_path / "req.cfg"
+    for text in (
+        "rel = 1e-6\n",  # abbreviated key
+        "config = other.cfg\n",
+        "points\n",
+        "points = many\n",
+        "energy_unit = kJ\n",
+    ):
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg), *fast]) == 2, text
+    # a key one subcommand has and the other lacks
+    cfg.write_text("jobs = 2\n")
+    assert main(["sweep", "--config", str(cfg), *fast]) == 0
+    assert main(["table1", "--config", str(cfg), "--out", os.devnull]) == 2
+    # keys may be spelled with '_' or '-'; explicit flags win
+    cfg.write_text("z_min = 2e-8\nz-max = 3e-8\npoints = 4\n")
+    req = request(["sweep", "--config", str(cfg), "--points", "2"])
+    assert (req.z_min, req.z_max, req.points) == (2e-8, 3e-8, 2)
+
+
+# (subcommand, float key); table1 checks all four materials, and a sweep
+# uses a model whose material takes the key
+COMMON_FLOATS = ("omega-p", "gamma", "omega-t", "b-ext", "theta", "rel-tol")
+FLOAT_KEYS = [("sweep", k) for k in (*COMMON_FLOATS, "z-min", "z-max")] + [
+    ("table1", k) for k in (*COMMON_FLOATS, "z")
+]
+
+
+@given(
+    st.sampled_from(FLOAT_KEYS),
+    st.sampled_from(["nan", "NaN", "inf", "+inf", "-inf", "Infinity", "-Infinity"]),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_non_finite_values_are_usage_errors(
+    tmp_path_factory, command_key, value, in_config
+):
+    command, key = command_key
+    flags = {"omega-p": "1e16", "gamma": "1e13", "omega-t": "1e16"}
+    if command == "sweep":
+        model = "drude-lorentz" if key == "omega-t" else "drude"
+        flags.update(model=model, points="1", outputs="gravity_earth")
+    argv = [command, "--out", os.devnull]
+    assert main([*argv, *(f"--{k}={v}" for k, v in flags.items())]) == 0
+    if in_config:
+        flags.pop(key, None)  # a flag would override the config line
+        cfg = tmp_path_factory.mktemp("cfg") / "req.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        flags[key] = value
+    assert main([*argv, *(f"--{k}={v}" for k, v in flags.items())]) == 2

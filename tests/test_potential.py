@@ -16,7 +16,6 @@ from neutroncp import (
     atomic_c3,
     c3_ratio,
     critical_distance,
-    ground_state_potential,
     local_power_law,
     neutron_c3,
     nonretarded_leading,
@@ -216,26 +215,6 @@ def test_resonant_defined_for_lossy_and_dielectric():
     assert math.isfinite(
         u_resonant(1e-7, cfg, DrudeLorentz(omega_p=2.3e16, omega_t=7.1e16))
     )
-
-
-def test_breakdown_structure():
-    cfg = FieldConfig(2.0, 0.4)
-    m = Drude(omega_p=1.37e16, gamma=4.1e12)
-    bd = ground_state_potential(1e-7, cfg, m)
-    assert bd.u_ground == bd.u_dd + bd.u_du
-    assert bd.u_ground > 0.0
-    assert bd.u_resonant is None and bd.u_excited is None
-    full = ground_state_potential(1e-7, cfg, m, include_excited=True)
-    assert full.u_excited == pytest.approx(
-        full.u_dd - full.u_du + full.u_resonant, rel=1e-12
-    )
-
-
-def test_ground_state_positive_across_models():
-    cfg = FieldConfig(2.0, None)
-    for m in [PC, Plasma(omega_p=1.37e16), Drude(omega_p=1.37e16, gamma=4.1e12)]:
-        bd = ground_state_potential(3e-8, cfg, m, rel_tol=1e-7)
-        assert bd.u_ground > 0.0
 
 
 def test_field_config_validation():
