@@ -436,6 +436,9 @@ def _validate_request(req: SweepRequest, is_sweep: bool) -> None:
             raise UsageError("points must be >= 1")
     if not (req.rel_tol > 0.0 and math.isfinite(req.rel_tol)):
         raise UsageError("rel_tol must be > 0 and finite")
+    for name in ("omega_p", "gamma", "omega_t"):  # all are in the header
+        if not math.isfinite(getattr(req, name)):
+            raise UsageError(f"{name} must be finite")
     try:
         FieldConfig(b_ext=req.b_ext, theta=req.theta)
         if is_sweep:

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constants import CONSTANTS, NEUTRON, NeutronSpec, PhysicalConstants
-from .greens import contracted_green_imag, contracted_green_real
+from .greens import _UNDERFLOW_X, IntegrationError, contracted_green_imag, contracted_green_real
 from .materials import (
     Drude,
     DrudeLorentz,
@@ -43,11 +43,10 @@ from .materials import (
     Plasma,
     longitudinal_frequency,
 )
-from .quadrature import QuadratureConfig, integrate_semi_infinite
-from .greens import IntegrationError
+from .quadrature import QuadratureConfig, QuadratureResult, integrate_semi_infinite
 
 _DEFAULT_REL_TOL = 1e-9
-_OUTER_MAX_EVALUATIONS = 30_000  # each outer evaluation is an inner quadrature
+_MAX_HALVINGS = 5  # of u_du's trapezoidal step, from h = 1 to 1/32
 
 
 @dataclass(frozen=True)
@@ -113,20 +112,6 @@ def u_dd(
     return 0.5 * spec.constants.mu0 * _moment_sq(spec) * contraction
 
 
-def _outer_breakpoints(
-    omega: float, z: float, m: Material, c: float
-) -> list[float]:
-    bps = [omega * 10.0**k for k in range(-6, 7)]
-    bps += [c / (2.0 * z) * s for s in (0.1, 1.0, 10.0)]
-    if isinstance(m, Plasma):
-        bps.append(m.omega_p)
-    elif isinstance(m, Drude):
-        bps += [m.omega_p, m.gamma]
-    elif isinstance(m, DrudeLorentz):
-        bps += [m.omega_p, m.omega_t]
-    return [b for b in bps if b > 0.0]
-
-
 def u_du(
     z: float,
     cfg: FieldConfig,
@@ -136,14 +121,18 @@ def u_du(
 ) -> float:
     """Cross-state piece: Lorentzian-weighted imaginary-frequency sum.
 
-    A double integral: an adaptive quadrature over xi whose integrand at
-    each node is the transverse-wavevector integral of
-    contracted_green_imag.  The 15 xi nodes of an outer panel go to
-    contracted_green_imag as one array, so their inner integrals are one
-    vector-valued quadrature in which each node must meet the inner
-    tolerance rel_tol/10 (at least 1e-13).  Raises IntegrationError if
-    an inner integral misses its tolerance (the message names xi and z)
-    or the outer one does (it names z and B).
+    The integral over xi of g(xi), the k-integral of contracted_green_imag,
+    is the trapezoidal rule in s = ln(xi/omega): the weight is sech(s)/2
+    and g is analytic for |Im s| < pi/2, so the error falls like
+    exp(-pi^2/h) (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  The step
+    h is halved from 1, adding the odd nodes, until the sum changes by at
+    most rel_tol.  No node lies above ln(_UNDERFLOW_X c/(z omega)), where g
+    is exactly 0.  Below s_lo = ln(rel_tol/4 min(1, c/(z omega))) g is its
+    static value g(0), taken down to s_lo - 40 without a k-integral.  The
+    k-integrals of one step (g(0) with the first) are one vector quadrature
+    at tolerance rel_tol/10 (at least 1e-13).  Raises IntegrationError if
+    one misses it (naming xi and z) or the sum has not settled after
+    _MAX_HALVINGS halvings (naming z and B).
     """
     w_xx, w_zz = _cross_weights(cfg.theta)
     k = spec.constants
@@ -153,26 +142,31 @@ def u_du(
         return 0.5 * k.mu0 * _moment_sq(spec) * contraction
 
     inner_tol = max(rel_tol / 10.0, 1e-13)
-
-    def outer(xi: np.ndarray) -> np.ndarray:
-        g = contracted_green_imag(m, z, xi, w_xx, w_zz, rel_tol=inner_tol)
-        return g * omega / (xi * xi + omega * omega)
-
-    quad_cfg = QuadratureConfig(
-        rel_tol=rel_tol,
-        abs_tol=0.0,
-        max_evaluations=_OUTER_MAX_EVALUATIONS,
-        decay_scale=k.c / (2.0 * z),
-    )
-    res = integrate_semi_infinite(
-        outer, quad_cfg, breakpoints=_outer_breakpoints(omega, z, m, k.c)
-    )
-    if not res.converged:
-        raise IntegrationError(
-            f"imaginary-frequency integral did not converge (z={z:.3e}, B={cfg.b_ext:.3e})",
-            res,
+    s_hi = math.log(_UNDERFLOW_X * k.c / (z * omega))
+    s_lo = math.log(rel_tol / 4.0 * min(1.0, k.c / (z * omega)))
+    total = g0 = 0.0
+    solved = 0
+    for level in range(_MAX_HALVINGS + 1):
+        h = 2.0**-level
+        j = np.arange(math.ceil((s_lo - 40.0) / h), math.floor(s_hi / h) + 1)
+        s = h * (j[j % 2 == 1] if level else j)
+        static = s < s_lo
+        xi = omega * np.exp(s[~static])
+        g = contracted_green_imag(
+            m, z, xi if level else np.append(0.0, xi), w_xx, w_zz, rel_tol=inner_tol
         )
-    return k.mu0 / math.pi * _moment_sq(spec) * res.value
+        if not level:
+            g0, g = g[0], g[1:]
+        solved += xi.size
+        f = np.full(s.shape, g0)
+        f[~static] = g
+        prev, total = total, 0.5 * total + h * float(np.sum(f * (0.5 / np.cosh(s))))
+        if level and abs(total - prev) <= rel_tol * abs(total):
+            return k.mu0 / math.pi * _moment_sq(spec) * total
+    raise IntegrationError(
+        f"imaginary-frequency integral did not converge (z={z:.3e}, B={cfg.b_ext:.3e})",
+        QuadratureResult(total, abs(total - prev), solved, False),
+    )
 
 
 def u_resonant(

@@ -162,9 +162,11 @@ def _weights(tol: list[float], err: list[float], active: list[bool]) -> list[flo
 
     Inactive components weigh nothing.  A power of two scales an error
     exactly, so a one-component run keeps the plain largest-error order.
+    The exponent stops at that of the smallest normal float, because the
+    inverse of a subnormal tolerance overflows.
     """
     return [
-        math.ldexp(1.0, -math.frexp(t if t > 0.0 else e)[1]) if on else 0.0
+        math.ldexp(1.0, min(1021, -math.frexp(t if t > 0.0 else e)[1])) if on else 0.0
         for t, e, on in zip(tol, err, active)
     ]
 

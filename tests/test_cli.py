@@ -1,5 +1,6 @@
 """CLI: request handling, serialization, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -349,6 +350,40 @@ def test_cli_rejects_non_finite_material_parameters():
         assert main(["sweep", *args, "--points", "1"]) == 2, args
 
 
+FIG1 = ROOT / "configs" / "fig1.cfg"
+
+
+def test_cli_fig1_row_with_subnormal_inner_tolerance(tmp_path):
+    # at rel_tol 1e-9 an inner component just below the underflow cut
+    # has a tolerance of order 1e-315; its refinement weight must not
+    # overflow
+    out = tmp_path / "row.csv"
+    args = ["--rel-tol", "1e-9", "--z-min", "1.038e-3", "--points", "1"]
+    assert main(["sweep", "--config", str(FIG1), *args, "--out", str(out)]) == 0
+    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert len(data) == 2 and data[1].endswith(",ok")
+    assert all(math.isfinite(float(v)) for v in data[1].split(",")[:-1])
+
+
+@given(
+    st.floats(min_value=-13.0, max_value=-3.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_fig1_rows_are_ok_at_any_tolerance(log_rel_tol, log_z_over_zc):
+    # rel_tol over ten decades and z over fig1's range, the crossover
+    # z_c = c/omega three decades each way
+    z_c = 8.247507615140914e-1
+    req = request(["sweep", "--config", str(FIG1), "--points", "1"])
+    req = dataclasses.replace(
+        req, z_min=z_c * 10.0**log_z_over_zc, rel_tol=10.0**log_rel_tol
+    )
+    (row,) = run_sweep(req)
+    assert row["status"] == "ok", row
+    assert all(math.isfinite(row[c]) for c in req.outputs), row
+    assert row["u_du"] > 0.0 and row["u_ground"] > row["u_du"]
+
+
 def test_cli_subprocess_determinism(tmp_path):
     args = [
         "sweep", "--model", "drude", "--omega-p", "1.37e16", "--gamma",
@@ -438,12 +473,19 @@ def test_cli_config_usage_errors(tmp_path):
     assert (req.z_min, req.z_max, req.points) == (2e-8, 3e-8, 2)
 
 
-# (subcommand, float key); table1 checks all four materials, and a sweep
-# uses a model whose material takes the key
+# (subcommand, float key, sweep model); table1 checks all four
+# materials, a sweep uses a model whose material takes the key or the
+# ideal mirror, which takes none of them
 COMMON_FLOATS = ("omega-p", "gamma", "omega-t", "b-ext", "theta", "rel-tol")
-FLOAT_KEYS = [("sweep", k) for k in (*COMMON_FLOATS, "z-min", "z-max")] + [
-    ("table1", k) for k in (*COMMON_FLOATS, "z")
-]
+MATERIAL_FLOATS = ("omega-p", "gamma", "omega-t")
+FLOAT_KEYS = (
+    [
+        ("sweep", k, "drude-lorentz" if k == "omega-t" else "drude")
+        for k in (*COMMON_FLOATS, "z-min", "z-max")
+    ]
+    + [("sweep", k, "pc") for k in MATERIAL_FLOATS]
+    + [("table1", k, None) for k in (*COMMON_FLOATS, "z")]
+)
 
 
 @given(
@@ -455,10 +497,9 @@ FLOAT_KEYS = [("sweep", k) for k in (*COMMON_FLOATS, "z-min", "z-max")] + [
 def test_non_finite_values_are_usage_errors(
     tmp_path_factory, command_key, value, in_config
 ):
-    command, key = command_key
+    command, key, model = command_key
     flags = {"omega-p": "1e16", "gamma": "1e13", "omega-t": "1e16"}
     if command == "sweep":
-        model = "drude-lorentz" if key == "omega-t" else "drude"
         flags.update(model=model, points="1", outputs="gravity_earth")
     argv = [command, "--out", os.devnull]
     assert main([*argv, *(f"--{k}={v}" for k, v in flags.items())]) == 0

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from neutroncp import (
     CONSTANTS,
+    IntegrationError,
     NEUTRON,
     Drude,
     DrudeLorentz,
@@ -28,6 +30,8 @@ from neutroncp import (
     u_du_mirror_single_integral,
     u_resonant,
 )
+from neutroncp import potential
+from neutroncp.cli import SweepRequest, run_sweep
 
 K = CONSTANTS
 PC = PerfectConductor()
@@ -67,12 +71,33 @@ def test_u_dd_field_independent():
 
 def test_mirror_dual_route():
     # the general double-integral path against the reduced single
-    # integral; independent routes, must agree to quadrature accuracy
+    # integral; independent routes, must agree to quadrature accuracy.
+    # At 820 m and rel_tol 1e-11 inner tolerances fall below the smallest
+    # normal float.
     cfg = FieldConfig(2.0, 0.7)
-    for z in (1e-8, 1e-3, 0.8247507615140914, 8.0):
-        general = u_du(z, cfg, PC, rel_tol=1e-9)
+    for z, rel_tol in (
+        (1e-8, 1e-9), (1e-3, 1e-9), (0.8247507615140914, 1e-9), (8.0, 1e-9), (820.0, 1e-11)
+    ):
+        general = u_du(z, cfg, PC, rel_tol=rel_tol)
         single = u_du_mirror_single_integral(z, cfg, rel_tol=1e-11)
         assert general == pytest.approx(single, rel=1e-7)
+
+
+def test_unsettled_outer_sum_raises(monkeypatch):
+    # a contraction that differs at every node never lets the halved
+    # trapezoidal sums agree: u_du must raise, and a sweep row through
+    # it must say error
+    rng = np.random.default_rng(7)
+
+    def noisy(m, z, xi, w_xx, w_zz, rel_tol):
+        return 1.0 + rng.random(np.shape(xi))
+
+    monkeypatch.setattr(potential, "contracted_green_imag", noisy)
+    with pytest.raises(IntegrationError, match=r"z=3\.000e-08, B=2\.000e\+00"):
+        u_du(3e-8, FieldConfig(2.0), PC, rel_tol=1e-9)
+    req = SweepRequest(model="pc", z_min=3e-8, z_max=3e-8, points=1)
+    (row,) = run_sweep(req)
+    assert row["status"] == "error" and math.isnan(row["u_du"])
 
 
 def test_zero_field_collapses_to_half_static():
