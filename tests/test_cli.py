@@ -477,13 +477,12 @@ def test_cli_config_usage_errors(tmp_path):
 # materials, a sweep uses a model whose material takes the key or the
 # ideal mirror, which takes none of them
 COMMON_FLOATS = ("omega-p", "gamma", "omega-t", "b-ext", "theta", "rel-tol")
-MATERIAL_FLOATS = ("omega-p", "gamma", "omega-t")
 FLOAT_KEYS = (
     [
         ("sweep", k, "drude-lorentz" if k == "omega-t" else "drude")
         for k in (*COMMON_FLOATS, "z-min", "z-max")
     ]
-    + [("sweep", k, "pc") for k in MATERIAL_FLOATS]
+    + [("sweep", k, "pc") for k in ("omega-p", "gamma", "omega-t")]
     + [("table1", k, None) for k in (*COMMON_FLOATS, "z")]
 )
 

@@ -7,11 +7,11 @@ import pytest
 
 from neutroncp import (
     CONSTANTS,
-    IntegrationError,
     NEUTRON,
     Drude,
     DrudeLorentz,
     FieldConfig,
+    IntegrationError,
     PerfectConductor,
     Plasma,
     UnsupportedModelError,
