@@ -8,7 +8,7 @@ need mpmath.
 
     PYTHONPATH=src python tests/make_golden_values.py
 
-runs in two worker processes and takes about half an hour on two
+runs in two worker processes and takes about an hour on two
 cores.  ``--check`` recomputes the first u_du value at 36 digits with
 every xi interval split in two and prints both values and their
 relative difference.
