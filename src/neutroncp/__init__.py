@@ -29,7 +29,6 @@ from .potential import (
     atomic_c3,
     c3_ratio,
     critical_distance,
-    local_power_law,
     neutron_c3,
     nonretarded_leading,
     nonretarded_mirror_u_du,
@@ -69,7 +68,6 @@ __all__ = [
     "atomic_c3",
     "c3_ratio",
     "critical_distance",
-    "local_power_law",
     "neutron_c3",
     "nonretarded_leading",
     "nonretarded_mirror_u_du",

@@ -39,7 +39,6 @@ from .materials import (
 )
 from .potential import (
     FieldConfig,
-    local_power_law,
     nonretarded_leading,
     nonretarded_mirror_u_du,
     retarded_mirror_u_du,
@@ -120,12 +119,18 @@ def _sweep_point(payload: tuple[SweepRequest, float]) -> dict[str, object]:
     row: dict[str, object] = {"z": z}
     status = "ok"
 
-    dd = du = math.nan
+    # the exponent z u'/u takes u and z u' from the same solve
+    slope = "exponent" in want
+    dd = du = zdd = zdu = math.nan
     try:
-        if want & {"u_dd", "u_ground", "u_excited", "exponent"}:
-            dd = u_dd(z, cfg, m, rel_tol=req.rel_tol)
-        if want & {"u_du", "u_ground", "u_excited", "exponent"}:
-            du = u_du(z, cfg, m, rel_tol=req.rel_tol)
+        if slope:
+            dd, zdd = u_dd(z, cfg, m, rel_tol=req.rel_tol, z_derivative=True)
+            du, zdu = u_du(z, cfg, m, rel_tol=req.rel_tol, z_derivative=True)
+        else:
+            if want & {"u_dd", "u_ground", "u_excited"}:
+                dd = u_dd(z, cfg, m, rel_tol=req.rel_tol)
+            if want & {"u_du", "u_ground", "u_excited"}:
+                du = u_du(z, cfg, m, rel_tol=req.rel_tol)
     except IntegrationError:
         status = "error"
 
@@ -159,22 +164,11 @@ def _sweep_point(payload: tuple[SweepRequest, float]) -> dict[str, object]:
         row["gravity_earth"] = earth_potential(z)
     if "gravity_sphere" in want:
         row["gravity_sphere"] = sphere_potential(z)
-    if "exponent" in want:
-        if status == "ok":
-            def ground(zz: float) -> float:
-                return u_dd(zz, cfg, m, rel_tol=req.rel_tol) + u_du(
-                    zz, cfg, m, rel_tol=req.rel_tol
-                )
-
-            try:
-                row["exponent"] = local_power_law(z, ground)
-            except IntegrationError:
-                status = "error"
-                row["exponent"] = math.nan
-            except ValueError:
-                row["exponent"] = math.nan
-        else:
-            row["exponent"] = math.nan
+    if slope:
+        # undefined, not a failure, where the potential vanishes
+        ground = dd + du
+        ok = ground != 0.0 and math.isfinite(ground)
+        row["exponent"] = (zdd + zdu) / ground if ok else math.nan
 
     row["status"] = status
     keep = ["z", *(o for o in ALL_OUTPUTS if o in want), "status"]

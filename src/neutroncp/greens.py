@@ -42,6 +42,14 @@ frequency term s2 = xi^2/c^2:
 The wavevector contrast q_m^2 - q^2 = (eps - 1) s2 comes per model from
 the materials module rather than from eps, which keeps r_s exact in the
 xi -> 0 limit; neither numerator is a difference of nearly equal squares.
+The kernel takes eps - 1 itself, as contrast / s2, so r_p keeps its
+relative accuracy where eps is close to 1 (xi or omega far above the
+material frequencies); 1 + (eps - 1) would cancel there.
+
+z-derivative.  In the k variable z enters only through e^(-2 kappa z),
+so z dh/dz is the same k-integral with the integrand times -2 kappa z
+(-2 rho in t = k z, rho = kappa z): on the imaginary axis it is one more
+component of the same quadrature.
 
 Branch rule.  On the real axis k_z is the vacuum normal wavevector
 (k_z = v on the propagating segment, i u on the evanescent tail) and the
@@ -63,7 +71,6 @@ from .materials import (
     Material,
     PerfectConductor,
     UnsupportedModelError,
-    permittivity_imag,
     permittivity_real,
     wavevector_contrast_imag,
     wavevector_contrast_real,
@@ -101,16 +108,19 @@ def _require_height(z: float) -> None:
         raise ValueError("z must be positive and finite")
 
 
-def _reflection(q, q_m, contrast, eps, s2):
+def _reflection(q, q_m, contrast, s2, eps_m1):
     """r_s and r_p; see "Numerical form" above for the arguments.
 
-    Scalars or arrays, real or complex.  eps = None skips r_p (returned
-    as None), for callers without a finite permittivity.
+    Scalars or arrays, real or complex.  eps_m1 is eps - 1, which the
+    caller takes as contrast / s2 (exact per model); eps_m1 = 0 gives
+    r_p = 0 exactly.  eps_m1 = None skips r_p (returned as None), for
+    callers without a finite permittivity.
     """
     r_s = -contrast / (q + q_m) ** 2
-    if eps is None:
+    if eps_m1 is None:
         return r_s, None
-    r_p = (eps - 1.0) * ((eps + 1.0) * q * q - s2) / (eps * q + q_m) ** 2
+    eps = 1.0 + eps_m1
+    r_p = eps_m1 * ((eps + 1.0) * q * q - s2) / (eps * q + q_m) ** 2
     return r_s, r_p
 
 
@@ -133,7 +143,8 @@ def contracted_green_imag(
     weight_zz: float,
     rel_tol: float = 1e-10,
     max_evaluations: int = 400_000,
-) -> Union[float, np.ndarray]:
+    z_derivative: bool = False,
+):
     """weight_xx * h_xx(i xi) + weight_zz * h_zz(i xi), in 1/m^3.
 
     The weighted sum is a single quadrature, which is what the potential
@@ -147,6 +158,11 @@ def contracted_green_imag(
     xi is the batch of one and returns a float.  Entries whose tensor is
     zero at double precision (underflow, vanishing contrast) skip the
     quadrature.  max_evaluations bounds each entry's evaluations.
+
+    z_derivative=True returns the pair (value, z d/dz value).  Each entry
+    then gets a partner component, its integrand times -2 rho, with the
+    same decay scale and breakpoints, so both see the same nodes and the
+    kernel is evaluated once per panel; each meets rel_tol on its own.
     """
     _require_height(z)
     xis = np.asarray(xi, dtype=float)
@@ -155,24 +171,27 @@ def contracted_green_imag(
     c = SPEED_OF_LIGHT
     mirror = isinstance(m, PerfectConductor)
 
-    live, x2, dq2z2, eps, scales, bps = [], [], [], [], [], []
+    live, x2, dq2z2, eps_m1, scales, bps = [], [], [], [], [], []
     for i, xi_i in enumerate(xis.flat):
         xi_i = float(xi_i)
         x = xi_i * z / c
         if x > _UNDERFLOW_X:
             continue
         if mirror:
-            d, e = 0.0, None
+            d, e = 0.0, 0.0
         else:
-            d = wavevector_contrast_imag(m, xi_i, c) * z * z
-            if d == 0.0 and (xi_i == 0.0 or permittivity_imag(m, xi_i) == 1.0):
+            contrast = wavevector_contrast_imag(m, xi_i, c)
+            d = contrast * z * z
+            # eps - 1 = contrast / s2.  It is 0, which drops r_p, at
+            # xi = 0 and where eps overflows: xi is then hundreds of
+            # orders below the plasma frequency, x^2 underflows and the
+            # r_p term is exactly zero at double precision
+            s2 = (xi_i / c) ** 2
+            e = contrast / s2 if s2 > 0.0 else 0.0
+            if not math.isfinite(e):
+                e = 0.0
+            if d == 0.0 and e == 0.0:
                 continue
-            e = permittivity_imag(m, xi_i) if xi_i > 0.0 else None
-            if e is not None and not math.isfinite(e):
-                # eps overflows only when xi is hundreds of orders below
-                # the plasma frequency; there x^2 underflows and the r_p
-                # term is exactly zero at double precision, so drop it
-                e = None
         pts = [0.25, 1.0, 4.0]
         if x > 1.0:
             # decay in t is Gaussian-like with width ~sqrt(x) once x >> 1
@@ -184,50 +203,61 @@ def contracted_green_imag(
         live.append(i)
         x2.append(x * x)
         dq2z2.append(d)
-        eps.append(e)
+        eps_m1.append(e)
         scales.append(0.5 * max(1.0, math.sqrt(max(x, 1.0))))
         bps.append(pts)
 
-    if not live:
-        return 0.0 if xis.ndim == 0 else np.zeros(xis.shape)
+    n = len(live)
+    if not n:
+        zeros = [0.0 if xis.ndim == 0 else np.zeros(xis.shape) for _ in range(1 + z_derivative)]
+        return tuple(zeros) if z_derivative else zeros[0]
     # r_p is skipped when no entry has a permittivity; otherwise
-    # eps = 1 makes it exactly zero for an entry without one
-    with_rp = any(e is not None for e in eps)
-    eps = [1.0 if e is None else e for e in eps]
+    # eps - 1 = 0 makes it exactly zero for an entry without one
+    with_rp = any(eps_m1)
     # the engine passes the (n, 15) nodes of one panel; parameters of
     # that shape keep every operation free of broadcasting
-    x2, dq2z2, eps = np.repeat(np.array([x2, dq2z2, eps])[:, :, None], len(NODES), axis=2)
+    x2, dq2z2, eps_m1 = np.repeat(
+        np.array([x2, dq2z2, eps_m1])[:, :, None], len(NODES), axis=2
+    )
     if not with_rp:
-        eps = None
+        eps_m1 = None
 
     def integrand(t: np.ndarray) -> np.ndarray:
+        if z_derivative:
+            t = t[:n]  # rows n.. are the partners, on the same nodes
         rho = np.sqrt(x2 + t * t)
         if mirror:
             acc = weight_xx * (x2 + rho * rho) + 2.0 * weight_zz * t * t
         else:
-            r_s, r_p = _reflection(rho, np.sqrt(rho * rho + dq2z2), dq2z2, eps, x2)
+            r_s, r_p = _reflection(rho, np.sqrt(rho * rho + dq2z2), dq2z2, x2, eps_m1)
             acc = -r_s * (weight_xx * rho * rho + 2.0 * weight_zz * t * t)
             if r_p is not None:
                 acc = acc + weight_xx * r_p * x2
-        return (t / rho) * acc * np.exp(-2.0 * rho)
+        value = (t / rho) * acc * np.exp(-2.0 * rho)
+        if z_derivative:
+            return np.concatenate((value, -2.0 * rho * value))
+        return value
 
+    if z_derivative:
+        scales, bps = scales * 2, bps * 2
     cfg = _quad_config(rel_tol, max_evaluations, tuple(scales))
     res = integrate_semi_infinite(integrand, cfg, breakpoints=bps)
     if not res.converged:
         j = res.unconverged[0]
+        what = "z-derivative of the " if j >= n else ""
         raise IntegrationError(
-            "transverse-wavevector integral did not converge "
-            f"(xi={xis.flat[live[j]]:.3e}, z={z:.3e})",
+            f"{what}transverse-wavevector integral did not converge "
+            f"(xi={xis.flat[live[j % n]]:.3e}, z={z:.3e})",
             QuadratureResult(
                 float(res.value[j]), float(res.abs_error[j]), res.evaluations, False
             ),
         )
-    values = res.value / (8.0 * math.pi * z**3)
-    if xis.ndim == 0:
-        return float(values[0])
-    out = np.zeros(xis.size)
-    out[live] = values
-    return out.reshape(xis.shape)
+    # one row of values, then one of z-derivatives if asked for
+    values = (res.value / (8.0 * math.pi * z**3)).reshape(-1, n)
+    out = np.zeros((len(values), xis.size))
+    out[:, live] = values
+    parts = [float(v[0]) if xis.ndim == 0 else v.reshape(xis.shape) for v in out]
+    return tuple(parts) if z_derivative else parts[0]
 
 
 def _check_surface_mode(m: Material, omega: float) -> None:
@@ -265,13 +295,13 @@ def contracted_green_real(
     mirror = isinstance(m, PerfectConductor)
     if mirror:
         dq2z2 = complex(0.0)
-        eps = complex(1.0)
     else:
-        dq2z2 = wavevector_contrast_real(m, omega, c) * z * z
+        contrast = wavevector_contrast_real(m, omega, c)
+        dq2z2 = contrast * z * z
         if dq2z2 == 0:
             return complex(0.0)
         _check_surface_mode(m, omega)
-        eps = permittivity_real(m, omega)
+        eps_m1 = contrast / (omega / c) ** 2
 
     # k-integrand at vacuum normal wavevector k_z (times z): k_z = v in
     # (0, w) on the propagating segment, k_z = i u on the evanescent tail
@@ -281,7 +311,7 @@ def contracted_green_real(
             r_s, r_p = -1.0, 1.0
         else:
             km = np.sqrt(kz2 + dq2z2)
-            r_s, r_p = _reflection(-1j * kz, -1j * km, -dq2z2, eps, -w2)
+            r_s, r_p = _reflection(-1j * kz, -1j * km, -dq2z2, -w2, eps_m1)
         bracket = weight_xx * (r_p * w2 - r_s * kz2) + 2.0 * weight_zz * (w2 - kz2) * r_s
         return bracket * np.exp(2.0j * kz)
 

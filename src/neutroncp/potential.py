@@ -99,17 +99,30 @@ def _moment_sq(spec: NeutronSpec) -> float:
     return (spec.constants.hbar * spec.gamma_n / 2.0) ** 2
 
 
+def _scaled(factor: float, contraction):
+    """factor times a contraction, or times each of a (value, z d/dz) pair."""
+    if isinstance(contraction, tuple):
+        return tuple(factor * c for c in contraction)
+    return factor * contraction
+
+
 def u_dd(
     z: float,
     cfg: FieldConfig,
     m: Material,
     spec: NeutronSpec = NEUTRON,
     rel_tol: float = _DEFAULT_REL_TOL,
-) -> float:
-    """Static same-state piece; equal for both spin states."""
+    z_derivative: bool = False,
+):
+    """Static same-state piece; equal for both spin states.
+
+    z_derivative=True returns the pair (u_dd, z du_dd/dz) from one solve.
+    """
     w_xx, w_zz = _static_weights(cfg.theta)
-    contraction = contracted_green_imag(m, z, 0.0, w_xx, w_zz, rel_tol=rel_tol)
-    return 0.5 * spec.constants.mu0 * _moment_sq(spec) * contraction
+    contraction = contracted_green_imag(
+        m, z, 0.0, w_xx, w_zz, rel_tol=rel_tol, z_derivative=z_derivative
+    )
+    return _scaled(0.5 * spec.constants.mu0 * _moment_sq(spec), contraction)
 
 
 def u_du(
@@ -118,7 +131,8 @@ def u_du(
     m: Material,
     spec: NeutronSpec = NEUTRON,
     rel_tol: float = _DEFAULT_REL_TOL,
-) -> float:
+    z_derivative: bool = False,
+):
     """Cross-state piece: Lorentzian-weighted imaginary-frequency sum.
 
     The integral over xi of g(xi), the k-integral of contracted_green_imag,
@@ -133,18 +147,25 @@ def u_du(
     at tolerance rel_tol/10 (at least 1e-13).  Raises IntegrationError if
     one misses it (naming xi and z) or the sum has not settled after
     _MAX_HALVINGS halvings (naming z and B).
+
+    z_derivative=True returns the pair (u_du, z du_du/dz) from one solve:
+    every k-integral carries its z-derivative as a partner component, the
+    nodes do not depend on z, and both sums must settle.
     """
     w_xx, w_zz = _cross_weights(cfg.theta)
     k = spec.constants
     omega = transition_frequency(cfg, spec)
     if omega == 0.0:
-        contraction = contracted_green_imag(m, z, 0.0, w_xx, w_zz, rel_tol=rel_tol)
-        return 0.5 * k.mu0 * _moment_sq(spec) * contraction
+        contraction = contracted_green_imag(
+            m, z, 0.0, w_xx, w_zz, rel_tol=rel_tol, z_derivative=z_derivative
+        )
+        return _scaled(0.5 * k.mu0 * _moment_sq(spec), contraction)
 
     inner_tol = max(rel_tol / 10.0, 1e-13)
     s_hi = math.log(_UNDERFLOW_X * k.c / (z * omega))
     s_lo = math.log(rel_tol / 4.0 * min(1.0, k.c / (z * omega)))
-    total = g0 = 0.0
+    # one row per sum: the value, then its z-derivative if asked for
+    total = g0 = np.zeros((2 if z_derivative else 1, 1))
     solved = 0
     for level in range(_MAX_HALVINGS + 1):
         h = 2.0**-level
@@ -153,19 +174,23 @@ def u_du(
         static = s < s_lo
         xi = omega * np.exp(s[~static])
         g = contracted_green_imag(
-            m, z, xi if level else np.append(0.0, xi), w_xx, w_zz, rel_tol=inner_tol
+            m, z, xi if level else np.append(0.0, xi), w_xx, w_zz,
+            rel_tol=inner_tol, z_derivative=z_derivative,
         )
+        g = np.reshape(g, (total.shape[0], -1))
         if not level:
-            g0, g = g[0], g[1:]
+            g0, g = g[:, :1], g[:, 1:]
         solved += xi.size
-        f = np.full(s.shape, g0)
-        f[~static] = g
-        prev, total = total, 0.5 * total + h * float(np.sum(f * (0.5 / np.cosh(s))))
-        if level and abs(total - prev) <= rel_tol * abs(total):
-            return k.mu0 / math.pi * _moment_sq(spec) * total
+        f = np.repeat(g0, s.size, axis=1)
+        f[:, ~static] = g
+        step = h * np.sum(f * (0.5 / np.cosh(s)), axis=1, keepdims=True)
+        prev, total = total, 0.5 * total + step
+        if level and (abs(total - prev) <= rel_tol * abs(total)).all():
+            result = k.mu0 / math.pi * _moment_sq(spec) * total[:, 0]
+            return tuple(result.tolist()) if z_derivative else float(result[0])
     raise IntegrationError(
         f"imaginary-frequency integral did not converge (z={z:.3e}, B={cfg.b_ext:.3e})",
-        QuadratureResult(total, abs(total - prev), solved, False),
+        QuadratureResult(float(total[0, 0]), float(abs(total - prev).max()), solved, False),
     )
 
 
@@ -337,17 +362,3 @@ def c3_ratio(spec: NeutronSpec = NEUTRON) -> float:
     """
     k = spec.constants
     return 3.0 / 16.0 * spec.g_factor**2 * (k.m_e / spec.mass) ** 2 * k.alpha**2
-
-
-def local_power_law(z: float, u: Callable[[float], float]) -> float:
-    """d ln|u| / d ln z by central log-difference with relative step 1e-3."""
-    if z <= 0.0:
-        raise ValueError("z must be > 0")
-    h = 1e-3
-    hi = u(z * (1.0 + h))
-    lo = u(z * (1.0 - h))
-    if hi == 0.0 or lo == 0.0 or not (math.isfinite(hi) and math.isfinite(lo)):
-        raise ValueError("potential vanishes or is not finite near z; exponent undefined")
-    return (math.log(abs(hi)) - math.log(abs(lo))) / (
-        math.log1p(h) - math.log1p(-h)
-    )

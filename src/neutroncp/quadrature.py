@@ -49,32 +49,33 @@ Number = Union[float, complex]
 
 # 15-point Kronrod nodes on [-1, 1] (positive half, descending) and the
 # matching Kronrod weights; odd indices of the ascending full array are
-# the embedded 7-point Gauss nodes.
+# the embedded 7-point Gauss nodes.  The 33-digit values of QUADPACK's
+# dqk15: rounded to 15 digits they biased every result by about -3e-15.
 _XK_HALF = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
     0.0,
 )
 _WK_HALF = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
 )
 _WG_HALF = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
 )
 
 NODES = np.array([-x for x in _XK_HALF[:-1]] + [0.0] + [x for x in reversed(_XK_HALF[:-1])])

@@ -9,9 +9,11 @@ need mpmath.
     PYTHONPATH=src python tests/make_golden_values.py
 
 runs in two worker processes and takes about an hour on two
-cores.  ``--check`` recomputes the first u_du value at 36 digits with
-every xi interval split in two and prints both values and their
-relative difference.
+cores.  ``--inner`` rewrites only the inner k-integrals (h_xx, h_zz and
+their z-derivatives, a few seconds) and keeps every other entry of the
+file byte for byte.  ``--check`` recomputes the first u_du value at 36
+digits with every xi interval split in two and prints both values and
+their relative difference.
 """
 
 from __future__ import annotations
@@ -70,13 +72,15 @@ def eps_minus_one(model: str, p: dict, xi):
     return wp2 / (xi**2 + mp.mpf(p["omega_t"]) ** 2)
 
 
-def contraction(model: str, p: dict, z, xi, w_xx, w_zz):
+def contraction(model: str, p: dict, z, xi, w_xx, w_zz, z_derivative=False):
     """w_xx h_xx(i xi) + w_zz h_zz(i xi) in 1/m^3, from the kappa-integral.
 
     With t = kappa z >= x = xi z / c, d = (eps - 1) x^2 and t_m = sqrt(t^2 + d):
     h_xx z^3 = (1/8 pi) Int dt e^(-2t) [r_p x^2 - r_s t^2],
     h_zz z^3 = -(1/4 pi) Int dt (t^2 - x^2) e^(-2t) r_s,
     r_s = (t - t_m)/(t + t_m), r_p = (eps t - t_m)/(eps t + t_m).
+    z_derivative=True gives z d/dz of it: z enters the kappa-integral only
+    through e^(-2 kappa z), so the integrand is multiplied by -2t.
     """
     z, xi = mp.mpf(z), mp.mpf(xi)
     x = xi * z / mp.mpf(CONSTANTS.c)
@@ -96,7 +100,8 @@ def contraction(model: str, p: dict, z, xi, w_xx, w_zz):
         r_p = 0 if eps is None else (eps * t - tm) / (eps * t + tm)
         h_xx = r_p * x**2 - r_s * t**2
         h_zz = -2 * (t * t - x * x) * r_s
-        return (w_xx * h_xx + w_zz * h_zz) * mp.exp(-2 * u)
+        value = (w_xx * h_xx + w_zz * h_zz) * mp.exp(-2 * u)
+        return -2 * t * value if z_derivative else value
 
     # split where e^(-2u) and r_s change scale
     pts = {mp.mpf(0), mp.mpf("0.5"), mp.mpf(4)}
@@ -129,14 +134,24 @@ def u_du_reference(model: str, z: float, per_decade: int = 1, digits: int = DIGI
 def inner_reference(model: str, z: float, xi: float) -> dict:
     mp.mp.dps = DIGITS
     p = MODELS[model]
-    h_xx = contraction(model, p, z, xi, 1, 0)
-    h_zz = contraction(model, p, z, xi, 0, 1)
-    return {"model": model, "z": z, "xi": xi,
-            "h_xx": mp.nstr(h_xx, 25), "h_zz": mp.nstr(h_zz, 25)}
+    entry = {"model": model, "z": z, "xi": xi}
+    for prefix, z_derivative in (("h", False), ("zdh", True)):
+        for key, w in (("xx", (1, 0)), ("zz", (0, 1))):
+            value = contraction(model, p, z, xi, *w, z_derivative=z_derivative)
+            entry[f"{prefix}_{key}"] = mp.nstr(value, 25)
+    return entry
 
 
 def u_du_entry(model: str, z: float) -> dict:
     return {"model": model, "z": z, "u_du": mp.nstr(u_du_reference(model, z), 25)}
+
+
+ABOUT = (
+    f"u_du at b_ext = {B_EXT} T, orientation averaged, and h_xx, h_zz and "
+    f"their z-derivatives z dh/dz (zdh_xx, zdh_zz) at imaginary frequency xi, "
+    f"by mpmath {mp.__version__} tanh-sinh quadrature at {DIGITS} digits "
+    f"(tests/make_golden_values.py)"
+)
 
 
 def main() -> None:
@@ -146,6 +161,7 @@ def main() -> None:
         b = u_du_reference(model, z, per_decade=2, digits=DIGITS + 6)
         print(mp.nstr(a, 25), mp.nstr(b, 25), mp.nstr(abs(a / b - 1), 3))
         return
+    inner_only = "--inner" in sys.argv
     ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
         inner = [
@@ -153,17 +169,14 @@ def main() -> None:
             for model in MODELS
             for z, xi in INNER_POINTS[model]
         ]
-        u_du = [pool.submit(u_du_entry, model, z) for model in MODELS for z in U_DU_HEIGHTS]
-        payload = {
-            "about": (
-                f"u_du at b_ext = {B_EXT} T, orientation averaged, and h_xx, h_zz "
-                f"at imaginary frequency xi, by mpmath {mp.__version__} tanh-sinh "
-                f"quadrature at {DIGITS} digits (tests/make_golden_values.py)"
-            ),
-            "models": MODELS,
-            "inner": [f.result() for f in inner],
-            "u_du": [f.result() for f in u_du],
-        }
+        if inner_only:
+            payload = json.loads(OUT.read_text(encoding="utf-8"))
+        else:
+            u_du = [pool.submit(u_du_entry, model, z) for model in MODELS for z in U_DU_HEIGHTS]
+            u_du = [f.result() for f in u_du]
+            payload = {"about": "", "models": MODELS, "inner": [], "u_du": u_du}
+        payload["about"] = ABOUT
+        payload["inner"] = [f.result() for f in inner]
     OUT.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
 

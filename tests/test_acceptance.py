@@ -28,7 +28,6 @@ from neutroncp import (
     critical_distance,
     earth_potential,
     integrate_semi_infinite,
-    local_power_law,
     neutron_c3,
     nonretarded_leading,
     nonretarded_mirror_u_du,
@@ -39,6 +38,7 @@ from neutroncp import (
     u_du_mirror_single_integral,
 )
 from neutroncp.cli import SweepRequest, run_sweep, write_csv
+from power_law import local_power_law
 
 PC = PerfectConductor()
 GOLD_PLASMA = Plasma(omega_p=1.37e16)

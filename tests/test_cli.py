@@ -18,7 +18,6 @@ from neutroncp import (
     CONSTANTS,
     Drude,
     FieldConfig,
-    local_power_law,
     neutron_c3,
     u_dd,
     u_du,
@@ -26,6 +25,7 @@ from neutroncp import (
 )
 from neutroncp import cli
 from neutroncp.cli import SweepRequest, main, run_sweep, run_table1
+from power_law import richardson_power_law
 
 FAST = dict(rel_tol=1e-6)
 ROOT = Path(__file__).resolve().parents[1]
@@ -109,8 +109,11 @@ def test_run_sweep_caps_workers_at_points(monkeypatch):
 
 
 def test_run_sweep_assembly():
-    # the rows the CLI writes are assembled from the potential pieces
-    # exactly, and exponent is the log-slope of u_dd + u_du
+    # the rows the CLI writes are assembled from the potential pieces:
+    # u_dd and u_du come from the solve that also gives their
+    # z-derivatives, within rel_tol of the plain solve; exponent is
+    # z u'/u of u = u_dd + u_du from that solve, and it agrees with the
+    # Richardson-extrapolated central difference of u
     req = SweepRequest(
         model="drude",
         omega_p=1.37e16,
@@ -127,19 +130,23 @@ def test_run_sweep_assembly():
     m = Drude(omega_p=1.37e16, gamma=4.1e12)
 
     def ground(z):
-        return u_dd(z, cfg, m, rel_tol=1e-7) + u_du(z, cfg, m, rel_tol=1e-7)
+        return u_dd(z, cfg, m, rel_tol=1e-12) + u_du(z, cfg, m, rel_tol=1e-12)
 
     rows = run_sweep(req)
     assert len(rows) == 2
     for row in rows:
         z = row["z"]
+        dd, z_ddd = u_dd(z, cfg, m, rel_tol=1e-7, z_derivative=True)
+        du, z_ddu = u_du(z, cfg, m, rel_tol=1e-7, z_derivative=True)
         assert row["status"] == "ok"
-        assert row["u_dd"] == u_dd(z, cfg, m, rel_tol=1e-7)
-        assert row["u_du"] == u_du(z, cfg, m, rel_tol=1e-7)
+        assert row["u_dd"] == dd and row["u_du"] == du
+        assert abs(dd - u_dd(z, cfg, m, rel_tol=1e-7)) <= 1e-7 * abs(dd)
+        assert abs(du - u_du(z, cfg, m, rel_tol=1e-7)) <= 1e-7 * abs(du)
         assert row["u_resonant"] == u_resonant(z, cfg, m, rel_tol=1e-7)
         assert row["u_ground"] == row["u_dd"] + row["u_du"]
         assert row["u_excited"] == row["u_dd"] - row["u_du"] + row["u_resonant"]
-        assert row["exponent"] == local_power_law(z, ground)
+        assert row["exponent"] == (z_ddd + z_ddu) / (dd + du)
+        assert abs(row["exponent"] - richardson_power_law(z, ground)) <= 1e-9
 
 
 def test_run_sweep_ground_state_positive_across_models():
@@ -351,6 +358,7 @@ def test_cli_rejects_non_finite_material_parameters():
 
 
 FIG1 = ROOT / "configs" / "fig1.cfg"
+FIG2 = ROOT / "configs" / "fig2.cfg"
 
 
 def test_cli_fig1_row_with_subnormal_inner_tolerance(tmp_path):
@@ -382,6 +390,40 @@ def test_fig1_rows_are_ok_at_any_tolerance(log_rel_tol, log_z_over_zc):
     assert row["status"] == "ok", row
     assert all(math.isfinite(row[c]) for c in req.outputs), row
     assert row["u_du"] > 0.0 and row["u_ground"] > row["u_du"]
+
+
+# the four fig2 surfaces (flags of scripts/reproduce_fig2.sh) and fig1's
+# plasma, each over its config's distance range
+EXPONENT_CASES = {
+    "pc": (FIG2, ["--model", "pc"]),
+    "plasma": (FIG2, ["--model", "plasma", "--omega-p", "1.37e16"]),
+    "drude": (FIG2, ["--model", "drude", "--omega-p", "1.37e16", "--gamma", "4.10e12"]),
+    "drude-lorentz": (
+        FIG2, ["--model", "drude-lorentz", "--omega-p", "2.3e16", "--omega-t", "7.1e16"]
+    ),
+    "fig1-plasma": (FIG1, []),
+}
+
+
+@given(st.sampled_from(sorted(EXPONENT_CASES)), st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=20, deadline=None)
+def test_exponent_matches_richardson(case, frac):
+    # the exponent column, at the config's rel_tol, against the
+    # Richardson-extrapolated central difference of u_dd + u_du solved
+    # at rel_tol 1e-12
+    config, flags = EXPONENT_CASES[case]
+    req = request(["sweep", "--config", str(config), *flags])
+    z = req.z_min * (req.z_max / req.z_min) ** frac
+    req = dataclasses.replace(req, z_min=z, points=1, outputs=("exponent",))
+    (row,) = run_sweep(req)
+    assert row["status"] == "ok", row
+    m = cli._material(req)
+    cfg = FieldConfig(req.b_ext, req.theta)
+
+    def ground(zz):
+        return u_dd(zz, cfg, m, rel_tol=1e-12) + u_du(zz, cfg, m, rel_tol=1e-12)
+
+    assert abs(row["exponent"] - richardson_power_law(z, ground)) <= 1e-9
 
 
 def test_cli_subprocess_determinism(tmp_path):

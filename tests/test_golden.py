@@ -3,7 +3,9 @@
 tests/golden_values.json holds mpmath values (tanh-sinh at 30 digits,
 textbook Fresnel forms) written by tests/make_golden_values.py; they
 share no quadrature rule and no kernel code with the package.  Each
-value must come out within the requested tolerance.
+value must come out within the requested tolerance.  The inner values
+include the z-derivatives z dh/dz, and at rel_tol 1e-13 the inner
+values must reach double precision.
 """
 
 import json
@@ -40,3 +42,32 @@ def test_inner_golden(entry):
         ref = float(entry[key])
         got = contracted_green_imag(m, entry["z"], entry["xi"], *weights, rel_tol=REL_TOL)
         assert abs(got - ref) <= REL_TOL * abs(ref), key
+
+
+@pytest.mark.parametrize(
+    "entry", GOLDEN["inner"], ids=lambda e: f"{e['model']}-{e['z']:g}-{e['xi']:g}"
+)
+def test_inner_golden_z_derivative(entry):
+    m = material(entry["model"])
+    for weights, key in (((1.0, 0.0), "xx"), ((0.0, 1.0), "zz")):
+        got, z_dgot = contracted_green_imag(
+            m, entry["z"], entry["xi"], *weights, rel_tol=REL_TOL, z_derivative=True
+        )
+        for value, ref in ((got, entry[f"h_{key}"]), (z_dgot, entry[f"zdh_{key}"])):
+            ref = float(ref)
+            assert abs(value - ref) <= REL_TOL * abs(ref), key
+
+
+@pytest.mark.parametrize(
+    "entry", GOLDEN["inner"], ids=lambda e: f"{e['model']}-{e['z']:g}-{e['xi']:g}"
+)
+def test_inner_golden_double_precision(entry):
+    # exact Gauss-Kronrod constants and r_p's eps - 1 taken as
+    # contrast / s2: with 15-digit constants every value came out about
+    # 3e-15 low, and drude-lorentz h_xx at xi = 3e19 (eps - 1 = 5.9e-7)
+    # was 5.1e-11 off
+    m = material(entry["model"])
+    for weights, key in (((1.0, 0.0), "h_xx"), ((0.0, 1.0), "h_zz")):
+        ref = float(entry[key])
+        got = contracted_green_imag(m, entry["z"], entry["xi"], *weights, rel_tol=1e-13)
+        assert abs(got - ref) <= 2e-15 * abs(ref), key

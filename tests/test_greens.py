@@ -76,14 +76,14 @@ def mirror_real(z, w):
 # integrands call.  The helpers below form its arguments the way those
 # integrands do: decay constants on the imaginary axis, and on the real
 # axis q = -i k_z, q_m = -i k_m with k_m the principal root of
-# k_z^2 + contrast.
+# k_z^2 + contrast; eps - 1 is the contrast over the frequency term.
 
 
 def reflection_imag(m, xi, k_par):
     q = math.hypot(xi / C, k_par)
     dq2 = wavevector_contrast_imag(m, xi, C)
-    eps = permittivity_imag(m, xi)
-    return greens._reflection(q, math.sqrt(q * q + dq2), dq2, eps, (xi / C) ** 2)
+    s2 = (xi / C) ** 2
+    return greens._reflection(q, math.sqrt(q * q + dq2), dq2, s2, dq2 / s2)
 
 
 def reflection_real(m, omega, k_par):
@@ -91,8 +91,7 @@ def reflection_real(m, omega, k_par):
     dq2 = wavevector_contrast_real(m, omega, C)
     k_z = np.sqrt(complex(w2 - k_par**2))
     k_m = np.sqrt(k_z**2 + dq2)
-    eps = permittivity_real(m, omega)
-    return greens._reflection(-1j * k_z, -1j * k_m, -dq2, eps, -w2)
+    return greens._reflection(-1j * k_z, -1j * k_m, -dq2, -w2, dq2 / w2)
 
 
 def test_mirror_reflection():

@@ -18,7 +18,6 @@ from neutroncp import (
     atomic_c3,
     c3_ratio,
     critical_distance,
-    local_power_law,
     neutron_c3,
     nonretarded_leading,
     nonretarded_mirror_u_du,
@@ -32,6 +31,7 @@ from neutroncp import (
 )
 from neutroncp import potential
 from neutroncp.cli import SweepRequest, run_sweep
+from power_law import local_power_law
 
 K = CONSTANTS
 PC = PerfectConductor()
@@ -86,18 +86,33 @@ def test_mirror_dual_route():
 def test_unsettled_outer_sum_raises(monkeypatch):
     # a contraction that differs at every node never lets the halved
     # trapezoidal sums agree: u_du must raise, and a sweep row through
-    # it must say error
+    # it must say error.  With the z-derivative only the derivative is
+    # noisy, and both sums must settle
     rng = np.random.default_rng(7)
 
-    def noisy(m, z, xi, w_xx, w_zz, rel_tol):
-        return 1.0 + rng.random(np.shape(xi))
+    def noisy(m, z, xi, w_xx, w_zz, rel_tol, z_derivative=False):
+        g = 1.0 + rng.random(np.shape(xi))
+        return (np.ones(np.shape(xi)), g) if z_derivative else g
 
     monkeypatch.setattr(potential, "contracted_green_imag", noisy)
-    with pytest.raises(IntegrationError, match=r"z=3\.000e-08, B=2\.000e\+00"):
-        u_du(3e-8, FieldConfig(2.0), PC, rel_tol=1e-9)
+    for z_derivative in (False, True):
+        with pytest.raises(IntegrationError, match=r"z=3\.000e-08, B=2\.000e\+00"):
+            u_du(3e-8, FieldConfig(2.0), PC, rel_tol=1e-9, z_derivative=z_derivative)
     req = SweepRequest(model="pc", z_min=3e-8, z_max=3e-8, points=1)
     (row,) = run_sweep(req)
     assert row["status"] == "error" and math.isnan(row["u_du"])
+
+
+def test_fig1_plasma_u_du_settles_at_tight_tolerance():
+    # eps - 1 = 1 + (omega_p/xi)^2 - 1 cancelled above the plasma
+    # frequency, and the jitter it gave h_xx from node to node kept the
+    # trapezoidal sum from settling at these tolerances
+    m = Plasma(omega_p=363494611.93541175)
+    cfg = FieldConfig(2.0, None)
+    for z, rel_tol in ((1e-9, 1e-12), (1e-6, 1e-13)):
+        tight = u_du(z, cfg, m, rel_tol=rel_tol)
+        loose = u_du(z, cfg, m, rel_tol=1e-9)
+        assert abs(tight - loose) <= 1e-9 * abs(tight)
 
 
 def test_zero_field_collapses_to_half_static():

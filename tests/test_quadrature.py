@@ -29,6 +29,15 @@ def test_config_validation():
         QuadratureConfig(decay_scale=())
 
 
+def test_rule_constants_at_full_precision():
+    # each rule integrates 1 exactly; the Gauss half is leggauss(7)
+    assert abs(math.fsum(WEIGHTS_K) - 2.0) <= 4.5e-16
+    assert abs(math.fsum(WEIGHTS_G) - 2.0) <= 4.5e-16
+    x, w = np.polynomial.legendre.leggauss(7)
+    assert np.abs(NODES[1::2] - x).max() <= 1e-15
+    assert np.abs(WEIGHTS_G - w).max() <= 1e-15
+
+
 def test_exponential():
     res = integrate_semi_infinite(lambda t: np.exp(-t), TIGHT)
     assert res.converged
