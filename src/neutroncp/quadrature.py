@@ -49,8 +49,8 @@ Number = Union[float, complex]
 
 # 15-point Kronrod nodes on [-1, 1] (positive half, descending) and the
 # matching Kronrod weights; odd indices of the ascending full array are
-# the embedded 7-point Gauss nodes.  The 33-digit values of QUADPACK's
-# dqk15: rounded to 15 digits they biased every result by about -3e-15.
+# the embedded 7-point Gauss nodes.  QUADPACK's dqk15 values to 33
+# digits: 15-digit roundings bias every result by about -3e-15.
 _XK_HALF = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,

@@ -104,9 +104,9 @@ def test_unsettled_outer_sum_raises(monkeypatch):
 
 
 def test_fig1_plasma_u_du_settles_at_tight_tolerance():
-    # eps - 1 = 1 + (omega_p/xi)^2 - 1 cancelled above the plasma
-    # frequency, and the jitter it gave h_xx from node to node kept the
-    # trapezoidal sum from settling at these tolerances
+    # eps - 1 taken as (1 + (omega_p/xi)^2) - 1 cancels far above the
+    # plasma frequency; the node-to-node jitter that gives h_xx keeps
+    # the trapezoidal sum from settling at these tolerances
     m = Plasma(omega_p=363494611.93541175)
     cfg = FieldConfig(2.0, None)
     for z, rel_tol in ((1e-9, 1e-12), (1e-6, 1e-13)):
