@@ -30,11 +30,22 @@ under xi -> -i omega gives the real-axis oracle.
 
 Numerical form
 --------------
-All integrals are taken over t = k z (dimensionless), so a single
-quadrature configuration covers nine decades of z.  Both axes share one
-reflection kernel, _reflection(q, q_m, contrast, eps, s2), written in the
-vacuum and medium decay constants q, q_m of the imaginary axis and the
-frequency term s2 = xi^2/c^2:
+All integrals are taken in dimensionless variables scaled by z, so a
+single quadrature configuration covers nine decades of z.  On the
+imaginary axis the variable is v = kappa z - x: with t = k z and
+rho = kappa z = x + v, t^2 = v (2x + v) and (t/rho) dt = dv, so
+
+    h_xx, h_zz = e^(-2x)/(8 pi z^3) Int_0^inf dv acc(v) e^(-2v),
+
+where acc = r_p x^2 - r_s rho^2 for h_xx and -2 t^2 r_s for h_zz.
+Every xi decays as e^(-2v) on the same scale, so a batch of xi shares
+one decay scale and one set of panels, with no breakpoints.  e^(-2x) is
+applied after the quadrature, from x in extended precision.  The real
+axis is integrated over the vacuum normal wavevector k_z z.
+
+Both axes share one reflection kernel, _reflection(q, q_m, contrast,
+eps, s2), written in the vacuum and medium decay constants q, q_m of the
+imaginary axis and the frequency term s2 = xi^2/c^2:
 
     r_s = -contrast / (q + q_m)^2
     r_p = (eps - 1) ((eps + 1) q^2 - s2) / (eps q + q_m)^2
@@ -48,8 +59,8 @@ material frequencies); 1 + (eps - 1) would cancel there.
 
 z-derivative.  In the k variable z enters only through e^(-2 kappa z),
 so z dh/dz is the same k-integral with the integrand times -2 kappa z
-(-2 rho in t = k z, rho = kappa z): on the imaginary axis it is one more
-component of the same quadrature.
+(-2 rho, rho = x + v): on the imaginary axis it is one more component
+of the same quadrature.
 
 Branch rule.  On the real axis k_z is the vacuum normal wavevector
 (k_z = v on the propagating segment, i u on the evanescent tail) and the
@@ -76,7 +87,6 @@ from .materials import (
     wavevector_contrast_real,
 )
 from .quadrature import (
-    NODES,
     QuadratureConfig,
     QuadratureResult,
     integrate_finite_oscillatory,
@@ -85,11 +95,14 @@ from .quadrature import (
 
 SPEED_OF_LIGHT = 299792458.0
 
-# e^(-2x) leaves the normal double range beyond this; every component
-# carries that factor, so the tensor is zero at double precision.  The
-# cutoff sits below the hard underflow point (x ~ 372) on purpose:
-# subnormal panel values break relative error control in the quadrature.
+# Beyond this x = xi z / c the tensor is taken as zero: every entry
+# carries the factor e^(-2x), which leaves the normal double range near
+# x = 354.  The factor is applied after the quadrature, so the integrals
+# the quadrature sees do not shrink with x toward subnormal values, where
+# relative error control breaks down.
 _UNDERFLOW_X = 350.0
+# evaluation budget of each component of one k-integral
+_MAX_EVALUATIONS = 400_000
 
 
 class IntegrationError(RuntimeError):
@@ -124,17 +137,6 @@ def _reflection(q, q_m, contrast, s2, eps_m1):
     return r_s, r_p
 
 
-def _quad_config(
-    rel_tol: float, max_evaluations: int, decay_scale: Union[float, tuple[float, ...]]
-) -> QuadratureConfig:
-    return QuadratureConfig(
-        rel_tol=rel_tol,
-        abs_tol=0.0,
-        max_evaluations=max_evaluations,
-        decay_scale=decay_scale,
-    )
-
-
 def contracted_green_imag(
     m: Material,
     z: float,
@@ -142,7 +144,6 @@ def contracted_green_imag(
     weight_xx: float,
     weight_zz: float,
     rel_tol: float = 1e-10,
-    max_evaluations: int = 400_000,
     z_derivative: bool = False,
 ):
     """weight_xx * h_xx(i xi) + weight_zz * h_zz(i xi), in 1/m^3.
@@ -153,16 +154,15 @@ def contracted_green_imag(
     keeps a finite wavevector contrast there, Drude-type media lose it).
 
     xi may be an array: its k-integrals are then one vector-valued
-    quadrature, one component per entry, each with its own breakpoints
-    and decay scale, and the result is an array of xi's shape.  A scalar
-    xi is the batch of one and returns a float.  Entries whose tensor is
-    zero at double precision (underflow, vanishing contrast) skip the
-    quadrature.  max_evaluations bounds each entry's evaluations.
+    quadrature, one component per entry, all on the same panels, and the
+    result is an array of xi's shape.  A scalar xi is the batch of one
+    and returns a float.  Entries whose tensor is zero at double precision
+    (underflow, vanishing contrast) skip the quadrature.
 
     z_derivative=True returns the pair (value, z d/dz value).  Each entry
-    then gets a partner component, its integrand times -2 rho, with the
-    same decay scale and breakpoints, so both see the same nodes and the
-    kernel is evaluated once per panel; each meets rel_tol on its own.
+    then gets a partner component, its integrand times -2 rho, on the same
+    nodes, so the kernel is evaluated once per panel; each meets rel_tol
+    on its own.
     """
     _require_height(z)
     xis = np.asarray(xi, dtype=float)
@@ -171,7 +171,7 @@ def contracted_green_imag(
     c = SPEED_OF_LIGHT
     mirror = isinstance(m, PerfectConductor)
 
-    live, x2, dq2z2, eps_m1, scales, bps = [], [], [], [], [], []
+    live, xs, dq2z2, eps_m1 = [], [], [], []
     for i, xi_i in enumerate(xis.flat):
         xi_i = float(xi_i)
         x = xi_i * z / c
@@ -182,30 +182,21 @@ def contracted_green_imag(
         else:
             contrast = wavevector_contrast_imag(m, xi_i, c)
             d = contrast * z * z
-            # eps - 1 = contrast / s2.  It is 0, which drops r_p, at
-            # xi = 0 and where eps overflows: xi is then hundreds of
-            # orders below the plasma frequency, x^2 underflows and the
-            # r_p term is exactly zero at double precision
+            # eps - 1 = contrast / s2.  It is set to 0, which drops r_p,
+            # where r_p x^2 cannot reach the value: with |r_p| <= 1 that
+            # term integrates to at most x^2/2, while for x this small the
+            # r_s part is above min(d, 1)/600, so below x^2 = 2^-64 min(d, 1)
+            # the term is under half an ulp.  That covers xi = 0, and xi so
+            # far below the plasma frequency that (eps q + q_m)^2 overflows
             s2 = (xi_i / c) ** 2
-            e = contrast / s2 if s2 > 0.0 else 0.0
-            if not math.isfinite(e):
-                e = 0.0
+            keep_rp = s2 > 0.0 and x * x > 2.0**-64 * min(d, 1.0)
+            e = contrast / s2 if keep_rp else 0.0
             if d == 0.0 and e == 0.0:
                 continue
-        pts = [0.25, 1.0, 4.0]
-        if x > 1.0:
-            # decay in t is Gaussian-like with width ~sqrt(x) once x >> 1
-            root = math.sqrt(x)
-            pts += [root, 3.0 * root]
-        if d > 0.04:
-            edge = math.sqrt(d)  # r_s crossover scale
-            pts += [0.3 * edge, edge, 3.0 * edge]
         live.append(i)
-        x2.append(x * x)
+        xs.append(x)
         dq2z2.append(d)
         eps_m1.append(e)
-        scales.append(0.5 * max(1.0, math.sqrt(max(x, 1.0))))
-        bps.append(pts)
 
     n = len(live)
     if not n:
@@ -214,34 +205,29 @@ def contracted_green_imag(
     # r_p is skipped when no entry has a permittivity; otherwise
     # eps - 1 = 0 makes it exactly zero for an entry without one
     with_rp = any(eps_m1)
-    # the engine passes the (n, 15) nodes of one panel; parameters of
-    # that shape keep every operation free of broadcasting
-    x2, dq2z2, eps_m1 = np.repeat(
-        np.array([x2, dq2z2, eps_m1])[:, :, None], len(NODES), axis=2
-    )
+    # one row per entry against the engine's 15 nodes of v
+    x, dq2z2, eps_m1 = np.array([xs, dq2z2, eps_m1])[:, :, None]
+    x2 = x * x
     if not with_rp:
         eps_m1 = None
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        if z_derivative:
-            t = t[:n]  # rows n.. are the partners, on the same nodes
-        rho = np.sqrt(x2 + t * t)
+    def integrand(v: np.ndarray) -> np.ndarray:
+        rho = x + v
+        t2 = v * (x + rho)  # rho^2 - x^2
         if mirror:
-            acc = weight_xx * (x2 + rho * rho) + 2.0 * weight_zz * t * t
+            acc = weight_xx * (x2 + rho * rho) + 2.0 * weight_zz * t2
         else:
             r_s, r_p = _reflection(rho, np.sqrt(rho * rho + dq2z2), dq2z2, x2, eps_m1)
-            acc = -r_s * (weight_xx * rho * rho + 2.0 * weight_zz * t * t)
+            acc = -r_s * (weight_xx * rho * rho + 2.0 * weight_zz * t2)
             if r_p is not None:
                 acc = acc + weight_xx * r_p * x2
-        value = (t / rho) * acc * np.exp(-2.0 * rho)
+        value = acc * np.exp(-2.0 * v)
         if z_derivative:
             return np.concatenate((value, -2.0 * rho * value))
         return value
 
-    if z_derivative:
-        scales, bps = scales * 2, bps * 2
-    cfg = _quad_config(rel_tol, max_evaluations, tuple(scales))
-    res = integrate_semi_infinite(integrand, cfg, breakpoints=bps)
+    cfg = QuadratureConfig(rel_tol=rel_tol, max_evaluations=_MAX_EVALUATIONS, decay_scale=0.5)
+    res = integrate_semi_infinite(integrand, cfg)
     if not res.converged:
         j = res.unconverged[0]
         what = "z-derivative of the " if j >= n else ""
@@ -252,8 +238,11 @@ def contracted_green_imag(
                 float(res.value[j]), float(res.abs_error[j]), res.evaluations, False
             ),
         )
+    # e^(-2x) from x in extended precision: a rounded x would carry its
+    # error times 2x into the value (up to 1.6e-13 at x = 350)
+    decay = np.exp(-2.0 * (xis.ravel()[live].astype(np.longdouble) * z / c)).astype(float)
     # one row of values, then one of z-derivatives if asked for
-    values = (res.value / (8.0 * math.pi * z**3)).reshape(-1, n)
+    values = res.value.reshape(-1, n) * decay / (8.0 * math.pi * z**3)
     out = np.zeros((len(values), xis.size))
     out[:, live] = values
     parts = [float(v[0]) if xis.ndim == 0 else v.reshape(xis.shape) for v in out]
@@ -282,7 +271,6 @@ def contracted_green_real(
     weight_xx: float,
     weight_zz: float,
     rel_tol: float = 1e-10,
-    max_evaluations: int = 400_000,
 ) -> complex:
     """weight_xx * h_xx(omega) + weight_zz * h_zz(omega), complex, 1/m^3."""
     _require_height(z)
@@ -320,9 +308,9 @@ def contracted_green_real(
         v_edge = math.sqrt(-dq2z2.real)  # total-reflection kink
         if v_edge < w:
             prop_bps.append(v_edge)
-    cfg_prop = _quad_config(rel_tol, max_evaluations, 1.0)
+    cfg = QuadratureConfig(rel_tol=rel_tol, max_evaluations=_MAX_EVALUATIONS, decay_scale=0.5)
     res_prop = integrate_finite_oscillatory(
-        integrand, 0.0, w, phase_scale=w / math.pi, cfg=cfg_prop, breakpoints=prop_bps
+        integrand, 0.0, w, phase_scale=w / math.pi, cfg=cfg, breakpoints=prop_bps
     )
     if not res_prop.converged:
         raise IntegrationError(
@@ -336,10 +324,7 @@ def contracted_green_real(
         evan_bps.append(float(scale))
     if w < 50.0:
         evan_bps.append(max(w, 1e-6))
-    cfg_evan = _quad_config(rel_tol, max_evaluations, 0.5)
-    res_evan = integrate_semi_infinite(
-        lambda u: integrand(1j * u), cfg_evan, breakpoints=evan_bps
-    )
+    res_evan = integrate_semi_infinite(lambda u: integrand(1j * u), cfg, breakpoints=evan_bps)
     if not res_evan.converged:
         raise IntegrationError(
             f"evanescent-segment integral did not converge (omega={omega:.3e}, z={z:.3e})",

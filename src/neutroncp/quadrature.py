@@ -15,18 +15,17 @@ Integrands are vectorized: ``f`` receives a 1-D numpy array of abscissas
 and must return an array of the same shape.  Complex-valued integrands
 are supported throughout; error magnitudes use ``abs``.
 
-:func:`integrate_semi_infinite` also takes vector-valued integrands:
-n related integrals done in one refinement loop, one numpy call per
-panel instead of n.  A sequence of n decay scales selects this form.
-Each component keeps its own u-map, its own initial edges and its own
-value and error sums; ``f`` then receives the (n, 15) nodes of one panel,
-row j for component j, and returns the same shape.  Panels are
-split in lockstep by index, and a panel's heap key is its largest error
-relative to the tolerance of a component that has not yet converged, so
-refinement follows whichever components still need it.  The run counts
-as converged only when every component meets its own tolerance.  A
-scalar integrand is the one-component case: its refinement order and
-its results are those of a plain scalar loop.
+Both entry points also take vector-valued integrands: n related
+integrals done in one refinement loop, one numpy call per panel instead
+of n.  Every component shares one set of panels; ``f`` still receives
+the 15 nodes of one panel as a 1-D array and returns one row per
+component, shape (n, 15).  The shape ``f`` returns selects this form.
+Each component keeps its own value and error sums.  A panel's heap key
+is its largest error relative to the tolerance of a component that has
+not yet converged, so refinement follows whichever components still
+need it.  The run counts as converged only when every component meets
+its own tolerance.  A scalar integrand is the one-component case: its
+refinement order and its results are those of a plain scalar loop.
 
 Both entry points accept optional ``breakpoints``: abscissas (in the
 caller's coordinates) where the integrand changes scale or character.
@@ -93,15 +92,14 @@ class QuadratureConfig:
 
     decay_scale is the coordinate scale of the integrand's decay; it
     parametrizes the (0, inf) -> (0, 1) map and is ignored for finite
-    intervals.  A tuple of scales, one per component, makes the
-    semi-infinite integrand vector-valued.  The tolerances apply to each
+    intervals.  For a vector integrand the tolerances apply to each
     component, and max_evaluations bounds each component's evaluations.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 0.0
     max_evaluations: int = 1_000_000
-    decay_scale: Union[float, tuple[float, ...]] = 1.0
+    decay_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0.0 and self.abs_tol <= 0.0:
@@ -110,8 +108,7 @@ class QuadratureConfig:
             raise ValueError("tolerances must be >= 0")
         if self.max_evaluations < 15:
             raise ValueError("max_evaluations must allow at least one panel")
-        scales = self.decay_scale if isinstance(self.decay_scale, tuple) else (self.decay_scale,)
-        if not scales or not all(s > 0.0 and math.isfinite(s) for s in scales):
+        if not (self.decay_scale > 0.0 and math.isfinite(self.decay_scale)):
             raise ValueError("decay_scale must be positive and finite")
 
 
@@ -134,24 +131,24 @@ class QuadratureResult:
 def _eval_panels(f: Callable[[np.ndarray], np.ndarray], a: list, b: list):
     """Kronrod values and |Kronrod - Gauss| errors of the panels [a[i], b[i]].
 
-    a[i] and b[i] hold panel i's ends, one per component; the result is
-    two nested lists indexed [panel][component].  f is called once per
-    panel with its (n, 15) nodes; the node arithmetic and the weighted
-    sums run once for all the panels.
+    f is called once per panel with its 15 nodes; the node arithmetic and
+    the weighted sums run once for all the panels.  The result is two
+    nested lists indexed [panel][component], and whether f is
+    vector-valued: one row per component rather than a single row.
     """
-    ends = np.array(
-        [[(0.5 * (x + y), 0.5 * (y - x)) for x, y in zip(ap, bp)] for ap, bp in zip(a, b)]
-    )
-    half = ends[..., 1]
-    fv = np.array([f(x) for x in ends[..., :1] + half[..., None] * NODES])
+    ends = np.array([(0.5 * (x + y), 0.5 * (y - x)) for x, y in zip(a, b)])
+    half = ends[:, 1:]
+    fv = np.array([f(x) for x in ends[:, :1] + half * NODES])
+    vector = fv.ndim == 3
+    fv = fv.reshape(len(half), -1, len(NODES))
     kronrod = half * np.add.reduce(WEIGHTS_K * fv, axis=-1)
     gauss = half * np.add.reduce(WEIGHTS_G * fv[..., 1::2], axis=-1)
     finite = np.isfinite(kronrod)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
-        where = f" (component {j})" if finite.shape[1] > 1 else ""
-        raise ValueError(f"integrand returned non-finite values on [{a[i][j]}, {b[i][j]}]{where}")
-    return kronrod.tolist(), np.abs(kronrod - gauss).tolist()
+        where = f" (component {j})" if vector else ""
+        raise ValueError(f"integrand returned non-finite values on [{a[i]}, {b[i]}]{where}")
+    return kronrod.tolist(), np.abs(kronrod - gauss).tolist(), vector
 
 
 def _tolerance(cfg: QuadratureConfig, value: list) -> list[float]:
@@ -172,11 +169,11 @@ def _weights(tol: list[float], err: list[float], active: list[bool]) -> list[flo
     ]
 
 
-def _entry(seq: int, a: list, b: list, val: list, err: list[float], weights: list[float]) -> tuple:
+def _entry(seq: int, a: float, b: float, val: list, err: list, weights: list[float]) -> tuple:
     """Heap entry of a panel, keyed by its largest weighted error.
 
-    The entry keeps the index of that component, which decides whether
-    the panel is still wide enough to split.
+    The entry keeps the index of that component, whose stall count the
+    panel's split updates.
     """
     keys = [e * w for e, w in zip(err, weights)]
     key = max(keys)
@@ -184,33 +181,27 @@ def _entry(seq: int, a: list, b: list, val: list, err: list[float], weights: lis
 
 
 def _adapt(
-    f: Callable[[np.ndarray], np.ndarray],
-    edges: list[list[float]],
-    cfg: QuadratureConfig,
-    vector: bool,
+    f: Callable[[np.ndarray], np.ndarray], edges: list[float], cfg: QuadratureConfig
 ) -> QuadratureResult:
     """Worst-panel-first refinement over the initial panel edges.
 
-    edges has one equally long row of initial edges per component;
-    panel i of every component is evaluated and split together.  A
-    panel's key is its largest error relative to the tolerance of a
-    component that is still above it; the loop runs until every
-    component meets its tolerance.  With vector False the run is the
-    one-component case and the result holds plain numbers.
+    Every component shares the panels.  A panel's key is its largest
+    error relative to the tolerance of a component that is still above
+    it; the loop runs until every component meets its tolerance.  A
+    scalar f gives a result of plain numbers.
 
-    Panel ends, values and errors are kept as lists of Python floats:
-    for a handful of components that costs less than numpy calls on
-    tiny arrays, and numpy does the work that scales, the nodes and sums.
+    Values and errors are kept as lists of Python floats: for a handful
+    of components that costs less than numpy calls on tiny arrays, and
+    numpy does the work that scales, the nodes and sums.
     """
-    columns = [list(c) for c in zip(*edges)]
-    span = [b - a for a, b in zip(columns[0], columns[-1])]
-    n = len(span)
-    vals, errs = _eval_panels(f, columns[:-1], columns[1:])
+    span = edges[-1] - edges[0]
+    vals, errs, vector = _eval_panels(f, edges[:-1], edges[1:])
+    n = len(vals[0])
     heap: list = []
     panels = len(vals)
     total_val: list = [0.0] * n
     total_err = [0.0] * n
-    for seq, (a, b, val, err) in enumerate(zip(columns[:-1], columns[1:], vals, errs)):
+    for seq, (a, b, val, err) in enumerate(zip(edges[:-1], edges[1:], vals, errs)):
         total_val = [t + v for t, v in zip(total_val, val)]
         total_err = [t + e for t, e in zip(total_err, err)]
         heap.append((0.0, seq, a, b, val, err, 0))  # keyed on the first pass
@@ -240,12 +231,12 @@ def _adapt(
             heap = [_entry(s, a, b, v, e, weights) for _, s, a, b, v, e, _ in heap]
             heapq.heapify(heap)
         _, _, a, b, val, err, j = heapq.heappop(heap)
-        mid = [0.5 * (x + y) for x, y in zip(a, b)]
-        if mid[j] - a[j] < 1e-15 * span[j]:
+        mid = 0.5 * (a + b)
+        if mid - a < 1e-15 * span:
             # cannot subdivide further in float64; park the panel
             # (its value and error stay counted in the totals)
             continue
-        (val_l, val_r), (err_l, err_r) = _eval_panels(f, [a, mid], [mid, b])
+        (val_l, val_r), (err_l, err_r), _ = _eval_panels(f, [a, mid], [mid, b])
         panels += 2
         prev_err = total_err[j]
         total_val = [t + (l + r - v) for t, l, r, v in zip(total_val, val_l, val_r, val)]
@@ -268,15 +259,6 @@ def _adapt(
     return QuadratureResult(
         np.array(total_val), np.array(abs_error), 15 * panels * n, not missed, missed
     )
-
-
-def _first_row(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], list]:
-    """A scalar integrand as the one-component case.
-
-    f gets the 1-D nodes of the only row; its values come back as that
-    row, a one-element list.
-    """
-    return lambda x: [f(x[0])]
 
 
 def _merged_edges(
@@ -302,7 +284,7 @@ def _merged_edges(
 def integrate_semi_infinite(
     f: Callable[[np.ndarray], np.ndarray],
     cfg: QuadratureConfig,
-    breakpoints: Sequence = (),
+    breakpoints: Sequence[float] = (),
 ) -> QuadratureResult:
     """Integrate f over (0, inf).
 
@@ -310,25 +292,12 @@ def integrate_semi_infinite(
     s = cfg.decay_scale, then refined adaptively.  ``breakpoints`` are
     t-coordinates; they are mapped into u and become initial panel
     edges, together with a default ladder at t = s/9, s/3, s, 3s, 9s.
-
-    With a tuple of n decay scales f is vector-valued (see the module
-    docstring) and ``breakpoints`` holds one sequence per component.  A
-    component with fewer initial edges than the others is padded with
-    empty panels at u = 1.
+    f may be vector-valued (see the module docstring).
 
     Never raises on non-convergence: the result carries converged=False
     and the caller decides whether that is fatal.
     """
-    vector = isinstance(cfg.decay_scale, tuple)
-    scales = list(cfg.decay_scale) if vector else [cfg.decay_scale]
-    # one row per component, as wide as a panel's nodes: same-shape numpy
-    # operations cost less than broadcast ones on arrays this small
-    s = np.repeat(np.array(scales)[:, None], len(NODES), axis=1)
-    f_rows = f if vector else _first_row(f)
-    if not vector:
-        breakpoints = [breakpoints]
-    if len(breakpoints) != len(scales):
-        raise ValueError("need one breakpoint sequence per component")
+    s = cfg.decay_scale
 
     def g(u: np.ndarray) -> np.ndarray:
         one_minus = 1.0 - u
@@ -342,20 +311,10 @@ def integrate_semi_infinite(
         if not safe.all():
             t = np.where(safe, t, s)
             jac = np.where(safe, jac, 0.0)
-        return np.asarray(f_rows(t)) * jac
+        return np.asarray(f(t)) * jac
 
-    rows = [
-        _merged_edges(
-            0.0,
-            1.0,
-            [0.1, 0.25, 0.5, 0.75, 0.9],
-            [t / (t + sj) for t in bps if t > 0.0 and math.isfinite(t)],
-        )
-        for sj, bps in zip(scales, breakpoints)
-    ]
-    width = max(len(r) for r in rows)
-    edges = [r + [1.0] * (width - len(r)) for r in rows]
-    return _adapt(g, edges, cfg, vector)
+    extra = [t / (t + s) for t in breakpoints if t > 0.0 and math.isfinite(t)]
+    return _adapt(g, _merged_edges(0.0, 1.0, [0.1, 0.25, 0.5, 0.75, 0.9], extra), cfg)
 
 
 def integrate_finite_oscillatory(
@@ -380,5 +339,4 @@ def integrate_finite_oscillatory(
     n = max(1, math.ceil(phase_scale))
     n = min(n, max(1, cfg.max_evaluations // 30))
     base = np.linspace(a, b, n + 1)[1:-1].tolist()
-    edges = [_merged_edges(a, b, base, list(breakpoints))]
-    return _adapt(_first_row(f), edges, cfg, vector=False)
+    return _adapt(f, _merged_edges(a, b, base, list(breakpoints)), cfg)

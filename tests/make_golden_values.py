@@ -40,11 +40,22 @@ MODELS = {
 B_EXT = 2.0
 U_DU_HEIGHTS = (1e-9, 3e-8, 1e-6)
 # (z, xi) of the inner k-integrals; xi = 0 only where the static
-# contraction survives (plasma)
+# contraction survives (plasma).  The points after the first row of each
+# model have x = xi z / c from 33 to 334, where the rounding of x in
+# double precision would show in e^(-2x)
 INNER_POINTS = {
-    "plasma": ((3e-8, 0.0), (1e-9, 1e17), (3e-8, 1e15), (1e-6, 1e12)),
-    "drude": ((1e-9, 1e17), (3e-8, 1e15), (1e-6, 1e12)),
-    "drude-lorentz": ((1e-9, 1e17), (1e-9, 3e19), (3e-8, 1e15), (1e-6, 1e12)),
+    "plasma": (
+        (3e-8, 0.0), (1e-9, 1e17), (3e-8, 1e15), (1e-6, 1e12),
+        (1e-6, 1e17), (1e-9, 1e19), (2.7e-6, 3.1e16),
+    ),
+    "drude": (
+        (1e-9, 1e17), (3e-8, 1e15), (1e-6, 1e12),
+        (3e-8, 3e18), (1e-6, 3e16),
+    ),
+    "drude-lorentz": (
+        (1e-9, 1e17), (1e-9, 3e19), (3e-8, 1e15), (1e-6, 1e12),
+        (1e-7, 2e17),
+    ),
 }
 
 

@@ -217,7 +217,7 @@ def test_mirror_green_imag(x):
 
 
 def test_mirror_green_scale_invariance():
-    # z^3 h depends on xi z/c only; checks the internal t = k z scaling
+    # z^3 h depends on xi z/c only; checks the internal scaling of the k-integral by z
     x = 0.7
     for z1, z2 in [(1e-9, 1e-6), (1e-6, 1e-3)]:
         a_xx, a_zz = diag_imag(PC, z1, x * C / z1)
@@ -259,6 +259,15 @@ def test_static_limit_continuous():
         at0_xx, at0_zz = diag_imag(m, z, 0.0)
         assert abs(lo_xx - at0_xx) < 1e-6 * scale
         assert abs(lo_zz - at0_zz) < 1e-6 * scale
+
+
+@pytest.mark.parametrize("xi", [1e-60, 1.37e-84])
+def test_plasma_far_below_omega_p_is_the_static_limit(xi):
+    # eps - 1 is up to 1e200 here, so (eps q + q_m)^2 in r_p overflows;
+    # r_p x^2 is far below the value and r_p must be dropped, not raise
+    static = contracted_green_imag(GOLD_PLASMA, 1e-9, 0.0, 1.0, 0.0)
+    got = contracted_green_imag(GOLD_PLASMA, 1e-9, xi, 1.0, 0.0)
+    assert abs(got - static) <= 1e-15 * abs(static)
 
 
 def test_deep_evanescent_cutoff():
@@ -354,7 +363,7 @@ def test_batch_names_the_xi_that_did_not_converge(monkeypatch):
     def one_divergent(f, cfg, breakpoints=()):
         def rows(t):
             out = np.array(f(t))
-            out[7] = 1.0 / t[7]
+            out[7] = 1.0 / t
             return out
 
         return engine(rows, cfg, breakpoints)
