@@ -74,6 +74,7 @@ flips the sign of Im h there.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Union
 
 import numpy as np
@@ -205,7 +206,7 @@ def contracted_green_imag(
     # r_p is skipped when no entry has a permittivity; otherwise
     # eps - 1 = 0 makes it exactly zero for an entry without one
     with_rp = any(eps_m1)
-    # one row per entry against the engine's 15 nodes of v
+    # one row per entry against the nodes of v, every panel of a refinement step at once
     x, dq2z2, eps_m1 = np.array([xs, dq2z2, eps_m1])[:, :, None]
     x2 = x * x
     if not with_rp:
@@ -228,19 +229,24 @@ def contracted_green_imag(
 
     cfg = QuadratureConfig(rel_tol=rel_tol, max_evaluations=_MAX_EVALUATIONS, decay_scale=0.5)
     res = integrate_semi_infinite(integrand, cfg)
+    # e^(-2x) from x in extended precision: a rounded x would carry its
+    # error times 2x into the value (up to 1.6e-13 at x = 350)
+    decay = np.exp(-2.0 * (xis.ravel()[live].astype(np.longdouble) * z / c)).astype(float)
     if not res.converged:
         j = res.unconverged[0]
         what = "z-derivative of the " if j >= n else ""
+        # the error reports the quantity the call returns, in 1/m^3
+        scale = decay[j % n] / (8.0 * math.pi * z**3)
         raise IntegrationError(
             f"{what}transverse-wavevector integral did not converge "
             f"(xi={xis.flat[live[j % n]]:.3e}, z={z:.3e})",
             QuadratureResult(
-                float(res.value[j]), float(res.abs_error[j]), res.evaluations, False
+                float(res.value[j] * scale),
+                float(res.abs_error[j] * scale),
+                res.evaluations,
+                False,
             ),
         )
-    # e^(-2x) from x in extended precision: a rounded x would carry its
-    # error times 2x into the value (up to 1.6e-13 at x = 350)
-    decay = np.exp(-2.0 * (xis.ravel()[live].astype(np.longdouble) * z / c)).astype(float)
     # one row of values, then one of z-derivatives if asked for
     values = res.value.reshape(-1, n) * decay / (8.0 * math.pi * z**3)
     out = np.zeros((len(values), xis.size))
@@ -309,14 +315,20 @@ def contracted_green_real(
         if v_edge < w:
             prop_bps.append(v_edge)
     cfg = QuadratureConfig(rel_tol=rel_tol, max_evaluations=_MAX_EVALUATIONS, decay_scale=0.5)
+    pref = 1.0 / (8.0 * math.pi * z**3)
+
+    def failed(segment: str, res: QuadratureResult) -> IntegrationError:
+        # the error reports the segment integral in 1/m^3, as it enters the result
+        return IntegrationError(
+            f"{segment}-segment integral did not converge (omega={omega:.3e}, z={z:.3e})",
+            replace(res, value=res.value * pref, abs_error=res.abs_error * pref),
+        )
+
     res_prop = integrate_finite_oscillatory(
         integrand, 0.0, w, phase_scale=w / math.pi, cfg=cfg, breakpoints=prop_bps
     )
     if not res_prop.converged:
-        raise IntegrationError(
-            f"propagating-segment integral did not converge (omega={omega:.3e}, z={z:.3e})",
-            res_prop,
-        )
+        raise failed("propagating", res_prop)
 
     evan_bps = [0.25, 1.0, 4.0]
     scale = abs(np.sqrt(dq2z2)) if not mirror else 0.0
@@ -326,11 +338,6 @@ def contracted_green_real(
         evan_bps.append(max(w, 1e-6))
     res_evan = integrate_semi_infinite(lambda u: integrand(1j * u), cfg, breakpoints=evan_bps)
     if not res_evan.converged:
-        raise IntegrationError(
-            f"evanescent-segment integral did not converge (omega={omega:.3e}, z={z:.3e})",
-            res_evan,
-        )
-
-    pref = 1.0 / (8.0 * math.pi * z**3)
+        raise failed("evanescent", res_evan)
     return pref * (-1j * res_prop.value - res_evan.value)
 

@@ -12,15 +12,18 @@ entry points are provided:
   oscillation period).
 
 Integrands are vectorized: ``f`` receives a 1-D numpy array of abscissas
-and must return an array of the same shape.  Complex-valued integrands
-are supported throughout; error magnitudes use ``abs``.
+and must return an array of the same shape.  It is called once per
+refinement step, on the 15 nodes of every panel that step evaluates, in
+panel order: all the initial panels in one call, then both halves of
+each split in one call of 30 nodes.  Complex-valued integrands are
+supported throughout; error magnitudes use ``abs``.
 
 Both entry points also take vector-valued integrands: n related
-integrals done in one refinement loop, one numpy call per panel instead
-of n.  Every component shares one set of panels; ``f`` still receives
-the 15 nodes of one panel as a 1-D array and returns one row per
-component, shape (n, 15).  The shape ``f`` returns selects this form.
-Each component keeps its own value and error sums.  A panel's heap key
+integrals done in one refinement loop, one numpy call per step instead
+of n.  Every component shares one set of panels; ``f`` receives the
+nodes as above and returns one row per component, shape (n, m) for m
+nodes.  The shape ``f`` returns selects this form.
+Each component keeps its own value and error sums.  A panel's key
 is its largest error relative to the tolerance of a component that has
 not yet converged, so refinement follows whichever components still
 need it.  The run counts as converged only when every component meets
@@ -37,7 +40,6 @@ value.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -128,56 +130,45 @@ class QuadratureResult:
     unconverged: tuple[int, ...] = ()
 
 
-def _eval_panels(f: Callable[[np.ndarray], np.ndarray], a: list, b: list):
+def _eval_panels(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
     """Kronrod values and |Kronrod - Gauss| errors of the panels [a[i], b[i]].
 
-    f is called once per panel with its 15 nodes; the node arithmetic and
-    the weighted sums run once for all the panels.  The result is two
-    nested lists indexed [panel][component], and whether f is
+    f is called once, on the 15 nodes of every panel in panel order as one
+    1-D array; the weighted sums then run along each panel's 15 values.
+    The result is two (panel, component) arrays, and whether f is
     vector-valued: one row per component rather than a single row.
     """
-    ends = np.array([(0.5 * (x + y), 0.5 * (y - x)) for x, y in zip(a, b)])
-    half = ends[:, 1:]
-    fv = np.array([f(x) for x in ends[:, :1] + half * NODES])
-    vector = fv.ndim == 3
-    fv = fv.reshape(len(half), -1, len(NODES))
-    kronrod = half * np.add.reduce(WEIGHTS_K * fv, axis=-1)
-    gauss = half * np.add.reduce(WEIGHTS_G * fv[..., 1::2], axis=-1)
+    half = 0.5 * (b - a)
+    fv = np.asarray(f(((0.5 * (a + b))[:, None] + half[:, None] * NODES).ravel()))
+    vector = fv.ndim == 2
+    fv = fv.reshape(-1, len(half), len(NODES))
+    kronrod = (half * np.add.reduce(WEIGHTS_K * fv, axis=-1)).T
+    gauss = (half * np.add.reduce(WEIGHTS_G * fv[..., 1::2], axis=-1)).T
     finite = np.isfinite(kronrod)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         where = f" (component {j})" if vector else ""
         raise ValueError(f"integrand returned non-finite values on [{a[i]}, {b[i]}]{where}")
-    return kronrod.tolist(), np.abs(kronrod - gauss).tolist(), vector
+    return kronrod, np.abs(kronrod - gauss), vector
 
 
-def _tolerance(cfg: QuadratureConfig, value: list) -> list[float]:
-    return [max(cfg.abs_tol, cfg.rel_tol * abs(v)) for v in value]
-
-
-def _weights(tol: list[float], err: list[float], active: list[bool]) -> list[float]:
-    """Heap-key weight per component: a power of two near 1/tolerance.
+def _weights(tol: np.ndarray, err: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Key weight per component: a power of two near 1/tolerance.
 
     Inactive components weigh nothing.  A power of two scales an error
     exactly, so a one-component run keeps the plain largest-error order.
     The exponent stops at that of the smallest normal float, because the
     inverse of a subnormal tolerance overflows.
     """
-    return [
-        math.ldexp(1.0, min(1021, -math.frexp(t if t > 0.0 else e)[1])) if on else 0.0
-        for t, e, on in zip(tol, err, active)
-    ]
+    exponent = np.frexp(np.where(tol > 0.0, tol, err))[1]
+    return np.where(active, np.ldexp(1.0, np.minimum(1021, -exponent)), 0.0)
 
 
-def _entry(seq: int, a: float, b: float, val: list, err: list, weights: list[float]) -> tuple:
-    """Heap entry of a panel, keyed by its largest weighted error.
-
-    The entry keeps the index of that component, whose stall count the
-    panel's split updates.
-    """
-    keys = [e * w for e, w in zip(err, weights)]
-    key = max(keys)
-    return (-key, seq, a, b, val, err, keys.index(key))
+def _grown(a: np.ndarray) -> np.ndarray:
+    """a with room for at least two more rows; the new rows are uninitialised."""
+    out = np.empty((2 * len(a) + 2,) + a.shape[1:], a.dtype)
+    out[: len(a)] = a
+    return out
 
 
 def _adapt(
@@ -190,22 +181,19 @@ def _adapt(
     it; the loop runs until every component meets its tolerance.  A
     scalar f gives a result of plain numbers.
 
-    Values and errors are kept as lists of Python floats: for a handful
-    of components that costs less than numpy calls on tiny arrays, and
-    numpy does the work that scales, the nodes and sums.
+    Panels are rows of arrays in creation order: ends, val and err
+    (panel, component) and key.  The worst panel is the first argmax of
+    key, so of equal keys the older panel goes first.  A panel that is
+    split or parked leaves the refinement with key -1.
     """
-    span = edges[-1] - edges[0]
-    vals, errs, vector = _eval_panels(f, edges[:-1], edges[1:])
-    n = len(vals[0])
-    heap: list = []
-    panels = len(vals)
-    total_val: list = [0.0] * n
-    total_err = [0.0] * n
-    for seq, (a, b, val, err) in enumerate(zip(edges[:-1], edges[1:], vals, errs)):
-        total_val = [t + v for t, v in zip(total_val, val)]
-        total_err = [t + e for t, e in zip(total_err, err)]
-        heap.append((0.0, seq, a, b, val, err, 0))  # keyed on the first pass
-    seq = len(heap)
+    ends = np.column_stack((edges[:-1], edges[1:])).astype(float)
+    span = ends[-1, 1] - ends[0, 0]
+    val, err, vector = _eval_panels(f, ends[:, 0], ends[:, 1])
+    panels, n = val.shape
+    # summed panel by panel, as from 0.0: + 0.0 turns a sum of -0.0 into 0.0
+    total_val = np.cumsum(val, axis=0)[-1] + 0.0
+    total_err = np.cumsum(err, axis=0)[-1] + 0.0
+    key = np.zeros(panels)  # keyed on the first pass
 
     # Refinement stops on: every component within tolerance or at the
     # roundoff floor, budget exhausted, or every panel too narrow to
@@ -215,35 +203,47 @@ def _adapt(
     # others, and it is reported as unconverged.
     # err > max(tol, floor |value|) is err > max(abs_tol, rel |value|):
     rel = max(cfg.rel_tol, _ERROR_FLOOR_REL)
-    cap = [cfg.abs_tol] * n
-    stalls = [0] * n
-    stall_limit = max(200, 2 * len(heap))
-    weights: list[float] = []
-    keyed = None
+    cap = np.full(n, cfg.abs_tol)
+    stalls = np.zeros(n, dtype=int)
+    stall_limit = max(200, 2 * panels)
+    weights = keyed = None
     while True:
-        active = [e > max(c, rel * abs(v)) for e, c, v in zip(total_err, cap, total_val)]
-        if not any(active) or 15 * panels + 30 > cfg.max_evaluations or not heap:
+        # |value| as Python's abs takes it; numpy's complex abs can differ by an ulp
+        size = np.hypot(total_val.real, total_val.imag)
+        active = total_err > np.maximum(cap, rel * size)
+        if not active.any() or 15 * panels + 30 > cfg.max_evaluations:
             break
-        if active != keyed:
+        if keyed is None or (active != keyed).any():
             # the set of components still refining changed: re-key every panel
             keyed = active
-            weights = _weights(_tolerance(cfg, total_val), total_err, active)
-            heap = [_entry(s, a, b, v, e, weights) for _, s, a, b, v, e, _ in heap]
-            heapq.heapify(heap)
-        _, _, a, b, val, err, j = heapq.heappop(heap)
+            tol = np.maximum(cfg.abs_tol, cfg.rel_tol * size)
+            weights = _weights(tol, total_err, active)
+            live = key[:panels]
+            live[...] = np.where(live < 0.0, -1.0, (err[:panels] * weights).max(axis=1))
+        p = int(np.argmax(key[:panels]))
+        if key[p] < 0.0:
+            break  # every panel is split or parked
+        key[p] = -1.0
+        a, b = ends[p].tolist()
         mid = 0.5 * (a + b)
         if mid - a < 1e-15 * span:
             # cannot subdivide further in float64; park the panel
             # (its value and error stay counted in the totals)
             continue
-        (val_l, val_r), (err_l, err_r), _ = _eval_panels(f, [a, mid], [mid, b])
+        halves_val, halves_err, _ = _eval_panels(f, np.array([a, mid]), np.array([mid, b]))
+        if panels + 2 > len(key):
+            ends, val, err, key = map(_grown, (ends, val, err, key))
+        new = slice(panels, panels + 2)
+        ends[new] = ((a, mid), (mid, b))
+        val[new] = halves_val
+        err[new] = halves_err
+        key[new] = (halves_err * weights).max(axis=1)
         panels += 2
+        # the component that set the panel's key, whose stall count it updates
+        j = int(np.argmax(err[p] * weights))
         prev_err = total_err[j]
-        total_val = [t + (l + r - v) for t, l, r, v in zip(total_val, val_l, val_r, val)]
-        total_err = [t + (l + r - e) for t, l, r, e in zip(total_err, err_l, err_r, err)]
-        heapq.heappush(heap, _entry(seq, a, mid, val_l, err_l, weights))
-        heapq.heappush(heap, _entry(seq + 1, mid, b, val_r, err_r, weights))
-        seq += 2
+        total_val = total_val + ((halves_val[0] + halves_val[1]) - val[p])
+        total_err = total_err + ((halves_err[0] + halves_err[1]) - err[p])
         if total_err[j] > 0.999 * prev_err:
             stalls[j] += 1
             if stalls[j] >= stall_limit:
@@ -251,14 +251,13 @@ def _adapt(
         else:
             stalls[j] = 0
 
-    tol = _tolerance(cfg, total_val)
-    abs_error = [max(e, _ERROR_FLOOR_REL * abs(v)) for e, v in zip(total_err, total_val)]
-    missed = tuple(j for j in range(n) if not abs_error[j] <= tol[j])
-    if not vector:
-        return QuadratureResult(total_val[0], abs_error[0], 15 * panels, not missed, missed)
-    return QuadratureResult(
-        np.array(total_val), np.array(abs_error), 15 * panels * n, not missed, missed
-    )
+    size = np.hypot(total_val.real, total_val.imag)
+    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * size)
+    abs_error = np.maximum(total_err, _ERROR_FLOOR_REL * size)
+    missed = tuple(np.flatnonzero(~(abs_error <= tol)).tolist())
+    if not vector:  # plain numbers; n is 1
+        total_val, abs_error = total_val[0].item(), abs_error[0].item()
+    return QuadratureResult(total_val, abs_error, 15 * panels * n, not missed, missed)
 
 
 def _merged_edges(

@@ -1,6 +1,7 @@
 """CLI: request handling, serialization, determinism, exit codes."""
 
 import dataclasses
+import io
 import json
 import math
 import os
@@ -439,6 +440,48 @@ def test_cli_subprocess_determinism(tmp_path):
     assert one.returncode == two.returncode == three.returncode == 0
     assert one.stdout == two.stdout == three.stdout
     assert "jobs" not in one.stdout  # header stays execution independent
+
+
+# The committed outputs in out/.  A change that moves a cell must
+# regenerate the file and say which cell moved.
+COMMITTED_OUTPUTS = (
+    "smoke.csv",
+    "smoke_entry.csv",
+    "smoke_par.csv",
+    "smoke_ser.csv",
+    "smoke_t1.json",
+)
+
+
+def committed_request(text, suffix):
+    """(command, request, columns) recorded in an output's header and column row."""
+    if suffix == ".json":
+        payload = json.loads(text)
+        header, columns = payload["header"], payload["columns"]
+    else:
+        lines = text.splitlines()
+        header = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+        columns = next(line for line in lines if not line.startswith("#")).split(",")
+    command = header.pop("tool").removeprefix("neutroncp ")
+    given = {}
+    for key, value in header.items():
+        parse = cli._theta if key == "theta" else type(getattr(SweepRequest, key))
+        given[key] = parse(value)
+    outputs = ("table1",) if command == "table1" else tuple(columns[1:-1])
+    return command, SweepRequest(**given, outputs=outputs), columns
+
+
+@pytest.mark.parametrize("name", COMMITTED_OUTPUTS)
+def test_committed_outputs_reproduce(name):
+    path = ROOT / "out" / name
+    text = path.read_bytes().decode("utf-8")
+    command, req, columns = committed_request(text, path.suffix)
+    rows = run_sweep(req) if command == "sweep" else run_table1(req)
+    rows = cli._convert_units(rows, columns, req.energy_unit)
+    buf = io.StringIO()
+    writer = cli.write_json if path.suffix == ".json" else cli.write_csv
+    writer(rows, columns, cli._sweep_header(req, command), buf)
+    assert buf.getvalue() == text
 
 
 def script_calls():

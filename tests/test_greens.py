@@ -15,6 +15,7 @@ omega z / c is enhanced, not suppressed.
 import cmath
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -331,6 +332,39 @@ def test_non_convergence_carries_result():
     res = info.value.result
     assert res.abs_error > 0.0
     assert not res.converged
+
+
+def test_non_convergence_reports_the_returned_quantity():
+    # the error's value is the estimate of what the call returns, in
+    # 1/m^3, not the raw integral in the quadrature variable
+    z, xi = 1e-7, 1e15
+    converged = contracted_green_imag(GOLD_PLASMA, z, xi, 1.0, 0.0, rel_tol=1e-13)
+    with pytest.raises(IntegrationError) as info:
+        contracted_green_imag(GOLD_PLASMA, z, xi, 1.0, 0.0, rel_tol=1e-15)
+    res = info.value.result
+    assert res.value == pytest.approx(converged, rel=1e-12)
+    assert 0.0 < res.abs_error <= 1e-13 * converged
+
+
+def test_real_axis_non_convergence_reports_each_segment_in_1_per_m3(monkeypatch):
+    # each segment's error payload is that segment as it enters the
+    # result, which is -1j * propagating - evanescent
+    z, omega = 1e-7, 1e15
+    converged = contracted_green_real(GOLD_DRUDE, z, omega, 1.3, 0.7)
+    reported = {}
+    for name in ("integrate_finite_oscillatory", "integrate_semi_infinite"):
+        engine = getattr(greens, name)
+
+        def unconverged(*args, engine=engine, **kw):
+            return replace(engine(*args, **kw), converged=False)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(greens, name, unconverged)
+            with pytest.raises(IntegrationError) as info:
+                contracted_green_real(GOLD_DRUDE, z, omega, 1.3, 0.7)
+        reported[name] = info.value.result.value
+    rebuilt = -1j * reported["integrate_finite_oscillatory"] - reported["integrate_semi_infinite"]
+    assert rebuilt == pytest.approx(converged, rel=1e-14)
 
 
 # ------------------------------------------------------------- xi batches

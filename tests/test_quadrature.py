@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neutroncp import QuadratureConfig, integrate_finite_oscillatory, integrate_semi_infinite
+from neutroncp import quadrature
 from neutroncp.quadrature import NODES, WEIGHTS_G, WEIGHTS_K, _merged_edges
+
+import heap_reference
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=0.0, max_evaluations=400_000)
 
@@ -286,6 +289,133 @@ def test_scalar_is_the_one_component_case(f, rel_tol, max_evaluations):
     edges = _merged_edges(0.0, 1.0, np.linspace(0.0, 1.0, 4)[1:-1].tolist(), [])
     value, abs_error, evals = _plain_scalar_loop(f, edges, cfg)
     assert (res.value, res.abs_error, res.evaluations) == (value, abs_error, evals)
+
+
+# ------------------------------------------------ the heap reference
+#
+# The engine against the list-and-heap loop it replaced
+# (tests/heap_reference.py): one integrand call per refinement step and
+# panels kept in arrays must refine the same panels in the same order.
+
+
+def _counting(f):
+    calls = []
+
+    def counted(x):
+        calls.append(np.array(x))
+        return f(x)
+
+    return counted, calls
+
+
+def _stall():
+    rows = lambda t: np.stack([np.exp(-t), 1.0 / t, t**2 * np.exp(-t)])
+    return integrate_semi_infinite(rows, QuadratureConfig(rel_tol=1e-10, max_evaluations=20_000))
+
+
+def _complex():
+    # the first component ends at the roundoff floor, 1e-14 |value|
+    rows = lambda x: np.stack([np.exp(-(1.0 + 2.0j) * x), np.sqrt(x) + 0j])
+    return integrate_finite_oscillatory(rows, 0.0, 1.0, 1.0, TIGHT, breakpoints=[0.3])
+
+
+def _many_panels():
+    # a scalar run whose 40 initial panels are summed one by one
+    f = lambda x: np.exp(x) * np.cos(120.0 * x)
+    return integrate_finite_oscillatory(f, 0.0, 1.0, phase_scale=40.0, cfg=TIGHT)
+
+
+def _budget():
+    rows = lambda x: np.stack([np.sqrt(x) * np.exp(-x), np.exp(x) * np.cos(50.0 * x)])
+    cfg = QuadratureConfig(rel_tol=1e-14, max_evaluations=600)
+    return integrate_finite_oscillatory(rows, 0.0, 1.0, phase_scale=3.0, cfg=cfg)
+
+
+def _park_rows(x):
+    return np.stack([x**-0.5, np.exp(x)])
+
+
+def _park(rows=_park_rows):
+    cfg = QuadratureConfig(rel_tol=1e-13)
+    return integrate_finite_oscillatory(rows, 0.0, 1.0, phase_scale=3.0, cfg=cfg)
+
+
+def _active_set_changes():
+    rows = lambda x: np.stack(
+        [
+            np.exp(-x),
+            np.sqrt(x) * np.exp(-x),
+            np.exp(x) * np.cos(50.0 * x),
+            1.0 / (1e-3 + (x - 0.7) ** 2),
+        ]
+    )
+    cfg = QuadratureConfig(rel_tol=1e-12)
+    return integrate_finite_oscillatory(rows, 0.0, 1.0, phase_scale=3.0, cfg=cfg)
+
+
+@pytest.mark.parametrize(
+    "run", [_stall, _complex, _many_panels, _budget, _park, _active_set_changes]
+)
+def test_engine_refines_as_the_heap_reference(run, monkeypatch):
+    got = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_adapt", heap_reference._adapt)
+        want = run()
+    assert type(got.value) is type(want.value)
+    assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes()
+    assert np.asarray(got.abs_error).tobytes() == np.asarray(want.abs_error).tobytes()
+    assert (got.evaluations, got.unconverged) == (want.evaluations, want.unconverged)
+
+
+def test_reference_cases_reach_their_edge_cases(monkeypatch):
+    # the 1/t component stalls: the run ends inside its budget, which
+    # bounds each component's evaluations
+    res = _stall()
+    assert res.unconverged == (1,) and res.evaluations // 3 + 30 <= 20_000
+    res = _budget()
+    assert not res.converged and res.evaluations // 2 + 30 > 600
+    # the panel at x = 0 halves until it is parked: at width 2^-48 / 3
+    # its midpoint is below 1e-15, and its first node below 1e-17
+    rows, calls = _counting(_park_rows)
+    _park(rows)
+    assert min(x.min() for x in calls) < 1e-17
+    rekeys = []
+    weights = quadrature._weights
+    monkeypatch.setattr(quadrature, "_weights", lambda *a: rekeys.append(1) or weights(*a))
+    assert _active_set_changes().converged
+    assert len(rekeys) >= 3
+
+
+# ----------------------------------------------------- the call contract
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-12])
+def test_semi_infinite_calls_f_once_per_step(rel_tol):
+    f, calls = _counting(lambda t: np.sqrt(t) * np.exp(-t))
+    res = integrate_semi_infinite(f, QuadratureConfig(rel_tol=rel_tol), breakpoints=[2.0])
+    edges_u = _merged_edges(0.0, 1.0, [0.1, 0.25, 0.5, 0.75, 0.9], [2.0 / 3.0])
+    first = len(edges_u) - 1
+    edges_t = [u / (1.0 - u) if u < 1.0 else math.inf for u in edges_u]
+    # the first call is every initial panel's 15 nodes, in panel order
+    assert len(calls[0]) == 15 * first
+    for row, lo, hi in zip(calls[0].reshape(first, 15), edges_t[:-1], edges_t[1:]):
+        assert np.all(np.diff(row) > 0.0) and lo < row[0] and row[-1] < hi
+    # then both halves of one split per call
+    assert all(len(x) == 30 and np.all(np.diff(x) > 0.0) for x in calls[1:])
+    assert len(calls) == 1 + (res.evaluations // 15 - first) // 2
+
+
+@pytest.mark.parametrize("phase_scale", [1.0, 7.0])
+def test_finite_calls_f_once_per_step(phase_scale):
+    f, calls = _counting(lambda x: np.exp(x) * np.cos(20.0 * x))
+    cfg = QuadratureConfig(rel_tol=1e-11)
+    res = integrate_finite_oscillatory(f, 0.0, 2.0, phase_scale, cfg, breakpoints=[0.3])
+    base = np.linspace(0.0, 2.0, int(phase_scale) + 1)[1:-1].tolist()
+    edges = np.array(_merged_edges(0.0, 2.0, base, [0.3]))
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    assert np.array_equal(calls[0], (mid[:, None] + half[:, None] * NODES).ravel())
+    assert all(len(x) == 30 and np.all(np.diff(x) > 0.0) for x in calls[1:])
+    assert len(calls) == 1 + (res.evaluations // 15 - (len(edges) - 1)) // 2
 
 
 def test_merged_edges_drop_the_ulp_wide_top_panel():
