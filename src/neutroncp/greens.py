@@ -39,9 +39,11 @@ rho = kappa z = x + v, t^2 = v (2x + v) and (t/rho) dt = dv, so
 
 where acc = r_p x^2 - r_s rho^2 for h_xx and -2 t^2 r_s for h_zz.
 Every xi decays as e^(-2v) on the same scale, so a batch of xi shares
-one decay scale and one set of panels, with no breakpoints.  e^(-2x) is
-applied after the quadrature, from x in extended precision.  The real
-axis is integrated over the vacuum normal wavevector k_z z.
+one decay scale and one set of initial panel edges: the tail edges,
+and for a medium a ladder graded in ln v down to the smallest medium
+decay constant of the batch (see _LADDER_TOP).  e^(-2x) is applied
+after the quadrature, from x in extended precision.  The real axis is
+integrated over the vacuum normal wavevector k_z z.
 
 Both axes share one reflection kernel, _reflection(q, q_m, contrast,
 eps, s2), written in the vacuum and medium decay constants q, q_m of the
@@ -104,6 +106,19 @@ SPEED_OF_LIGHT = 299792458.0
 _UNDERFLOW_X = 350.0
 # evaluation budget of each component of one k-integral
 _MAX_EVALUATIONS = 400_000
+# Initial panel edges in v.  Near v = 0 an entry's integrand changes on
+# the scale of its medium decay constant kappa_m z = sqrt(x^2 + d), which
+# for Drude-type media at small xi, and for a static plasma at small
+# omega_p z / c, lies decades below the engine's lowest default edge
+# (v = 1/18).  The integrand is analytic for |Im ln v| < pi/2, so panels
+# of equal width in ln v (ratio 4) reach that scale in a few steps.  The
+# ladder stops at rel_tol: a feature of width sigma at v = 0 moves the
+# integral by about 2 sigma relative.  The ideal mirror's integrand is a
+# polynomial times e^(-2v) and needs no ladder.  Every entry shares the
+# e^(-2v) tail, which the two tail edges split.
+_LADDER_TOP = 1.0 / 18.0
+_LADDER_RATIO = 4.0
+_TAIL_EDGES = (2.4, 9.5)
 
 
 class IntegrationError(RuntimeError):
@@ -172,42 +187,48 @@ def contracted_green_imag(
     c = SPEED_OF_LIGHT
     mirror = isinstance(m, PerfectConductor)
 
-    live, xs, dq2z2, eps_m1 = [], [], [], []
-    for i, xi_i in enumerate(xis.flat):
-        xi_i = float(xi_i)
-        x = xi_i * z / c
-        if x > _UNDERFLOW_X:
-            continue
-        if mirror:
-            d, e = 0.0, 0.0
-        else:
-            contrast = wavevector_contrast_imag(m, xi_i, c)
-            d = contrast * z * z
-            # eps - 1 = contrast / s2.  It is set to 0, which drops r_p,
-            # where r_p x^2 cannot reach the value: with |r_p| <= 1 that
-            # term integrates to at most x^2/2, while for x this small the
-            # r_s part is above min(d, 1)/600, so below x^2 = 2^-64 min(d, 1)
-            # the term is under half an ulp.  That covers xi = 0, and xi so
-            # far below the plasma frequency that (eps q + q_m)^2 overflows
-            s2 = (xi_i / c) ** 2
-            keep_rp = s2 > 0.0 and x * x > 2.0**-64 * min(d, 1.0)
-            e = contrast / s2 if keep_rp else 0.0
-            if d == 0.0 and e == 0.0:
-                continue
-        live.append(i)
-        xs.append(x)
-        dq2z2.append(d)
-        eps_m1.append(e)
-
-    n = len(live)
+    # An entry is zero past the underflow cut-off, and for a medium where
+    # it has no wavevector contrast (then r_s = r_p = 0)
+    flat = xis.ravel()
+    x = flat * z / c
+    live = ~(x > _UNDERFLOW_X)
+    if not mirror:
+        contrast = wavevector_contrast_imag(m, flat, c)
+        live &= contrast != 0.0
+    n = np.count_nonzero(live)
     if not n:
         zeros = [0.0 if xis.ndim == 0 else np.zeros(xis.shape) for _ in range(1 + z_derivative)]
         return tuple(zeros) if z_derivative else zeros[0]
+    # per live entry: x = xi z / c, d = contrast z^2 and eps - 1
+    x = x[live]
+    if mirror:
+        dq2z2 = eps_m1 = np.zeros(n)
+    else:
+        contrast = contrast[live]
+        dq2z2 = contrast * z * z
+        # eps - 1 = contrast / s2.  It is set to 0, which drops r_p, where
+        # r_p x^2 cannot reach the value: with |r_p| <= 1 that term
+        # integrates to at most x^2/2, while for x this small the r_s part
+        # is above min(d, 1)/600, so below x^2 = 2^-64 min(d, 1) the term
+        # is under half an ulp.  That covers xi = 0, and xi so far below
+        # the plasma frequency that (eps q + q_m)^2 overflows
+        s2 = (flat[live] / c) ** 2
+        keep_rp = (s2 > 0.0) & (x * x > 2.0**-64 * np.minimum(dq2z2, 1.0))
+        eps_m1 = np.where(keep_rp, contrast / np.where(keep_rp, s2, 1.0), 0.0)
+    # panel edges in v: the shared e^(-2v) tail, and for a medium the
+    # ladder down to the smallest medium decay constant kappa_m z
+    edges = list(_TAIL_EDGES)
+    if not mirror:
+        floor = max(float(np.sqrt(x * x + dq2z2).min()), rel_tol)
+        v = _LADDER_TOP / _LADDER_RATIO
+        while v >= floor:
+            edges.append(v)
+            v /= _LADDER_RATIO
     # r_p is skipped when no entry has a permittivity; otherwise
     # eps - 1 = 0 makes it exactly zero for an entry without one
-    with_rp = any(eps_m1)
+    with_rp = bool(eps_m1.any())
     # one row per entry against the nodes of v, every panel of a refinement step at once
-    x, dq2z2, eps_m1 = np.array([xs, dq2z2, eps_m1])[:, :, None]
+    x, dq2z2, eps_m1 = x[:, None], dq2z2[:, None], eps_m1[:, None]
     x2 = x * x
     if not with_rp:
         eps_m1 = None
@@ -228,10 +249,10 @@ def contracted_green_imag(
         return value
 
     cfg = QuadratureConfig(rel_tol=rel_tol, max_evaluations=_MAX_EVALUATIONS, decay_scale=0.5)
-    res = integrate_semi_infinite(integrand, cfg)
+    res = integrate_semi_infinite(integrand, cfg, breakpoints=edges)
     # e^(-2x) from x in extended precision: a rounded x would carry its
     # error times 2x into the value (up to 1.6e-13 at x = 350)
-    decay = np.exp(-2.0 * (xis.ravel()[live].astype(np.longdouble) * z / c)).astype(float)
+    decay = np.exp(-2.0 * (flat[live].astype(np.longdouble) * z / c)).astype(float)
     if not res.converged:
         j = res.unconverged[0]
         what = "z-derivative of the " if j >= n else ""
@@ -239,7 +260,7 @@ def contracted_green_imag(
         scale = decay[j % n] / (8.0 * math.pi * z**3)
         raise IntegrationError(
             f"{what}transverse-wavevector integral did not converge "
-            f"(xi={xis.flat[live[j % n]]:.3e}, z={z:.3e})",
+            f"(xi={flat[live][j % n]:.3e}, z={z:.3e})",
             QuadratureResult(
                 float(res.value[j] * scale),
                 float(res.abs_error[j] * scale),

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 
 class UnsupportedModelError(ValueError):
     """An operation is not defined for the given material model."""
@@ -117,25 +119,31 @@ def longitudinal_frequency(omega_t: float, omega_p: float) -> float:
     return math.sqrt(omega_t**2 + omega_p**2 / 2.0)
 
 
-def wavevector_contrast_imag(m: Material, xi: float, c: float) -> float:
+def wavevector_contrast_imag(
+    m: Material, xi: Union[float, np.ndarray], c: float
+) -> Union[float, np.ndarray]:
     """kappa_med^2 - kappa^2 = (eps(i xi) - 1) xi^2 / c^2, per model.
 
     Written per model so the xi -> 0 limit is exact instead of a 0 * inf
     product: the plasma keeps a finite static contrast omega_p^2/c^2,
     Drude and Drude-Lorentz lose theirs.  xi = 0 is therefore allowed
-    here, unlike in permittivity_imag.
+    here, unlike in permittivity_imag.  xi may be an array, which gives
+    an array of its shape; a scalar gives a float.
     """
-    if xi < 0.0:
+    xi = np.asarray(xi, dtype=float)
+    if (xi < 0.0).any():
         raise ValueError("xi must be >= 0")
     if isinstance(m, Plasma):
-        return (m.omega_p / c) ** 2
-    if isinstance(m, Drude):
-        return m.omega_p**2 * xi / ((xi + m.gamma) * c**2)
-    if isinstance(m, DrudeLorentz):
-        return m.omega_p**2 * xi**2 / ((xi**2 + m.omega_t**2) * c**2)
-    raise UnsupportedModelError(
-        "wavevector contrast is not defined for a perfect conductor"
-    )
+        contrast = np.full(xi.shape, (m.omega_p / c) ** 2)
+    elif isinstance(m, Drude):
+        contrast = m.omega_p**2 * xi / ((xi + m.gamma) * c**2)
+    elif isinstance(m, DrudeLorentz):
+        contrast = m.omega_p**2 * xi**2 / ((xi**2 + m.omega_t**2) * c**2)
+    else:
+        raise UnsupportedModelError(
+            "wavevector contrast is not defined for a perfect conductor"
+        )
+    return float(contrast) if contrast.ndim == 0 else contrast
 
 
 def wavevector_contrast_real(m: Material, omega: float, c: float) -> complex:

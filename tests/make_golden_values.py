@@ -10,10 +10,11 @@ need mpmath.
 
 runs in two worker processes and takes about an hour on two
 cores.  ``--inner`` rewrites only the inner k-integrals (h_xx, h_zz and
-their z-derivatives, a few seconds) and keeps every other entry of the
-file byte for byte.  ``--check`` recomputes the first u_du value at 36
-digits with every xi interval split in two and prints both values and
-their relative difference.
+their z-derivatives) and the static contractions of fig1's plasma, a
+few seconds, and keeps every other entry of the file byte for byte.
+``--check`` recomputes the first u_du value at 36 digits with every xi
+interval split in two and prints both values and their relative
+difference.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ MODELS = {
 }
 B_EXT = 2.0
 U_DU_HEIGHTS = (1e-9, 3e-8, 1e-6)
+# fig1's plasma (plasma frequency = spin-flip frequency at 2 T): its static
+# medium decay constant kappa_m z = omega_p z / c is 1.2e-12 to 1.2e-6 at
+# these heights, a feature at v = 0 far narrower than any default panel
+FIG1_PLASMA = {"omega_p": 363494611.93541175}
+STATIC_HEIGHTS = (1e-12, 1e-9, 1e-6)
 # (z, xi) of the inner k-integrals; xi = 0 only where the static
 # contraction survives (plasma).  The points after the first row of each
 # model have x = xi z / c from 33 to 334, where the rounding of x in
@@ -118,6 +124,13 @@ def contraction(model: str, p: dict, z, xi, w_xx, w_zz, z_derivative=False):
     pts = {mp.mpf(0), mp.mpf("0.5"), mp.mpf(4)}
     if mp.sqrt(d) > x + mp.mpf("1e-3"):
         pts.add(mp.sqrt(d) - x)
+    if x == 0:
+        # the static r_s changes scale at u = sqrt(d) however small it is:
+        # split geometrically from there up to 0.5
+        u = mp.sqrt(d)
+        while u < mp.mpf("0.5"):
+            pts.add(u)
+            u *= 4
     value = quad(f, sorted(pts) + [mp.inf])
     return value * mp.exp(-2 * x) / (8 * mp.pi * z**3)
 
@@ -153,6 +166,19 @@ def inner_reference(model: str, z: float, xi: float) -> dict:
     return entry
 
 
+def static_reference(z: float) -> dict:
+    """h_xx and h_zz at xi = 0 for fig1's plasma (unit weights).
+
+    r_s = (t - t_m)/(t + t_m) loses about log10(t^2/d) digits, up to 24
+    at these heights, so the working precision is DIGITS + 30.
+    """
+    mp.mp.dps = DIGITS + 30
+    entry = {"model": "plasma", **FIG1_PLASMA, "z": z}
+    for key, w in (("h_xx", (1, 0)), ("h_zz", (0, 1))):
+        entry[key] = mp.nstr(contraction("plasma", FIG1_PLASMA, z, 0, *w), 25)
+    return entry
+
+
 def u_du_entry(model: str, z: float) -> dict:
     return {"model": model, "z": z, "u_du": mp.nstr(u_du_reference(model, z), 25)}
 
@@ -160,6 +186,7 @@ def u_du_entry(model: str, z: float) -> dict:
 ABOUT = (
     f"u_du at b_ext = {B_EXT} T, orientation averaged, and h_xx, h_zz and "
     f"their z-derivatives z dh/dz (zdh_xx, zdh_zz) at imaginary frequency xi, "
+    f"and h_xx, h_zz at xi = 0 for fig1's plasma (static, at {DIGITS + 30} digits), "
     f"by mpmath {mp.__version__} tanh-sinh quadrature at {DIGITS} digits "
     f"(tests/make_golden_values.py)"
 )
@@ -180,6 +207,7 @@ def main() -> None:
             for model in MODELS
             for z, xi in INNER_POINTS[model]
         ]
+        static = [pool.submit(static_reference, z) for z in STATIC_HEIGHTS]
         if inner_only:
             payload = json.loads(OUT.read_text(encoding="utf-8"))
         else:
@@ -188,6 +216,7 @@ def main() -> None:
             payload = {"about": "", "models": MODELS, "inner": [], "u_du": u_du}
         payload["about"] = ABOUT
         payload["inner"] = [f.result() for f in inner]
+        payload["static"] = [f.result() for f in static]
     OUT.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
 

@@ -5,7 +5,9 @@ textbook Fresnel forms) written by tests/make_golden_values.py; they
 share no quadrature rule and no kernel code with the package.  Each
 value must come out within the requested tolerance.  The inner values
 include the z-derivatives z dh/dz, and at rel_tol 1e-13 the inner
-values must reach double precision.
+values must reach double precision.  The static contractions of fig1's
+plasma (xi = 0, z = 1e-12 to 1e-6 m) check that a medium decay constant
+far below every default panel edge is still resolved.
 """
 
 import json
@@ -71,3 +73,17 @@ def test_inner_golden_double_precision(entry):
         ref = float(entry[key])
         got = contracted_green_imag(m, entry["z"], entry["xi"], *weights, rel_tol=1e-13)
         assert abs(got - ref) <= 2e-15 * abs(ref), key
+
+
+@pytest.mark.parametrize("rel_tol", [1e-7, 1e-13])
+@pytest.mark.parametrize("entry", GOLDEN["static"], ids=lambda e: f"fig1-plasma-{e['z']:g}")
+def test_static_plasma_golden(entry, rel_tol):
+    # the static medium decay constant kappa_m z = omega_p z / c is 1.2e-12
+    # to 1.2e-6 here, far below the engine's lowest default edge; a run
+    # that never puts a node near it converges on a value about
+    # 2 kappa_m z too high
+    m = Plasma(entry["omega_p"])
+    for weights, key in (((1.0, 0.0), "h_xx"), ((0.0, 1.0), "h_zz")):
+        ref = float(entry[key])
+        got = contracted_green_imag(m, entry["z"], 0.0, *weights, rel_tol=rel_tol)
+        assert abs(got - ref) <= rel_tol * abs(ref), key

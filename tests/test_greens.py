@@ -19,12 +19,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neutroncp import greens
 from neutroncp import (
     CONSTANTS,
     Drude,
     DrudeLorentz,
+    FieldConfig,
     IntegrationError,
     PerfectConductor,
     Plasma,
@@ -33,6 +36,8 @@ from neutroncp import (
     contracted_green_real,
     permittivity_imag,
     permittivity_real,
+    transition_frequency,
+    u_du,
 )
 from neutroncp.materials import wavevector_contrast_imag, wavevector_contrast_real
 
@@ -406,6 +411,67 @@ def test_batch_names_the_xi_that_did_not_converge(monkeypatch):
     with pytest.raises(IntegrationError, match=re.escape(f"xi={xis[7]:.3e}, z={z:.3e}")) as info:
         contracted_green_imag(GOLD_DRUDE, z, xis, 1.3, 0.7)
     assert not info.value.result.converged
+
+
+# The k-integrals of u_du at 2 T (fig2's field): xi = 0, then omega e^s
+# across the trapezoidal rule's s range, from s_lo = ln(rel_tol/4
+# min(1, c/(z omega))) to s_hi = ln(350 c/(z omega)), where e^(-2x) leaves
+# the double range.
+OMEGA_2T = transition_frequency(FieldConfig(2.0))
+FIG1_PLASMA = Plasma(omega_p=363494611.93541175)
+
+
+def u_du_xi_batch(z, rel_tol, nodes=30):
+    ratio = C / (z * OMEGA_2T)
+    s = np.linspace(math.log(rel_tol / 4.0 * min(1.0, ratio)), math.log(350.0 * ratio), nodes)
+    return np.append(0.0, OMEGA_2T * np.exp(s))
+
+
+@given(
+    st.sampled_from([FIG1_PLASMA, GOLD_PLASMA, GOLD_DRUDE, SILICON_DL, PC]),
+    st.floats(min_value=-12.0, max_value=3.0),
+    st.floats(min_value=-11.0, max_value=-3.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_batch_meets_rel_tol_over_z_and_tolerance(m, log_z, log_tol):
+    # every entry within its rel_tol of the rel_tol 1e-13 solve, for z
+    # from 1 pm to 1 km; the ideal mirror against its closed form, which
+    # is taken as zero past the cut-off x = 350 as the code takes it (the
+    # last node can round past it).  Near x = 350 and z = 1 km the values
+    # are subnormal, which adds a rounding of up to 2^-1075 to each
+    z, rel_tol = 10.0**log_z, 10.0**log_tol
+    xis = u_du_xi_batch(z, rel_tol)
+    got = contracted_green_imag(m, z, xis, 4.0 / 3.0, 2.0 / 3.0, rel_tol=rel_tol)
+    if m is PC:
+        x = xis * z / C
+        poly = 4.0 / 3.0 * (1 + 2 * x + 4 * x * x) / 32 + 2.0 / 3.0 * (1 + 2 * x) / 16
+        closed = poly * np.exp(-2 * x) / (math.pi * z**3)
+        ref = np.where(x <= greens._UNDERFLOW_X, closed, 0.0)
+    else:
+        ref = contracted_green_imag(m, z, xis, 4.0 / 3.0, 2.0 / 3.0, rel_tol=1e-13)
+    assert (np.abs(got - ref) <= rel_tol * np.abs(ref) + 2**-1074).all()
+
+
+@pytest.mark.parametrize("z", [1e-9, 1e-6])
+@pytest.mark.parametrize("m", [GOLD_DRUDE, SILICON_DL], ids=["drude", "drude-lorentz"])
+def test_u_du_first_step_converges_on_its_first_call(monkeypatch, m, z):
+    # the panel ladder down to the smallest medium decay constant resolves
+    # fig2's batches before any split; counts do not depend on the machine
+    engine = greens.integrate_semi_infinite
+    calls = []
+
+    def counted(f, cfg, breakpoints=()):
+        calls.append(0)
+
+        def g(v):
+            calls[-1] += 1
+            return f(v)
+
+        return engine(g, cfg, breakpoints)
+
+    monkeypatch.setattr(greens, "integrate_semi_infinite", counted)
+    u_du(z, FieldConfig(2.0), m, rel_tol=1e-7)
+    assert len(calls) >= 2 and calls[0] == 1
 
 
 # ---------------------------------------------------------- frozen values

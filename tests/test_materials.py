@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,6 +145,29 @@ def test_contrast_matches_permittivity_real(m):
         direct = (permittivity_real(m, omega) - 1.0) * omega**2 / C**2
         contrast = wavevector_contrast_real(m, omega, C)
         assert contrast == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        Plasma(omega_p=1e16),
+        Plasma(omega_p=0.0),
+        Drude(omega_p=1e16, gamma=1e13),
+        DrudeLorentz(omega_p=2.3e16, omega_t=7.1e16),
+    ],
+)
+def test_contrast_of_an_array_is_the_scalar_contrasts(m):
+    # one call on a batch gives, byte for byte, what one call per entry gives
+    xis = np.concatenate(([0.0, 5e-324, 1e-60], np.geomspace(1.0, 1e20, 41)))
+    batch = wavevector_contrast_imag(m, xis, C)
+    assert isinstance(batch, np.ndarray) and batch.shape == xis.shape
+    scalars = [wavevector_contrast_imag(m, float(xi), C) for xi in xis]
+    assert all(type(v) is float for v in scalars)
+    assert batch.tobytes() == np.array(scalars).tobytes()
+    grid = wavevector_contrast_imag(m, xis.reshape(4, 11), C)
+    assert grid.tobytes() == batch.tobytes()
+    with pytest.raises(ValueError, match="xi"):
+        wavevector_contrast_imag(m, np.array([1e15, -1.0]), C)
 
 
 def test_static_contrast_limits():
