@@ -40,7 +40,13 @@ from .potential import (
     u_du_mirror_single_integral,
     u_resonant,
 )
-from .quadrature import QuadratureConfig, QuadratureResult, integrate_finite_oscillatory, integrate_semi_infinite
+from .quadrature import (
+    QuadratureConfig,
+    QuadratureResult,
+    integrate_finite_oscillatory,
+    integrate_semi_infinite,
+    integrate_trapezoid,
+)
 
 __version__ = "0.1.0"
 
@@ -82,5 +88,6 @@ __all__ = [
     "QuadratureResult",
     "integrate_finite_oscillatory",
     "integrate_semi_infinite",
+    "integrate_trapezoid",
     "__version__",
 ]

@@ -38,12 +38,16 @@ rho = kappa z = x + v, t^2 = v (2x + v) and (t/rho) dt = dv, so
     h_xx, h_zz = e^(-2x)/(8 pi z^3) Int_0^inf dv acc(v) e^(-2v),
 
 where acc = r_p x^2 - r_s rho^2 for h_xx and -2 t^2 r_s for h_zz.
-Every xi decays as e^(-2v) on the same scale, so a batch of xi shares
-one decay scale and one set of initial panel edges: the tail edges,
-and for a medium a ladder graded in ln v down to the smallest medium
-decay constant of the batch (see _LADDER_TOP).  e^(-2x) is applied
-after the quadrature, from x in extended precision.  The real axis is
-integrated over the vacuum normal wavevector k_z z.
+The integrand is analytic for |Im ln v| < pi/2, so the integral is
+the trapezoidal rule in w = ln v (quadrature.integrate_trapezoid), whose
+error then falls like exp(-pi^2/h).  Nodes uniform in ln v resolve a
+medium decay constant kappa_m z = sqrt(x^2 + d) at any scale, with no
+panel edges to place, and every xi of a batch shares the nodes.  The
+rule runs over w from ln(rel_tol) - 6 to ln 24: cutting v below
+v_lo = rel_tol e^-6 moves the integral by about 2 v_lo relative, and
+e^(-2v) is below 1e-20 past v = 24.  e^(-2x) is applied after the
+quadrature, from x in extended precision.  The real axis is integrated
+over the vacuum normal wavevector k_z z with the adaptive rule.
 
 Both axes share one reflection kernel, _reflection(q, q_m, contrast,
 eps, s2), written in the vacuum and medium decay constants q, q_m of the
@@ -94,6 +98,7 @@ from .quadrature import (
     QuadratureResult,
     integrate_finite_oscillatory,
     integrate_semi_infinite,
+    integrate_trapezoid,
 )
 
 SPEED_OF_LIGHT = 299792458.0
@@ -104,21 +109,8 @@ SPEED_OF_LIGHT = 299792458.0
 # the quadrature sees do not shrink with x toward subnormal values, where
 # relative error control breaks down.
 _UNDERFLOW_X = 350.0
-# evaluation budget of each component of one k-integral
+# evaluation budget of each real-axis segment integral
 _MAX_EVALUATIONS = 400_000
-# Initial panel edges in v.  Near v = 0 an entry's integrand changes on
-# the scale of its medium decay constant kappa_m z = sqrt(x^2 + d), which
-# for Drude-type media at small xi, and for a static plasma at small
-# omega_p z / c, lies decades below the engine's lowest default edge
-# (v = 1/18).  The integrand is analytic for |Im ln v| < pi/2, so panels
-# of equal width in ln v (ratio 4) reach that scale in a few steps.  The
-# ladder stops at rel_tol: a feature of width sigma at v = 0 moves the
-# integral by about 2 sigma relative.  The ideal mirror's integrand is a
-# polynomial times e^(-2v) and needs no ladder.  Every entry shares the
-# e^(-2v) tail, which the two tail edges split.
-_LADDER_TOP = 1.0 / 18.0
-_LADDER_RATIO = 4.0
-_TAIL_EDGES = (2.4, 9.5)
 
 
 class IntegrationError(RuntimeError):
@@ -169,15 +161,17 @@ def contracted_green_imag(
     xi = 0 evaluates the exact static limit of the integrand (the plasma
     keeps a finite wavevector contrast there, Drude-type media lose it).
 
-    xi may be an array: its k-integrals are then one vector-valued
-    quadrature, one component per entry, all on the same panels, and the
-    result is an array of xi's shape.  A scalar xi is the batch of one
-    and returns a float.  Entries whose tensor is zero at double precision
-    (underflow, vanishing contrast) skip the quadrature.
+    xi may be an array: its k-integrals are then one trapezoidal rule,
+    one row per entry, all on the same nodes, and the result is an array
+    of xi's shape.  A scalar xi is the batch of one and returns a float.
+    Entries whose tensor is zero at double precision (underflow,
+    vanishing contrast) skip the quadrature.  Raises IntegrationError,
+    naming the first entry that missed rel_tol, if the rule has not
+    settled after its last halving.
 
     z_derivative=True returns the pair (value, z d/dz value).  Each entry
-    then gets a partner component, its integrand times -2 rho, on the same
-    nodes, so the kernel is evaluated once per panel; each meets rel_tol
+    then gets a partner row, its integrand times -2 rho, on the same
+    nodes, so the kernel is evaluated once per node; each meets rel_tol
     on its own.
     """
     _require_height(z)
@@ -215,46 +209,38 @@ def contracted_green_imag(
         s2 = (flat[live] / c) ** 2
         keep_rp = (s2 > 0.0) & (x * x > 2.0**-64 * np.minimum(dq2z2, 1.0))
         eps_m1 = np.where(keep_rp, contrast / np.where(keep_rp, s2, 1.0), 0.0)
-    # panel edges in v: the shared e^(-2v) tail, and for a medium the
-    # ladder down to the smallest medium decay constant kappa_m z
-    edges = list(_TAIL_EDGES)
-    if not mirror:
-        floor = max(float(np.sqrt(x * x + dq2z2).min()), rel_tol)
-        v = _LADDER_TOP / _LADDER_RATIO
-        while v >= floor:
-            edges.append(v)
-            v /= _LADDER_RATIO
     # r_p is skipped when no entry has a permittivity; otherwise
     # eps - 1 = 0 makes it exactly zero for an entry without one
     with_rp = bool(eps_m1.any())
-    # one row per entry against the nodes of v, every panel of a refinement step at once
+    # one row per entry against the nodes of w = ln v
     x, dq2z2, eps_m1 = x[:, None], dq2z2[:, None], eps_m1[:, None]
     x2 = x * x
+    xx_p = weight_xx * x2  # the weight of r_p in acc
     if not with_rp:
         eps_m1 = None
 
-    def integrand(v: np.ndarray) -> np.ndarray:
+    def integrand(w: np.ndarray) -> np.ndarray:
+        v = np.exp(w)
         rho = x + v
-        t2 = v * (x + rho)  # rho^2 - x^2
-        if mirror:
-            acc = weight_xx * (x2 + rho * rho) + 2.0 * weight_zz * t2
+        rho2 = rho * rho
+        # acc = xx_p r_p - r_s bracket, with t^2 = rho^2 - x^2 = v (x + rho)
+        bracket = weight_xx * rho2 + 2.0 * weight_zz * (v * (x + rho))
+        if mirror:  # r_s = -1, r_p = 1
+            acc = bracket + xx_p
         else:
-            r_s, r_p = _reflection(rho, np.sqrt(rho * rho + dq2z2), dq2z2, x2, eps_m1)
-            acc = -r_s * (weight_xx * rho * rho + 2.0 * weight_zz * t2)
-            if r_p is not None:
-                acc = acc + weight_xx * r_p * x2
-        value = acc * np.exp(-2.0 * v)
+            r_s, r_p = _reflection(rho, np.sqrt(rho2 + dq2z2), dq2z2, x2, eps_m1)
+            acc = -r_s * bracket if r_p is None else xx_p * r_p - r_s * bracket
+        value = acc * (np.exp(-2.0 * v) * v)
         if z_derivative:
             return np.concatenate((value, -2.0 * rho * value))
         return value
 
-    cfg = QuadratureConfig(rel_tol=rel_tol, max_evaluations=_MAX_EVALUATIONS, decay_scale=0.5)
-    res = integrate_semi_infinite(integrand, cfg, breakpoints=edges)
+    res = integrate_trapezoid(integrand, math.log(rel_tol) - 6.0, math.log(24.0), rel_tol)
     # e^(-2x) from x in extended precision: a rounded x would carry its
     # error times 2x into the value (up to 1.6e-13 at x = 350)
     decay = np.exp(-2.0 * (flat[live].astype(np.longdouble) * z / c)).astype(float)
     if not res.converged:
-        j = res.unconverged[0]
+        j = int(np.argmin(res.abs_error <= rel_tol * np.abs(res.value)))
         what = "z-derivative of the " if j >= n else ""
         # the error reports the quantity the call returns, in 1/m^3
         scale = decay[j % n] / (8.0 * math.pi * z**3)

@@ -43,10 +43,14 @@ from .materials import (
     Plasma,
     longitudinal_frequency,
 )
-from .quadrature import QuadratureConfig, QuadratureResult, integrate_semi_infinite
+from .quadrature import (
+    QuadratureConfig,
+    QuadratureResult,
+    integrate_semi_infinite,
+    integrate_trapezoid,
+)
 
 _DEFAULT_REL_TOL = 1e-9
-_MAX_HALVINGS = 5  # of u_du's trapezoidal step, from h = 1 to 1/32
 
 
 @dataclass(frozen=True)
@@ -136,21 +140,23 @@ def u_du(
     """Cross-state piece: Lorentzian-weighted imaginary-frequency sum.
 
     The integral over xi of g(xi), the k-integral of contracted_green_imag,
-    is the trapezoidal rule in s = ln(xi/omega): the weight is sech(s)/2
-    and g is analytic for |Im s| < pi/2, so the error falls like
-    exp(-pi^2/h) (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  The step
-    h is halved from 1, adding the odd nodes, until the sum changes by at
-    most rel_tol.  No node lies above ln(_UNDERFLOW_X c/(z omega)), where g
-    is exactly 0.  Below s_lo = ln(rel_tol/4 min(1, c/(z omega))) g is its
-    static value g(0), taken down to s_lo - 40 without a k-integral.  The
-    k-integrals of one step (g(0) with the first) are one vector quadrature
-    at tolerance rel_tol/10 (at least 1e-13).  Raises IntegrationError if
-    one misses it (naming xi and z) or the sum has not settled after
-    _MAX_HALVINGS halvings (naming z and B).
+    is the trapezoidal rule in s = ln(xi/omega)
+    (quadrature.integrate_trapezoid): the weight is sech(s)/2 and g is
+    analytic for |Im s| < pi/2, so the error falls like exp(-pi^2/h)
+    (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  The step h is halved
+    from 1, adding the odd nodes, until the sum changes by at most rel_tol;
+    the rule's roundoff floor of 1e-14 makes a rel_tol below it fail.  No
+    node lies above ln(_UNDERFLOW_X c/(z omega)), where g is exactly 0.
+    Below s_lo = ln(rel_tol/4 min(1, c/(z omega))) g is its static value
+    g(0), taken down to s_lo - 40 without a k-integral.  The k-integrals of
+    one step (g(0) with the first) are one batch of contracted_green_imag,
+    itself a trapezoidal rule in ln v, at tolerance rel_tol/10 (at least
+    1e-13).  Raises IntegrationError if one misses it (naming xi and z) or
+    the sum has not settled after the last halving (naming z and B).
 
     z_derivative=True returns the pair (u_du, z du_du/dz) from one solve:
-    every k-integral carries its z-derivative as a partner component, the
-    nodes do not depend on z, and both sums must settle.
+    every k-integral carries its z-derivative as a partner row, the nodes
+    do not depend on z, and both sums must settle.
     """
     w_xx, w_zz = _cross_weights(cfg.theta)
     k = spec.constants
@@ -164,34 +170,37 @@ def u_du(
     inner_tol = max(rel_tol / 10.0, 1e-13)
     s_hi = math.log(_UNDERFLOW_X * k.c / (z * omega))
     s_lo = math.log(rel_tol / 4.0 * min(1.0, k.c / (z * omega)))
-    # one row per sum: the value, then its z-derivative if asked for
-    total = g0 = np.zeros((2 if z_derivative else 1, 1))
-    solved = 0
-    for level in range(_MAX_HALVINGS + 1):
-        h = 2.0**-level
-        j = np.arange(math.ceil((s_lo - 40.0) / h), math.floor(s_hi / h) + 1)
-        s = h * (j[j % 2 == 1] if level else j)
+    g0 = None  # g(0), one entry per sum: the value, then its z-derivative
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        nonlocal g0
         static = s < s_lo
         xi = omega * np.exp(s[~static])
         g = contracted_green_imag(
-            m, z, xi if level else np.append(0.0, xi), w_xx, w_zz,
+            m, z, xi if g0 is not None else np.append(0.0, xi), w_xx, w_zz,
             rel_tol=inner_tol, z_derivative=z_derivative,
         )
-        g = np.reshape(g, (total.shape[0], -1))
-        if not level:
+        g = np.reshape(g, (1 + z_derivative, -1))
+        if g0 is None:
             g0, g = g[:, :1], g[:, 1:]
-        solved += xi.size
         f = np.repeat(g0, s.size, axis=1)
         f[:, ~static] = g
-        step = h * np.sum(f * (0.5 / np.cosh(s)), axis=1, keepdims=True)
-        prev, total = total, 0.5 * total + step
-        if level and (abs(total - prev) <= rel_tol * abs(total)).all():
-            result = k.mu0 / math.pi * _moment_sq(spec) * total[:, 0]
-            return tuple(result.tolist()) if z_derivative else float(result[0])
-    raise IntegrationError(
-        f"imaginary-frequency integral did not converge (z={z:.3e}, B={cfg.b_ext:.3e})",
-        QuadratureResult(float(total[0, 0]), float(abs(total - prev).max()), solved, False),
-    )
+        return f * (0.5 / np.cosh(s))
+
+    res = integrate_trapezoid(integrand, s_lo - 40.0, s_hi, rel_tol)
+    scale = k.mu0 / math.pi * _moment_sq(spec)
+    if not res.converged:
+        raise IntegrationError(
+            f"imaginary-frequency integral did not converge (z={z:.3e}, B={cfg.b_ext:.3e})",
+            QuadratureResult(
+                float(scale * res.value[0]),
+                float(scale * res.abs_error.max()),
+                res.evaluations,
+                False,
+            ),
+        )
+    result = scale * res.value
+    return tuple(result.tolist()) if z_derivative else float(result[0])
 
 
 def u_resonant(

@@ -1,9 +1,9 @@
-"""Adaptive one-dimensional quadrature over semi-infinite and finite domains.
+"""One-dimensional quadrature: two rules, each written once.
 
-This is the only numeric integration engine in the package.  It is a
-15-point Gauss-Kronrod rule applied per panel, with a worst-panel-first
-refinement loop driven by the embedded 7-point Gauss estimate.  Two
-entry points are provided:
+This module holds the package's numeric integration.  The adaptive rule
+is a 15-point Gauss-Kronrod rule applied per panel, with a
+worst-panel-first refinement loop driven by the embedded 7-point Gauss
+estimate.  It has two entry points:
 
 * :func:`integrate_semi_infinite` for integrals over (0, inf), mapped to
   (0, 1) by u = t / (t + decay_scale);
@@ -11,24 +11,12 @@ entry points are provided:
   integrand oscillates a known number of times (one initial panel per
   oscillation period).
 
-Integrands are vectorized: ``f`` receives a 1-D numpy array of abscissas
-and must return an array of the same shape.  It is called once per
-refinement step, on the 15 nodes of every panel that step evaluates, in
-panel order: all the initial panels in one call, then both halves of
-each split in one call of 30 nodes.  Complex-valued integrands are
-supported throughout; error magnitudes use ``abs``.
-
-Both entry points also take vector-valued integrands: n related
-integrals done in one refinement loop, one numpy call per step instead
-of n.  Every component shares one set of panels; ``f`` receives the
-nodes as above and returns one row per component, shape (n, m) for m
-nodes.  The shape ``f`` returns selects this form.
-Each component keeps its own value and error sums.  A panel's key
-is its largest error relative to the tolerance of a component that has
-not yet converged, so refinement follows whichever components still
-need it.  The run counts as converged only when every component meets
-its own tolerance.  A scalar integrand is the one-component case: its
-refinement order and its results are those of a plain scalar loop.
+Their integrands are scalar and vectorized: ``f`` receives a 1-D numpy
+array of abscissas and must return an array of the same shape.  It is
+called once per refinement step, on the 15 nodes of every panel that
+step evaluates, in panel order: all the initial panels in one call, then
+both halves of each split in one call of 30 nodes.  Complex-valued
+integrands are supported; error magnitudes use ``abs``.
 
 Both entry points accept optional ``breakpoints``: abscissas (in the
 caller's coordinates) where the integrand changes scale or character.
@@ -36,10 +24,19 @@ Seeding them is essential when the integrand's support is far narrower
 than the domain; purely adaptive refinement starting from a coarse grid
 can silently miss such features and report convergence on the wrong
 value.
+
+The fixed rule, :func:`integrate_trapezoid`, is the trapezoidal rule on
+the grid h Z, for integrands that are analytic in a strip about the real
+line and negligible beyond [lo, hi]; its error then falls like
+exp(-2 pi a/h) for a strip of half-width a (Trefethen & Weideman, SIAM
+Rev. 56 (2014) 385).  The step is halved, adding only the odd nodes,
+until the sum settles.  Its integrand returns one row per sum, so
+related integrals share the nodes and the halvings.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -86,6 +83,8 @@ WEIGHTS_G = np.array(list(_WG_HALF[:-1]) + [_WG_HALF[-1]] + list(reversed(_WG_HA
 # Reported error is floored at this relative level: panel sums accumulate
 # roundoff near 1e-16 per panel, so claiming better would be dishonest.
 _ERROR_FLOOR_REL = 1e-14
+# halvings of integrate_trapezoid's step, from h = 1 to 1/32
+_MAX_HALVINGS = 5
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,7 @@ class QuadratureConfig:
 
     decay_scale is the coordinate scale of the integrand's decay; it
     parametrizes the (0, inf) -> (0, 1) map and is ignored for finite
-    intervals.  For a vector integrand the tolerances apply to each
-    component, and max_evaluations bounds each component's evaluations.
+    intervals.
     """
 
     rel_tol: float = 1e-9
@@ -118,57 +116,33 @@ class QuadratureConfig:
 class QuadratureResult:
     """Value and error estimate of one run.
 
-    For a vector integrand value and abs_error are arrays, evaluations
-    counts every component's integrand values, and unconverged lists the
-    components that missed their tolerance.
+    For integrate_trapezoid, value and abs_error are arrays with one
+    entry per row of the integrand.
     """
 
     value: Union[Number, np.ndarray]
     abs_error: Union[float, np.ndarray]
     evaluations: int
     converged: bool
-    unconverged: tuple[int, ...] = ()
 
 
-def _eval_panels(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
+def _eval_panels(f: Callable[[np.ndarray], np.ndarray], a: Sequence[float], b: Sequence[float]):
     """Kronrod values and |Kronrod - Gauss| errors of the panels [a[i], b[i]].
 
     f is called once, on the 15 nodes of every panel in panel order as one
     1-D array; the weighted sums then run along each panel's 15 values.
-    The result is two (panel, component) arrays, and whether f is
-    vector-valued: one row per component rather than a single row.
+    The result is two lists of Python numbers, one entry per panel.
     """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
-    fv = np.asarray(f(((0.5 * (a + b))[:, None] + half[:, None] * NODES).ravel()))
-    vector = fv.ndim == 2
-    fv = fv.reshape(-1, len(half), len(NODES))
-    kronrod = (half * np.add.reduce(WEIGHTS_K * fv, axis=-1)).T
-    gauss = (half * np.add.reduce(WEIGHTS_G * fv[..., 1::2], axis=-1)).T
+    fv = np.reshape(f(((0.5 * (a + b))[:, None] + half[:, None] * NODES).ravel()), (-1, 15))
+    kronrod = half * np.add.reduce(WEIGHTS_K * fv, axis=-1)
+    gauss = half * np.add.reduce(WEIGHTS_G * fv[:, 1::2], axis=-1)
     finite = np.isfinite(kronrod)
     if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        where = f" (component {j})" if vector else ""
-        raise ValueError(f"integrand returned non-finite values on [{a[i]}, {b[i]}]{where}")
-    return kronrod, np.abs(kronrod - gauss), vector
-
-
-def _weights(tol: np.ndarray, err: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Key weight per component: a power of two near 1/tolerance.
-
-    Inactive components weigh nothing.  A power of two scales an error
-    exactly, so a one-component run keeps the plain largest-error order.
-    The exponent stops at that of the smallest normal float, because the
-    inverse of a subnormal tolerance overflows.
-    """
-    exponent = np.frexp(np.where(tol > 0.0, tol, err))[1]
-    return np.where(active, np.ldexp(1.0, np.minimum(1021, -exponent)), 0.0)
-
-
-def _grown(a: np.ndarray) -> np.ndarray:
-    """a with room for at least two more rows; the new rows are uninitialised."""
-    out = np.empty((2 * len(a) + 2,) + a.shape[1:], a.dtype)
-    out[: len(a)] = a
-    return out
+        i = int(np.argmin(finite))
+        raise ValueError(f"integrand returned non-finite values on [{a[i]}, {b[i]}]")
+    return kronrod.tolist(), np.abs(kronrod - gauss).tolist()
 
 
 def _adapt(
@@ -176,88 +150,51 @@ def _adapt(
 ) -> QuadratureResult:
     """Worst-panel-first refinement over the initial panel edges.
 
-    Every component shares the panels.  A panel's key is its largest
-    error relative to the tolerance of a component that is still above
-    it; the loop runs until every component meets its tolerance.  A
-    scalar f gives a result of plain numbers.
-
-    Panels are rows of arrays in creation order: ends, val and err
-    (panel, component) and key.  The worst panel is the first argmax of
-    key, so of equal keys the older panel goes first.  A panel that is
-    split or parked leaves the refinement with key -1.
+    The panels wait on a heap keyed (-error, creation index), so the
+    panel with the largest error is split first, and of equal errors the
+    older one.  f is called once per refinement step: on every initial
+    panel, then on both halves of each split.
     """
-    ends = np.column_stack((edges[:-1], edges[1:])).astype(float)
-    span = ends[-1, 1] - ends[0, 0]
-    val, err, vector = _eval_panels(f, ends[:, 0], ends[:, 1])
-    panels, n = val.shape
-    # summed panel by panel, as from 0.0: + 0.0 turns a sum of -0.0 into 0.0
-    total_val = np.cumsum(val, axis=0)[-1] + 0.0
-    total_err = np.cumsum(err, axis=0)[-1] + 0.0
-    key = np.zeros(panels)  # keyed on the first pass
+    span = edges[-1] - edges[0]
+    vals, errs = _eval_panels(f, edges[:-1], edges[1:])
+    heap = list(zip([-e for e in errs], range(len(errs)), edges[:-1], edges[1:], vals))
+    heapq.heapify(heap)
+    total_val = total_err = 0.0
+    for val, err in zip(vals, errs):
+        total_val, total_err = total_val + val, total_err + err
+    evaluations, seq = 15 * len(heap), len(heap)
 
-    # Refinement stops on: every component within tolerance or at the
-    # roundoff floor, budget exhausted, or every panel too narrow to
-    # split.  A component whose own refinements fail to improve its error
-    # for a long run is stuck on noise or a divergence: its cap goes to
-    # inf, so it stops driving the refinement and cannot starve the
-    # others, and it is reported as unconverged.
-    # err > max(tol, floor |value|) is err > max(abs_tol, rel |value|):
+    # Refinement stops on: the error within tolerance or at the roundoff
+    # floor, budget exhausted, every panel too narrow to split, or a long
+    # run of splits that fail to improve the error (noise or a divergence).
     rel = max(cfg.rel_tol, _ERROR_FLOOR_REL)
-    cap = np.full(n, cfg.abs_tol)
-    stalls = np.zeros(n, dtype=int)
-    stall_limit = max(200, 2 * panels)
-    weights = keyed = None
-    while True:
-        # |value| as Python's abs takes it; numpy's complex abs can differ by an ulp
-        size = np.hypot(total_val.real, total_val.imag)
-        active = total_err > np.maximum(cap, rel * size)
-        if not active.any() or 15 * panels + 30 > cfg.max_evaluations:
-            break
-        if keyed is None or (active != keyed).any():
-            # the set of components still refining changed: re-key every panel
-            keyed = active
-            tol = np.maximum(cfg.abs_tol, cfg.rel_tol * size)
-            weights = _weights(tol, total_err, active)
-            live = key[:panels]
-            live[...] = np.where(live < 0.0, -1.0, (err[:panels] * weights).max(axis=1))
-        p = int(np.argmax(key[:panels]))
-        if key[p] < 0.0:
-            break  # every panel is split or parked
-        key[p] = -1.0
-        a, b = ends[p].tolist()
+    stalls, stall_limit = 0, max(200, 2 * len(heap))
+    while (
+        total_err > max(cfg.abs_tol, rel * abs(total_val))
+        and evaluations + 30 <= cfg.max_evaluations
+        and heap
+        and stalls < stall_limit
+    ):
+        neg_err, _, a, b, val = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         if mid - a < 1e-15 * span:
             # cannot subdivide further in float64; park the panel
             # (its value and error stay counted in the totals)
             continue
-        halves_val, halves_err, _ = _eval_panels(f, np.array([a, mid]), np.array([mid, b]))
-        if panels + 2 > len(key):
-            ends, val, err, key = map(_grown, (ends, val, err, key))
-        new = slice(panels, panels + 2)
-        ends[new] = ((a, mid), (mid, b))
-        val[new] = halves_val
-        err[new] = halves_err
-        key[new] = (halves_err * weights).max(axis=1)
-        panels += 2
-        # the component that set the panel's key, whose stall count it updates
-        j = int(np.argmax(err[p] * weights))
-        prev_err = total_err[j]
-        total_val = total_val + ((halves_val[0] + halves_val[1]) - val[p])
-        total_err = total_err + ((halves_err[0] + halves_err[1]) - err[p])
-        if total_err[j] > 0.999 * prev_err:
-            stalls[j] += 1
-            if stalls[j] >= stall_limit:
-                cap[j] = math.inf
-        else:
-            stalls[j] = 0
+        (val_l, val_r), (err_l, err_r) = _eval_panels(f, [a, mid], [mid, b])
+        evaluations += 30
+        prev_err = total_err
+        total_val += val_l + val_r - val
+        total_err += err_l + err_r + neg_err
+        heapq.heappush(heap, (-err_l, seq, a, mid, val_l))
+        heapq.heappush(heap, (-err_r, seq + 1, mid, b, val_r))
+        seq += 2
+        stalls = stalls + 1 if total_err > 0.999 * prev_err else 0
 
-    size = np.hypot(total_val.real, total_val.imag)
-    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * size)
-    abs_error = np.maximum(total_err, _ERROR_FLOOR_REL * size)
-    missed = tuple(np.flatnonzero(~(abs_error <= tol)).tolist())
-    if not vector:  # plain numbers; n is 1
-        total_val, abs_error = total_val[0].item(), abs_error[0].item()
-    return QuadratureResult(total_val, abs_error, 15 * panels * n, not missed, missed)
+    size = abs(total_val)
+    abs_error = max(total_err, _ERROR_FLOOR_REL * size)
+    converged = abs_error <= max(cfg.abs_tol, cfg.rel_tol * size)
+    return QuadratureResult(total_val, abs_error, evaluations, converged)
 
 
 def _merged_edges(
@@ -291,7 +228,6 @@ def integrate_semi_infinite(
     s = cfg.decay_scale, then refined adaptively.  ``breakpoints`` are
     t-coordinates; they are mapped into u and become initial panel
     edges, together with a default ladder at t = s/9, s/3, s, 3s, 9s.
-    f may be vector-valued (see the module docstring).
 
     Never raises on non-convergence: the result carries converged=False
     and the caller decides whether that is fatal.
@@ -339,3 +275,34 @@ def integrate_finite_oscillatory(
     n = min(n, max(1, cfg.max_evaluations // 30))
     base = np.linspace(a, b, n + 1)[1:-1].tolist()
     return _adapt(f, _merged_edges(a, b, base, list(breakpoints)), cfg)
+
+
+def integrate_trapezoid(
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, rel_tol: float
+) -> QuadratureResult:
+    """Trapezoidal sums h sum_j f(h j) over the nodes h j in [lo, hi].
+
+    f gets a 1-D array of nodes and returns one row of values per sum
+    (a 1-D result is one row).  h starts at 1 and is halved up to
+    _MAX_HALVINGS times; each halving calls f on the new, odd nodes
+    only.  The loop stops when every row's sum T_h has
+    max(|T_h - T_2h|, _ERROR_FLOOR_REL |T_h|) <= rel_tol |T_h|, so a
+    rel_tol below the floor never converges.  The result holds the rows'
+    sums and those errors as arrays, and evaluations counts the nodes.
+
+    Never raises on non-convergence: the result carries converged=False
+    and the caller decides whether that is fatal.
+    """
+    total = 0.0
+    evaluations = 0
+    for level in range(_MAX_HALVINGS + 1):
+        h = 2.0**-level
+        first = math.ceil(lo / h) | (level > 0)  # odd j only, once halving
+        nodes = h * np.arange(first, math.floor(hi / h) + 1, 2 if level else 1)
+        evaluations += nodes.size
+        prev, total = total, 0.5 * total + h * np.atleast_2d(f(nodes)).sum(axis=1)
+        size = np.abs(total)
+        abs_error = np.maximum(np.abs(total - prev), _ERROR_FLOOR_REL * size)
+        if level and (abs_error <= rel_tol * size).all():
+            return QuadratureResult(total, abs_error, evaluations, True)
+    return QuadratureResult(total, abs_error, evaluations, False)

@@ -12,6 +12,8 @@ runs in two worker processes and takes about an hour on two
 cores.  ``--inner`` rewrites only the inner k-integrals (h_xx, h_zz and
 their z-derivatives) and the static contractions of fig1's plasma, a
 few seconds, and keeps every other entry of the file byte for byte.
+``--small-xi`` rewrites only the small-xi entries of the Drude-type
+models, a few minutes, and keeps every other entry byte for byte.
 ``--check`` recomputes the first u_du value at 36 digits with every xi
 interval split in two and prints both values and their relative
 difference.
@@ -63,6 +65,11 @@ INNER_POINTS = {
         (1e-7, 2e17),
     ),
 }
+# xi -> 0 for the Drude-type models, where their contrast vanishes.  At
+# these xi the medium decay constant kappa_m z = sqrt(x^2 + d) lies from
+# 1e-21 (Drude-Lorentz, where d ~ x^2) to 1e-9 (Drude, d ~ xi) at 1 nm
+SMALL_XI = (1e-3, 1.0, 1e3, 1e6)
+SMALL_XI_HEIGHTS = (1e-9, 1e-6)
 
 
 def quad(f, pts):
@@ -124,10 +131,11 @@ def contraction(model: str, p: dict, z, xi, w_xx, w_zz, z_derivative=False):
     pts = {mp.mpf(0), mp.mpf("0.5"), mp.mpf(4)}
     if mp.sqrt(d) > x + mp.mpf("1e-3"):
         pts.add(mp.sqrt(d) - x)
-    if x == 0:
-        # the static r_s changes scale at u = sqrt(d) however small it is:
-        # split geometrically from there up to 0.5
-        u = mp.sqrt(d)
+    if x < mp.mpf("1e-3"):
+        # r_s changes scale at u = kappa_m z = sqrt(x^2 + d) however small
+        # it is (sqrt(d) in the static limit): split geometrically from
+        # there up to 0.5
+        u = mp.sqrt(x * x + d)
         while u < mp.mpf("0.5"):
             pts.add(u)
             u *= 4
@@ -179,6 +187,20 @@ def static_reference(z: float) -> dict:
     return entry
 
 
+def small_xi_reference(model: str, z: float, xi: float) -> dict:
+    """h_xx and h_zz of a Drude-type model at small xi (unit weights).
+
+    r_s = (t - t_m)/(t + t_m) loses about log10(t^2/d) digits, up to 45
+    for Drude-Lorentz at xi = 1e-3 rad/s and 1 nm, so the working
+    precision is DIGITS + 60.
+    """
+    mp.mp.dps = DIGITS + 60
+    entry = {"model": model, "z": z, "xi": xi}
+    for key, w in (("h_xx", (1, 0)), ("h_zz", (0, 1))):
+        entry[key] = mp.nstr(contraction(model, MODELS[model], z, xi, *w), 25)
+    return entry
+
+
 def u_du_entry(model: str, z: float) -> dict:
     return {"model": model, "z": z, "u_du": mp.nstr(u_du_reference(model, z), 25)}
 
@@ -187,6 +209,7 @@ ABOUT = (
     f"u_du at b_ext = {B_EXT} T, orientation averaged, and h_xx, h_zz and "
     f"their z-derivatives z dh/dz (zdh_xx, zdh_zz) at imaginary frequency xi, "
     f"and h_xx, h_zz at xi = 0 for fig1's plasma (static, at {DIGITS + 30} digits), "
+    f"and h_xx, h_zz of Drude and Drude-Lorentz at small xi (at {DIGITS + 60} digits), "
     f"by mpmath {mp.__version__} tanh-sinh quadrature at {DIGITS} digits "
     f"(tests/make_golden_values.py)"
 )
@@ -200,23 +223,34 @@ def main() -> None:
         print(mp.nstr(a, 25), mp.nstr(b, 25), mp.nstr(abs(a / b - 1), 3))
         return
     inner_only = "--inner" in sys.argv
+    small_xi_only = "--small-xi" in sys.argv
     ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
-        inner = [
-            pool.submit(inner_reference, model, z, xi)
-            for model in MODELS
-            for z, xi in INNER_POINTS[model]
+        small_xi = [
+            pool.submit(small_xi_reference, model, z, xi)
+            for model in ("drude", "drude-lorentz")
+            for z in SMALL_XI_HEIGHTS
+            for xi in SMALL_XI
         ]
-        static = [pool.submit(static_reference, z) for z in STATIC_HEIGHTS]
-        if inner_only:
+        if small_xi_only:
             payload = json.loads(OUT.read_text(encoding="utf-8"))
         else:
-            u_du = [pool.submit(u_du_entry, model, z) for model in MODELS for z in U_DU_HEIGHTS]
-            u_du = [f.result() for f in u_du]
-            payload = {"about": "", "models": MODELS, "inner": [], "u_du": u_du}
+            inner = [
+                pool.submit(inner_reference, model, z, xi)
+                for model in MODELS
+                for z, xi in INNER_POINTS[model]
+            ]
+            static = [pool.submit(static_reference, z) for z in STATIC_HEIGHTS]
+            if inner_only:
+                payload = json.loads(OUT.read_text(encoding="utf-8"))
+            else:
+                u_du = [pool.submit(u_du_entry, model, z) for model in MODELS for z in U_DU_HEIGHTS]
+                u_du = [f.result() for f in u_du]
+                payload = {"about": "", "models": MODELS, "inner": [], "u_du": u_du}
+            payload["inner"] = [f.result() for f in inner]
+            payload["static"] = [f.result() for f in static]
         payload["about"] = ABOUT
-        payload["inner"] = [f.result() for f in inner]
-        payload["static"] = [f.result() for f in static]
+        payload["small_xi"] = [f.result() for f in small_xi]
     OUT.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
 

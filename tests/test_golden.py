@@ -6,8 +6,9 @@ share no quadrature rule and no kernel code with the package.  Each
 value must come out within the requested tolerance.  The inner values
 include the z-derivatives z dh/dz, and at rel_tol 1e-13 the inner
 values must reach double precision.  The static contractions of fig1's
-plasma (xi = 0, z = 1e-12 to 1e-6 m) check that a medium decay constant
-far below every default panel edge is still resolved.
+plasma (xi = 0, z = 1e-12 to 1e-6 m) and the Drude-type models at small
+xi (1e-3 to 1e6 rad/s) check that a medium decay constant decades below
+v = 1 is still resolved.
 """
 
 import json
@@ -86,4 +87,20 @@ def test_static_plasma_golden(entry, rel_tol):
     for weights, key in (((1.0, 0.0), "h_xx"), ((0.0, 1.0), "h_zz")):
         ref = float(entry[key])
         got = contracted_green_imag(m, entry["z"], 0.0, *weights, rel_tol=rel_tol)
+        assert abs(got - ref) <= rel_tol * abs(ref), key
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-13])
+@pytest.mark.parametrize(
+    "entry", GOLDEN["small_xi"], ids=lambda e: f"{e['model']}-{e['z']:g}-{e['xi']:g}"
+)
+def test_drude_small_xi_golden(entry, rel_tol):
+    # xi -> 0, where a Drude-type contrast vanishes: at 1 nm and 1e-3 rad/s
+    # kappa_m z = sqrt(x^2 + d) is 3.5e-21 for Drude-Lorentz (d ~ x^2),
+    # below the rule's lower cut v = rel_tol e^-6, and 7e-10 for Drude
+    # (d ~ xi), above it
+    m = material(entry["model"])
+    for weights, key in (((1.0, 0.0), "h_xx"), ((0.0, 1.0), "h_zz")):
+        ref = float(entry[key])
+        got = contracted_green_imag(m, entry["z"], entry["xi"], *weights, rel_tol=rel_tol)
         assert abs(got - ref) <= rel_tol * abs(ref), key

@@ -393,21 +393,22 @@ def test_batched_contraction_matches_scalar(m):
 
 
 def test_batch_names_the_xi_that_did_not_converge(monkeypatch):
-    # component 7 of 15 becomes 1/t, whose integral diverges at both
-    # ends; the error must name its xi, not a component it starved
+    # row 7 of 15 becomes noise, whose halved sums never agree; the
+    # error must name its xi, not that of a row that settled
     xis = np.geomspace(1e12, 1e18, 15)
     z = 1e-8
-    engine = greens.integrate_semi_infinite
+    rule = greens.integrate_trapezoid
+    rng = np.random.default_rng(3)
 
-    def one_divergent(f, cfg, breakpoints=()):
-        def rows(t):
-            out = np.array(f(t))
-            out[7] = 1.0 / t
+    def one_noisy(f, lo, hi, rel_tol):
+        def rows(w):
+            out = np.array(f(w))
+            out[7] = rng.random(len(w))
             return out
 
-        return engine(rows, cfg, breakpoints)
+        return rule(rows, lo, hi, rel_tol)
 
-    monkeypatch.setattr(greens, "integrate_semi_infinite", one_divergent)
+    monkeypatch.setattr(greens, "integrate_trapezoid", one_noisy)
     with pytest.raises(IntegrationError, match=re.escape(f"xi={xis[7]:.3e}, z={z:.3e}")) as info:
         contracted_green_imag(GOLD_DRUDE, z, xis, 1.3, 0.7)
     assert not info.value.result.converged
@@ -452,26 +453,37 @@ def test_batch_meets_rel_tol_over_z_and_tolerance(m, log_z, log_tol):
     assert (np.abs(got - ref) <= rel_tol * np.abs(ref) + 2**-1074).all()
 
 
-@pytest.mark.parametrize("z", [1e-9, 1e-6])
-@pytest.mark.parametrize("m", [GOLD_DRUDE, SILICON_DL], ids=["drude", "drude-lorentz"])
-def test_u_du_first_step_converges_on_its_first_call(monkeypatch, m, z):
-    # the panel ladder down to the smallest medium decay constant resolves
-    # fig2's batches before any split; counts do not depend on the machine
-    engine = greens.integrate_semi_infinite
+@pytest.mark.parametrize("rel_tol", [1e-7, 1e-9])
+@pytest.mark.parametrize(
+    "m, zs",
+    [
+        (PC, (1e-9, 1e-6)),
+        (GOLD_PLASMA, (1e-9, 1e-6)),
+        (GOLD_DRUDE, (1e-9, 1e-6)),
+        (SILICON_DL, (1e-9, 1e-6)),
+        (FIG1_PLASMA, (8.2e-4, 0.82, 820.0)),
+    ],
+    ids=["pc", "plasma", "drude", "drude-lorentz", "fig1-plasma"],
+)
+def test_u_du_k_integrals_settle_within_four_calls(monkeypatch, m, zs, rel_tol):
+    # every k-integral of u_du, over fig2's and fig1's distance ranges,
+    # settles by h = 1/8 in ln v; counts do not depend on the machine
+    rule = greens.integrate_trapezoid
     calls = []
 
-    def counted(f, cfg, breakpoints=()):
+    def counted(f, lo, hi, tol):
         calls.append(0)
 
-        def g(v):
+        def g(w):
             calls[-1] += 1
-            return f(v)
+            return f(w)
 
-        return engine(g, cfg, breakpoints)
+        return rule(g, lo, hi, tol)
 
-    monkeypatch.setattr(greens, "integrate_semi_infinite", counted)
-    u_du(z, FieldConfig(2.0), m, rel_tol=1e-7)
-    assert len(calls) >= 2 and calls[0] == 1
+    monkeypatch.setattr(greens, "integrate_trapezoid", counted)
+    for z in zs:
+        u_du(z, FieldConfig(2.0), m, rel_tol=rel_tol)
+    assert len(calls) >= 2 * len(zs) and max(calls) <= 4
 
 
 # ---------------------------------------------------------- frozen values

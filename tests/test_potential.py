@@ -103,6 +103,19 @@ def test_unsettled_outer_sum_raises(monkeypatch):
     assert row["status"] == "error" and math.isnan(row["u_du"])
 
 
+@pytest.mark.parametrize("m", [PC, Plasma(1.37e16), Drude(1.37e16, 4.10e12)])
+def test_u_du_below_the_roundoff_floor_raises(m):
+    # its k-integrals are solved to 1e-13 and no trapezoidal sum claims
+    # better than 1e-14: a rel_tol of 1e-15 cannot be backed, so u_du
+    # raises instead of returning a number.  At 1e-14 it settles
+    cfg = FieldConfig(2.0)
+    with pytest.raises(IntegrationError, match=r"z=1\.000e-08, B=2\.000e\+00") as info:
+        u_du(1e-8, cfg, m, rel_tol=1e-15)
+    settled = u_du(1e-8, cfg, m, rel_tol=1e-14)
+    assert not info.value.result.converged
+    assert info.value.result.value == pytest.approx(settled, rel=1e-13)
+
+
 def test_fig1_plasma_u_du_settles_at_tight_tolerance():
     # eps - 1 taken as (1 + (omega_p/xi)^2) - 1 cancels far above the
     # plasma frequency; the node-to-node jitter that gives h_xx keeps

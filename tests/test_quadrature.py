@@ -1,4 +1,5 @@
-"""Adaptive Gauss-Kronrod engine: analytic integrals and error honesty."""
+"""The adaptive Gauss-Kronrod engine and the halving trapezoidal rule:
+analytic integrals, error honesty and the call contracts."""
 
 import heapq
 import math
@@ -8,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neutroncp import QuadratureConfig, integrate_finite_oscillatory, integrate_semi_infinite
+from neutroncp import (
+    QuadratureConfig,
+    integrate_finite_oscillatory,
+    integrate_semi_infinite,
+    integrate_trapezoid,
+)
 from neutroncp import quadrature
 from neutroncp.quadrature import NODES, WEIGHTS_G, WEIGHTS_K, _merged_edges
-
-import heap_reference
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=0.0, max_evaluations=400_000)
 
@@ -193,54 +197,22 @@ def test_polynomial_times_exponential(coeffs):
     assert res.value == pytest.approx(exact, rel=1e-7, abs=1e-9)
 
 
-# ------------------------------------------------------ vector integrands
-
-
-def test_vector_convergence_is_per_component():
-    # the 1/t component diverges at both ends; the others must still
-    # meet their own tolerance, and only the divergent one is reported
-    cfg = QuadratureConfig(rel_tol=1e-10, max_evaluations=20_000)
-    rows = lambda t: np.stack([np.exp(-t), 1.0 / t, t**2 * np.exp(-t)])
-    res = integrate_semi_infinite(rows, cfg)
-    assert not res.converged
-    assert res.unconverged == (1,)
-    assert res.value[0] == pytest.approx(1.0, rel=1e-10)
-    assert res.value[2] == pytest.approx(2.0, rel=1e-10)
-    assert res.abs_error[1] > 1e-10 * abs(res.value[1])
-
-
-def test_vector_nonfinite_integrand_raises():
-    rows = lambda t: np.stack([np.exp(-t), np.full_like(t, math.nan)])
-    with pytest.raises(ValueError, match="component 1"):
-        integrate_semi_infinite(rows, QuadratureConfig())
-
-
-@pytest.mark.parametrize("n", [1, 3])
-def test_identical_components_repeat_the_scalar_run(n):
-    # every component shares the panels, so n copies of one integrand
-    # refine exactly as the scalar run does, at n times its evaluations
-    f = lambda t: np.sqrt(t) * np.exp(-t)
-    cfg = QuadratureConfig(rel_tol=1e-10, decay_scale=0.5)
-    scalar = integrate_semi_infinite(f, cfg, breakpoints=[2.0])
-    res = integrate_semi_infinite(lambda t: np.stack([f(t)] * n), cfg, breakpoints=[2.0])
-    assert res.converged and scalar.converged
-    assert res.value.tolist() == [scalar.value] * n
-    assert res.abs_error.tolist() == [scalar.abs_error] * n
-    assert res.evaluations == n * scalar.evaluations
+# ------------------------------------------- the plain scalar loop
 
 
 def _plain_scalar_loop(f, edges, cfg):
-    """The scalar worst-panel-first loop, written with Python numbers.
+    """The worst-panel-first loop, one panel per integrand call.
 
-    Reference for the one-component case of the vector engine: same
-    panel rule, largest-error order, stall rule and stopping tests.
+    Reference for the engine, which evaluates every panel of a refinement
+    step in one call: same panel rule, largest-error order, stall rule and
+    stopping tests, with Python numbers (complex ones too).
     """
 
     def panel(a, b):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         fv = f(mid + half * NODES)
         val = half * np.sum(WEIGHTS_K * fv)
-        return float(val), float(abs(val - half * np.sum(WEIGHTS_G * fv[1::2])))
+        return val.item(), float(abs(val - half * np.sum(WEIGHTS_G * fv[1::2])))
 
     span = edges[-1] - edges[0]
     heap, total_val, total_err, evals, seq = [], 0.0, 0.0, 0, 0
@@ -291,11 +263,34 @@ def test_scalar_is_the_one_component_case(f, rel_tol, max_evaluations):
     assert (res.value, res.abs_error, res.evaluations) == (value, abs_error, evals)
 
 
-# ------------------------------------------------ the heap reference
-#
-# The engine against the list-and-heap loop it replaced
-# (tests/heap_reference.py): one integrand call per refinement step and
-# panels kept in arrays must refine the same panels in the same order.
+# The engine against the plain loop on the engine's edge cases, with
+# the same integrand and initial panel edges.
+THIRDS = [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0]
+EDGE_CASES = {
+    # a divergence: splits stop improving the error, and the run stalls
+    "_stall": (
+        lambda x: 1.0 / x, THIRDS, QuadratureConfig(rel_tol=1e-10, max_evaluations=20_000)
+    ),
+    # each split cuts the error by 2^-0.01, just over the stall rule's
+    # 0.999: the run stalls only once the panel at x = 0 is parked
+    "_slow_stall": (lambda x: x**-0.99, THIRDS, QuadratureConfig(rel_tol=1e-10)),
+    # complex, at a tolerance below the roundoff floor, where it ends
+    "_complex": (
+        lambda x: np.exp(-(1.0 + 20.0j) * x), [0.0, 0.3, 1.0], QuadratureConfig(rel_tol=1e-15)
+    ),
+    # 40 initial panels, summed one by one
+    "_many_panels": (
+        lambda x: np.exp(x) * np.cos(120.0 * x), np.linspace(0.0, 1.0, 41).tolist(), TIGHT
+    ),
+    # 45 + 30 k evaluations: the last split spends the budget exactly
+    "_budget": (
+        lambda x: np.exp(x) * np.cos(50.0 * x),
+        THIRDS,
+        QuadratureConfig(rel_tol=1e-14, max_evaluations=615),
+    ),
+    # the panel at x = 0 halves until it is too narrow to split
+    "_park": (lambda x: x**-0.5, THIRDS, QuadratureConfig(rel_tol=1e-13)),
+}
 
 
 def _counting(f):
@@ -308,82 +303,41 @@ def _counting(f):
     return counted, calls
 
 
-def _stall():
-    rows = lambda t: np.stack([np.exp(-t), 1.0 / t, t**2 * np.exp(-t)])
-    return integrate_semi_infinite(rows, QuadratureConfig(rel_tol=1e-10, max_evaluations=20_000))
+@pytest.mark.parametrize("run", sorted(EDGE_CASES))
+def test_engine_refines_as_the_heap_reference(run):
+    # the plain loop keeps its panels on a heap and calls f once per
+    # panel; the engine must split the same panels in the same order
+    f, edges, cfg = EDGE_CASES[run]
+    got = quadrature._adapt(f, edges, cfg)
+    value, abs_error, evaluations = _plain_scalar_loop(f, edges, cfg)
+    assert type(got.value) is type(value)
+    assert np.asarray(got.value).tobytes() == np.asarray(value).tobytes()
+    assert np.asarray(got.abs_error).tobytes() == np.asarray(abs_error).tobytes()
+    assert got.evaluations == evaluations
+    assert got.converged == (abs_error <= max(cfg.abs_tol, cfg.rel_tol * abs(value)))
 
 
-def _complex():
-    # the first component ends at the roundoff floor, 1e-14 |value|
-    rows = lambda x: np.stack([np.exp(-(1.0 + 2.0j) * x), np.sqrt(x) + 0j])
-    return integrate_finite_oscillatory(rows, 0.0, 1.0, 1.0, TIGHT, breakpoints=[0.3])
+def test_reference_cases_reach_their_edge_cases():
+    def run(name):
+        f, edges, cfg = EDGE_CASES[name]
+        counted, calls = _counting(f)
+        return quadrature._adapt(counted, edges, cfg), calls
 
-
-def _many_panels():
-    # a scalar run whose 40 initial panels are summed one by one
-    f = lambda x: np.exp(x) * np.cos(120.0 * x)
-    return integrate_finite_oscillatory(f, 0.0, 1.0, phase_scale=40.0, cfg=TIGHT)
-
-
-def _budget():
-    rows = lambda x: np.stack([np.sqrt(x) * np.exp(-x), np.exp(x) * np.cos(50.0 * x)])
-    cfg = QuadratureConfig(rel_tol=1e-14, max_evaluations=600)
-    return integrate_finite_oscillatory(rows, 0.0, 1.0, phase_scale=3.0, cfg=cfg)
-
-
-def _park_rows(x):
-    return np.stack([x**-0.5, np.exp(x)])
-
-
-def _park(rows=_park_rows):
-    cfg = QuadratureConfig(rel_tol=1e-13)
-    return integrate_finite_oscillatory(rows, 0.0, 1.0, phase_scale=3.0, cfg=cfg)
-
-
-def _active_set_changes():
-    rows = lambda x: np.stack(
-        [
-            np.exp(-x),
-            np.sqrt(x) * np.exp(-x),
-            np.exp(x) * np.cos(50.0 * x),
-            1.0 / (1e-3 + (x - 0.7) ** 2),
-        ]
-    )
-    cfg = QuadratureConfig(rel_tol=1e-12)
-    return integrate_finite_oscillatory(rows, 0.0, 1.0, phase_scale=3.0, cfg=cfg)
-
-
-@pytest.mark.parametrize(
-    "run", [_stall, _complex, _many_panels, _budget, _park, _active_set_changes]
-)
-def test_engine_refines_as_the_heap_reference(run, monkeypatch):
-    got = run()
-    with monkeypatch.context() as patch:
-        patch.setattr(quadrature, "_adapt", heap_reference._adapt)
-        want = run()
-    assert type(got.value) is type(want.value)
-    assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes()
-    assert np.asarray(got.abs_error).tobytes() == np.asarray(want.abs_error).tobytes()
-    assert (got.evaluations, got.unconverged) == (want.evaluations, want.unconverged)
-
-
-def test_reference_cases_reach_their_edge_cases(monkeypatch):
-    # the 1/t component stalls: the run ends inside its budget, which
-    # bounds each component's evaluations
-    res = _stall()
-    assert res.unconverged == (1,) and res.evaluations // 3 + 30 <= 20_000
-    res = _budget()
-    assert not res.converged and res.evaluations // 2 + 30 > 600
-    # the panel at x = 0 halves until it is parked: at width 2^-48 / 3
-    # its midpoint is below 1e-15, and its first node below 1e-17
-    rows, calls = _counting(_park_rows)
-    _park(rows)
+    # the stall, not the budget, ends the divergent run
+    res, _ = run("_stall")
+    assert not res.converged and res.evaluations + 30 <= 20_000
+    res, _ = run("_complex")
+    assert not res.converged and res.abs_error == 1e-14 * abs(res.value)
+    res, calls = run("_many_panels")
+    assert res.converged and len(calls[0]) == 40 * 15
+    res, _ = run("_slow_stall")
+    assert not res.converged and res.evaluations > 30 * 200
+    res, _ = run("_budget")
+    assert not res.converged and res.evaluations == 615
+    # at width 2^-48 / 3 the midpoint of the panel at x = 0 is below
+    # 1e-15, and its first node below 1e-17
+    res, calls = run("_park")
     assert min(x.min() for x in calls) < 1e-17
-    rekeys = []
-    weights = quadrature._weights
-    monkeypatch.setattr(quadrature, "_weights", lambda *a: rekeys.append(1) or weights(*a))
-    assert _active_set_changes().converged
-    assert len(rekeys) >= 3
 
 
 # ----------------------------------------------------- the call contract
@@ -440,3 +394,55 @@ def test_merged_edges_never_emit_a_sliver(points, ulps_below_b, b):
     assert edges[0] == 0.0 and edges[-1] == b
     widths = np.diff(edges)
     assert np.all(widths >= 1e-15 * b)
+
+
+# ------------------------------------------------ the trapezoidal rule
+
+
+def _noise():
+    # a fresh value at every node: the halved sums never agree
+    rng = np.random.default_rng(7)
+    return lambda x: rng.random(len(x))
+
+
+@pytest.mark.parametrize("lo, hi", [(-3.7, 2.2), (0.0, 5.0), (-40.25, -1.0)])
+def test_trapezoid_calls_f_on_the_grid_then_the_odd_nodes(lo, hi):
+    f, calls = _counting(_noise())
+    res = integrate_trapezoid(f, lo, hi, 1e-9)
+    assert len(calls) == 1 + quadrature._MAX_HALVINGS
+    # every h j in [lo, hi] at h = 1, then the odd multiples of each new h
+    j = np.arange(math.ceil(lo), math.floor(hi) + 1)
+    assert np.array_equal(calls[0], j.astype(float))
+    for level, x in enumerate(calls[1:], start=1):
+        h = 2.0**-level
+        j = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
+        assert np.array_equal(x, h * j[j % 2 == 1])
+    assert res.evaluations == sum(len(x) for x in calls)
+    assert not res.converged
+
+
+def test_trapezoid_rows_share_the_nodes():
+    # each row settles to its own integral; the run stops when both have
+    rows = lambda x: np.stack([np.exp(-x * x), 0.5 / np.cosh(x)])
+    f, calls = _counting(rows)
+    res = integrate_trapezoid(f, -40.0, 40.0, 1e-12)
+    assert res.converged and len(calls) < 1 + quadrature._MAX_HALVINGS
+    assert abs(res.value[0] - math.sqrt(math.pi)) <= 1e-12 * math.sqrt(math.pi)
+    assert abs(res.value[1] - math.pi / 2.0) <= 1e-12 * math.pi / 2.0
+    assert (res.abs_error <= 1e-12 * np.abs(res.value)).all()
+
+
+def test_trapezoid_noise_does_not_converge():
+    res = integrate_trapezoid(_noise(), -20.0, 20.0, 1e-6)
+    assert not res.converged
+    assert res.abs_error[0] > 1e-6 * abs(res.value[0])
+
+
+@pytest.mark.parametrize("rel_tol", [1e-15, 5e-324])
+def test_trapezoid_below_the_roundoff_floor_does_not_converge(rel_tol):
+    # the sum is exact to double precision by h = 1/4, but no relative
+    # error below 1e-14 is claimed
+    res = integrate_trapezoid(lambda x: np.exp(-x * x), -40.0, 40.0, rel_tol)
+    assert not res.converged
+    assert abs(res.value[0] - math.sqrt(math.pi)) <= 1e-15
+    assert res.abs_error[0] == 1e-14 * res.value[0]
