@@ -46,6 +46,7 @@ from .potential import (
     u_du,
     u_resonant,
 )
+from .quadrature import _ERROR_FLOOR_REL
 
 ALL_OUTPUTS = (
     "u_dd",
@@ -61,6 +62,9 @@ ALL_OUTPUTS = (
     "exponent",
 )
 _ENERGY_COLUMNS = frozenset(ALL_OUTPUTS) - {"exponent"}
+_QUADRATURE_OUTPUTS = frozenset(
+    ("u_dd", "u_du", "u_resonant", "u_ground", "u_excited", "exponent")
+)
 _MODEL_ORDER = ("pc", "plasma", "drude", "drude-lorentz")
 _UNIT_FACTORS = {"J": 1.0, "eV": CONSTANTS.e, "neV": CONSTANTS.e * 1e-9}
 
@@ -430,6 +434,9 @@ def _validate_request(req: SweepRequest, is_sweep: bool) -> None:
             raise UsageError("points must be >= 1")
     if not (req.rel_tol > 0.0 and math.isfinite(req.rel_tol)):
         raise UsageError("rel_tol must be > 0 and finite")
+    if req.rel_tol < _ERROR_FLOOR_REL and _QUADRATURE_OUTPUTS.intersection(req.outputs):
+        # no quadrature claims a relative error below its roundoff floor
+        raise UsageError(f"rel_tol must be >= {_ERROR_FLOOR_REL:g} for quadrature outputs")
     for name in ("omega_p", "gamma", "omega_t"):  # all are in the header
         if not math.isfinite(getattr(req, name)):
             raise UsageError(f"{name} must be finite")

@@ -40,9 +40,13 @@ rho = kappa z = x + v, t^2 = v (2x + v) and (t/rho) dt = dv, so
 where acc = r_p x^2 - r_s rho^2 for h_xx and -2 t^2 r_s for h_zz.
 The integrand is analytic for |Im ln v| < pi/2, so the integral is
 the trapezoidal rule in w = ln v (quadrature.integrate_trapezoid), whose
-error then falls like exp(-pi^2/h).  Nodes uniform in ln v resolve a
-medium decay constant kappa_m z = sqrt(x^2 + d) at any scale, with no
-panel edges to place, and every xi of a batch shares the nodes.  The
+error then falls like exp(-pi^2/h).  The rule's error model takes the
+error of a sum from its last two differences, so a k-integral settles
+at h = 1/4 or 1/8 (three or four integrand calls; three for the ideal
+mirror and Drude-Lorentz over 1 nm - 1 um at 2 T, rel_tol 1e-7 and
+1e-9).  Nodes uniform in ln v resolve a medium decay constant
+kappa_m z = sqrt(x^2 + d) at any scale, with no panel edges to place,
+and every xi of a batch shares the nodes.  The
 rule runs over w from ln(rel_tol) - 6 to ln 24: cutting v below
 v_lo = rel_tol e^-6 moves the integral by about 2 v_lo relative, and
 e^(-2v) is below 1e-20 past v = 24.  e^(-2x) is applied after the

@@ -144,9 +144,11 @@ def u_du(
     (quadrature.integrate_trapezoid): the weight is sech(s)/2 and g is
     analytic for |Im s| < pi/2, so the error falls like exp(-pi^2/h)
     (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  The step h is halved
-    from 1, adding the odd nodes, until the sum changes by at most rel_tol;
-    the rule's roundoff floor of 1e-14 makes a rel_tol below it fail.  No
-    node lies above ln(_UNDERFLOW_X c/(z omega)), where g is exactly 0.
+    from 1, adding the odd nodes, until the rule's error estimate is at
+    most rel_tol: the last difference of the sums, or, once they converge,
+    d^2/d' from the last two; the rule's roundoff floor of 1e-14 makes a
+    rel_tol below it fail.  No node lies above
+    ln(_UNDERFLOW_X c/(z omega)), where g is exactly 0.
     Below s_lo = ln(rel_tol/4 min(1, c/(z omega))) g is its static value
     g(0), taken down to s_lo - 40 without a k-integral.  The k-integrals of
     one step (g(0) with the first) are one batch of contracted_green_imag,

@@ -30,7 +30,11 @@ the grid h Z, for integrands that are analytic in a strip about the real
 line and negligible beyond [lo, hi]; its error then falls like
 exp(-2 pi a/h) for a strip of half-width a (Trefethen & Weideman, SIAM
 Rev. 56 (2014) 385).  The step is halved, adding only the odd nodes,
-until the sum settles.  Its integrand returns one row per sum, so
+until the sum settles.  At that rate each halving roughly squares the
+error, so once the sums converge the error of the last one is taken
+from the last two differences, d^2/d' (Bailey, Jeyabalan & Li, Exp.
+Math. 14 (2005) 317), which stops the loop one halving sooner than the
+last difference alone.  Its integrand returns one row per sum, so
 related integrals share the nodes and the halvings.
 """
 
@@ -85,6 +89,9 @@ WEIGHTS_G = np.array(list(_WG_HALF[:-1]) + [_WG_HALF[-1]] + list(reversed(_WG_HA
 _ERROR_FLOOR_REL = 1e-14
 # halvings of integrate_trapezoid's step, from h = 1 to 1/32
 _MAX_HALVINGS = 5
+# integrate_trapezoid's error model d^2/d' is used only for a sum that
+# the previous halving moved by at most this fraction of itself
+_MODEL_GATE_REL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -285,10 +292,24 @@ def integrate_trapezoid(
     f gets a 1-D array of nodes and returns one row of values per sum
     (a 1-D result is one row).  h starts at 1 and is halved up to
     _MAX_HALVINGS times; each halving calls f on the new, odd nodes
-    only.  The loop stops when every row's sum T_h has
-    max(|T_h - T_2h|, _ERROR_FLOOR_REL |T_h|) <= rel_tol |T_h|, so a
-    rel_tol below the floor never converges.  The result holds the rows'
-    sums and those errors as arrays, and evaluations counts the nodes.
+    only.  A row's error is its last difference d = |T_h - T_2h|.  From
+    the second halving on it is d^2/d', with d' = |T_2h - T_4h|, where
+    the differences shrink (d < d') and the previous halving moved the
+    sum by at most _MODEL_GATE_REL of it (d' <= 1e-2 |T_h|): for an
+    error that falls like exp(-c/h) each halving roughly squares it.
+    The loop stops when every row has max(error, _ERROR_FLOOR_REL |T_h|)
+    <= rel_tol |T_h|, so a rel_tol below the floor never converges.  The
+    result holds the rows' sums and those errors as arrays, and
+    evaluations counts the nodes.
+
+    The gate keeps the model off sums that a narrow feature has not yet
+    resolved, but the model can still be fooled where the error of one
+    sum is small by accident of the grid's phase.  On 40000 runs of
+    sech((x + s)/b) over [-200, 200], b log-uniform in [0.05, 3], s
+    uniform in [0, 1) and rel_tol log-uniform in [1e-13, 1e-4], 30 of
+    34476 converged sums missed rel_tol (the worst by 1310 times, at
+    rel_tol 3.7e-13); the plain difference missed 1 of 31429, by 3.9
+    times.
 
     Never raises on non-convergence: the result carries converged=False
     and the caller decides whether that is fatal.
@@ -302,7 +323,13 @@ def integrate_trapezoid(
         evaluations += nodes.size
         prev, total = total, 0.5 * total + h * np.atleast_2d(f(nodes)).sum(axis=1)
         size = np.abs(total)
-        abs_error = np.maximum(np.abs(total - prev), _ERROR_FLOOR_REL * size)
+        diff = np.abs(total - prev)
+        error = diff
+        if level > 1:  # d^2/d' for the rows that pass the gate
+            trust = (diff < last) & (last <= _MODEL_GATE_REL * size)
+            error = diff * np.divide(diff, last, out=np.ones_like(diff), where=trust)
+        last = diff
+        abs_error = np.maximum(error, _ERROR_FLOOR_REL * size)
         if level and (abs_error <= rel_tol * size).all():
             return QuadratureResult(total, abs_error, evaluations, True)
     return QuadratureResult(total, abs_error, evaluations, False)

@@ -289,6 +289,23 @@ def test_cli_usage_errors(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+def test_cli_rejects_a_tolerance_below_the_roundoff_floor(tmp_path, capsys):
+    # no quadrature claims a relative error below 1e-14, so a column
+    # that needs one cannot meet a tighter rel_tol: usage error at once.
+    # Closed-form columns and table1 do not integrate and take it
+    out = str(tmp_path / "o.csv")
+    one = ["--points", "1", "--out", out]
+    for cols in ("u_dd", "u_du", "u_resonant", "u_ground", "u_excited", "exponent"):
+        argv = ["sweep", *one, "--rel-tol", "9.9e-15", "--outputs", f"gravity_earth,{cols}"]
+        assert main(argv) == 2
+        assert "rel_tol must be >= 1e-14" in capsys.readouterr().err
+    assert main(["sweep", *one, "--rel-tol", "1e-14", "--outputs", "u_dd"]) == 0
+    closed = "nonret_asymptote,ret_asymptote,table1,gravity_earth,gravity_sphere"
+    assert main(["sweep", *one, "--rel-tol", "1e-300", "--outputs", closed]) == 0
+    table = ["table1", "--config", str(ROOT / "configs" / "table1.cfg")]
+    assert main([*table, "--rel-tol", "1e-300", "--out", out]) == 0
+
+
 def test_cli_runtime_failure_exit_code(tmp_path):
     # the plasma model has no resonant response at reachable splittings
     out = tmp_path / "r.csv"

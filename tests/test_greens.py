@@ -486,6 +486,30 @@ def test_u_du_k_integrals_settle_within_four_calls(monkeypatch, m, zs, rel_tol):
     assert len(calls) >= 2 * len(zs) and max(calls) <= 4
 
 
+@pytest.mark.parametrize("rel_tol", [1e-7, 1e-9])
+@pytest.mark.parametrize("m", [PC, SILICON_DL], ids=["pc", "drude-lorentz"])
+def test_u_du_k_integrals_settle_within_three_calls(monkeypatch, m, rel_tol):
+    # the rule's error model stops these k-integrals at h = 1/4 over
+    # fig2's range; Drude, both plasmas still take four calls at some z
+    rule = greens.integrate_trapezoid
+    calls = []
+
+    def counted(f, lo, hi, tol):
+        calls.append(0)
+
+        def g(w):
+            calls[-1] += 1
+            return f(w)
+
+        return rule(g, lo, hi, tol)
+
+    monkeypatch.setattr(greens, "integrate_trapezoid", counted)
+    zs = np.geomspace(1e-9, 1e-6, 7)
+    for z in zs:
+        u_du(float(z), FieldConfig(2.0), m, rel_tol=rel_tol)
+    assert len(calls) >= 2 * len(zs) and max(calls) <= 3
+
+
 # ---------------------------------------------------------- frozen values
 #
 # 1.3 h_xx + 0.7 h_zz at the default rel_tol, as the code computed it

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neutroncp import (
     CONSTANTS,
@@ -310,3 +312,41 @@ def test_u_du_frozen(m, z, ref):
     rel_tol = 1e-9
     got = u_du(z, FieldConfig(2.0, None), m, rel_tol=rel_tol)
     assert abs(got - ref) <= rel_tol * abs(ref)
+
+
+# ------------------------------------------------- oracle for the early stop
+#
+# The trapezoidal rule takes a converging sum's error from its last two
+# differences and stops a halving sooner than the last difference alone
+# would.  Over each model's distance range, extended ten times each way,
+# u_du and z du_du/dz must still lie within rel_tol of the rel_tol 1e-13
+# solve, and the ideal mirror within rel_tol of its reduced integral.
+
+ORACLE_MODELS = {
+    "pc": (PC, 1e-9, 1e-6),
+    "plasma": (GOLD_PLASMA, 1e-9, 1e-6),
+    "drude": (GOLD_DRUDE, 1e-9, 1e-6),
+    "drude-lorentz": (SILICON_DL, 1e-9, 1e-6),
+    "fig1-plasma": (FIG1_PLASMA, 8.247507615140914e-4, 8.247507615140914e2),
+}
+
+
+@given(
+    st.sampled_from(sorted(ORACLE_MODELS)),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=-11.0, max_value=-5.0),
+    st.one_of(st.none(), st.floats(min_value=0.0, max_value=math.pi)),
+)
+@settings(max_examples=60, deadline=None)
+def test_u_du_meets_rel_tol_of_the_tight_solve(name, u, log_tol, theta):
+    m, z_lo, z_hi = ORACLE_MODELS[name]
+    z = z_lo / 10.0 * (100.0 * z_hi / z_lo) ** u
+    rel_tol = 10.0**log_tol
+    cfg = FieldConfig(2.0, theta)
+    got = u_du(z, cfg, m, rel_tol=rel_tol, z_derivative=True)
+    ref = u_du(z, cfg, m, rel_tol=1e-13, z_derivative=True)
+    for a, b in zip(got, ref):
+        assert abs(a - b) <= rel_tol * abs(b)
+    if m is PC:
+        single = u_du_mirror_single_integral(z, cfg, rel_tol=1e-12)
+        assert abs(got[0] - single) <= rel_tol * single

@@ -446,3 +446,57 @@ def test_trapezoid_below_the_roundoff_floor_does_not_converge(rel_tol):
     assert not res.converged
     assert abs(res.value[0] - math.sqrt(math.pi)) <= 1e-15
     assert res.abs_error[0] == 1e-14 * res.value[0]
+
+
+def _sech(b, shift=0.0):
+    return lambda x: 1.0 / np.cosh((x + shift) / b)
+
+
+@pytest.mark.parametrize(
+    "f, exact, rel_tol",
+    [
+        # exp(-x^2) in the variable x/0.4
+        (lambda x: np.exp(-((x / 0.4) ** 2)), 0.4 * math.sqrt(math.pi), 1e-12),
+        (_sech(1.0), math.pi, 1e-8),
+        (_sech(1.0), math.pi, 1e-12),
+        (_sech(0.5), 0.5 * math.pi, 1e-10),
+    ],
+)
+def test_trapezoid_error_model_stops_one_halving_sooner(monkeypatch, f, exact, rel_tol):
+    # d^2/d' settles a converging sum one halving before its last
+    # difference alone would; a gate of 0 trusts no model
+    model, calls = _counting(f)
+    res = integrate_trapezoid(model, -40.0, 40.0, rel_tol)
+    monkeypatch.setattr(quadrature, "_MODEL_GATE_REL", 0.0)
+    plain, plain_calls = _counting(f)
+    assert integrate_trapezoid(plain, -40.0, 40.0, rel_tol).converged
+    assert res.converged and len(calls) == len(plain_calls) - 1
+    assert abs(res.value[0] - exact) <= rel_tol * exact
+    assert res.abs_error[0] <= rel_tol * exact
+
+
+def test_trapezoid_gate_keeps_the_model_off_an_unresolved_feature(monkeypatch):
+    # the sums of this narrow sech move by 0.39, 0.12, then 1.5e-3 of
+    # themselves; d^2/d' would accept T_1/8, which is 1.5e-3 off
+    f, exact, rel_tol = _sech(0.1, 0.31), 0.1 * math.pi, 1e-4
+    res = integrate_trapezoid(f, -40.0, 40.0, rel_tol)
+    assert not res.converged or abs(res.value[0] - exact) <= rel_tol * exact
+    monkeypatch.setattr(quadrature, "_MODEL_GATE_REL", math.inf)
+    ungated = integrate_trapezoid(f, -40.0, 40.0, rel_tol)
+    assert ungated.converged and abs(ungated.value[0] - exact) > 10 * rel_tol * exact
+
+
+def test_trapezoid_converged_sums_meet_rel_tol_on_a_sech_grid():
+    # widths, shifts and tolerances fixed here, not drawn: no converged
+    # sum may miss.  Random shifts do find misses (see the docstring of
+    # integrate_trapezoid)
+    missed = []
+    for b in np.geomspace(0.05, 3.0, 60):
+        for shift in (0.0, 0.137, 0.31, 0.5):
+            for rel_tol in 10.0 ** -np.arange(4.0, 14.0):
+                with np.errstate(over="ignore"):
+                    res = integrate_trapezoid(_sech(b, shift), -120.0, 120.0, rel_tol)
+                err = abs(res.value[0] - math.pi * b)
+                if res.converged and err > rel_tol * math.pi * b:
+                    missed.append((b, shift, rel_tol, err / (math.pi * b)))
+    assert not missed
