@@ -41,7 +41,6 @@ from .potential import (
     u_resonant,
 )
 from .quadrature import (
-    QuadratureConfig,
     QuadratureResult,
     integrate_finite_oscillatory,
     integrate_semi_infinite,
@@ -84,7 +83,6 @@ __all__ = [
     "u_du",
     "u_du_mirror_single_integral",
     "u_resonant",
-    "QuadratureConfig",
     "QuadratureResult",
     "integrate_finite_oscillatory",
     "integrate_semi_infinite",

@@ -67,6 +67,9 @@ _QUADRATURE_OUTPUTS = frozenset(
 )
 _MODEL_ORDER = ("pc", "plasma", "drude", "drude-lorentz")
 _UNIT_FACTORS = {"J": 1.0, "eV": CONSTANTS.e, "neV": CONSTANTS.e * 1e-9}
+# distances in m; beyond them z^3 or z^4 of a closed-form column under- or
+# overflows a double
+_Z_LIMITS = (1e-50, 1e50)
 
 
 class UsageError(Exception):
@@ -115,13 +118,18 @@ def _grid(req: SweepRequest) -> list[float]:
 
 
 def _sweep_point(payload: tuple[SweepRequest, float]) -> dict[str, object]:
-    """Evaluate one grid point.  Top level so it pickles for worker pools."""
+    """Evaluate one grid point.  Top level so it pickles for worker pools.
+
+    A failed row has status "error" and carries the reason under "error",
+    a key that no output column reads.
+    """
     req, z = payload
     m = _material(req)
     cfg = FieldConfig(b_ext=req.b_ext, theta=req.theta)
     want = set(req.outputs)
     row: dict[str, object] = {"z": z}
     status = "ok"
+    reason = ""
 
     # the exponent z u'/u takes u and z u' from the same solve
     slope = "exponent" in want
@@ -135,16 +143,16 @@ def _sweep_point(payload: tuple[SweepRequest, float]) -> dict[str, object]:
                 dd = u_dd(z, cfg, m, rel_tol=req.rel_tol)
             if want & {"u_du", "u_ground", "u_excited"}:
                 du = u_du(z, cfg, m, rel_tol=req.rel_tol)
-    except IntegrationError:
-        status = "error"
+    except IntegrationError as exc:
+        status, reason = "error", str(exc)
 
     # without a field there is no resonant channel: nan, not a failure
     resonant = math.nan
     if want & {"u_resonant", "u_excited"} and status == "ok" and req.b_ext > 0.0:
         try:
             resonant = u_resonant(z, cfg, m, rel_tol=req.rel_tol)
-        except (IntegrationError, ValueError):
-            status = "error"
+        except (IntegrationError, ValueError) as exc:
+            status, reason = "error", str(exc)
 
     row["u_dd"] = dd
     row["u_du"] = du
@@ -176,7 +184,10 @@ def _sweep_point(payload: tuple[SweepRequest, float]) -> dict[str, object]:
 
     row["status"] = status
     keep = ["z", *(o for o in ALL_OUTPUTS if o in want), "status"]
-    return {k: row[k] for k in keep}
+    out = {k: row[k] for k in keep}
+    if reason:
+        out["error"] = reason
+    return out
 
 
 def run_sweep(req: SweepRequest, jobs: int = 1) -> list[dict[str, object]]:
@@ -425,11 +436,12 @@ def _build_request(args: argparse.Namespace) -> SweepRequest:
 
 
 def _validate_request(req: SweepRequest, is_sweep: bool) -> None:
-    if not (req.z_min > 0.0 and math.isfinite(req.z_min)):
-        raise UsageError("z_min must be > 0 and finite")
+    lo, hi = _Z_LIMITS
+    if not lo <= req.z_min <= hi:
+        raise UsageError(f"{'z_min' if is_sweep else 'z'} must lie in [{lo:g}, {hi:g}] m")
     if is_sweep:
-        if not (req.z_max >= req.z_min and math.isfinite(req.z_max)):
-            raise UsageError("z_max must be finite and >= z_min")
+        if not req.z_min <= req.z_max <= hi:
+            raise UsageError(f"z_max must lie in [z_min, {hi:g}] m")
         if req.points < 1:
             raise UsageError("points must be >= 1")
     if not (req.rel_tol > 0.0 and math.isfinite(req.rel_tol)):
@@ -483,7 +495,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    failed = any(row.get("status") == "error" for row in rows)
+    # after the output, so its bytes do not depend on the failures
+    failed = [row for row in rows if row["status"] == "error"]
+    for row in failed:
+        print(f"error: z={_format_cell(row['z'])}: {row['error']}", file=sys.stderr)
     return 1 if failed else 0
 
 

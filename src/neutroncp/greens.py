@@ -30,10 +30,10 @@ under xi -> -i omega gives the real-axis oracle.
 
 Numerical form
 --------------
-All integrals are taken in dimensionless variables scaled by z, so a
-single quadrature configuration covers nine decades of z.  On the
-imaginary axis the variable is v = kappa z - x: with t = k z and
-rho = kappa z = x + v, t^2 = v (2x + v) and (t/rho) dt = dv, so
+All integrals are taken in dimensionless variables scaled by z, so one
+set of rules covers nine decades of z.  On the imaginary axis the
+variable is v = kappa z - x: with t = k z and rho = kappa z = x + v,
+t^2 = v (2x + v) and (t/rho) dt = dv, so
 
     h_xx, h_zz = e^(-2x)/(8 pi z^3) Int_0^inf dv acc(v) e^(-2v),
 
@@ -98,7 +98,6 @@ from .materials import (
     wavevector_contrast_real,
 )
 from .quadrature import (
-    QuadratureConfig,
     QuadratureResult,
     integrate_finite_oscillatory,
     integrate_semi_infinite,
@@ -113,8 +112,6 @@ SPEED_OF_LIGHT = 299792458.0
 # the quadrature sees do not shrink with x toward subnormal values, where
 # relative error control breaks down.
 _UNDERFLOW_X = 350.0
-# evaluation budget of each real-axis segment integral
-_MAX_EVALUATIONS = 400_000
 
 
 class IntegrationError(RuntimeError):
@@ -325,7 +322,6 @@ def contracted_green_real(
         v_edge = math.sqrt(-dq2z2.real)  # total-reflection kink
         if v_edge < w:
             prop_bps.append(v_edge)
-    cfg = QuadratureConfig(rel_tol=rel_tol, max_evaluations=_MAX_EVALUATIONS, decay_scale=0.5)
     pref = 1.0 / (8.0 * math.pi * z**3)
 
     def failed(segment: str, res: QuadratureResult) -> IntegrationError:
@@ -336,7 +332,7 @@ def contracted_green_real(
         )
 
     res_prop = integrate_finite_oscillatory(
-        integrand, 0.0, w, phase_scale=w / math.pi, cfg=cfg, breakpoints=prop_bps
+        integrand, 0.0, w, phase_scale=w / math.pi, rel_tol=rel_tol, breakpoints=prop_bps
     )
     if not res_prop.converged:
         raise failed("propagating", res_prop)
@@ -347,7 +343,7 @@ def contracted_green_real(
         evan_bps.append(float(scale))
     if w < 50.0:
         evan_bps.append(max(w, 1e-6))
-    res_evan = integrate_semi_infinite(lambda u: integrand(1j * u), cfg, breakpoints=evan_bps)
+    res_evan = integrate_semi_infinite(lambda u: integrand(1j * u), rel_tol, breakpoints=evan_bps)
     if not res_evan.converged:
         raise failed("evanescent", res_evan)
     return pref * (-1j * res_prop.value - res_evan.value)

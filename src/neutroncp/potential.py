@@ -28,7 +28,7 @@ then still bind; Drude-type media do not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,12 +43,7 @@ from .materials import (
     Plasma,
     longitudinal_frequency,
 )
-from .quadrature import (
-    QuadratureConfig,
-    QuadratureResult,
-    integrate_semi_infinite,
-    integrate_trapezoid,
-)
+from .quadrature import QuadratureResult, integrate_semi_infinite, integrate_trapezoid
 
 _DEFAULT_REL_TOL = 1e-9
 
@@ -248,13 +243,15 @@ def u_du_mirror_single_integral(
 
     Independent reference route for the general double-integral path:
     the transverse-wavevector integral is done in closed form first,
-    leaving a single integral over the polynomial pair
+    leaving a single integral in x = xi z / c over the polynomial pair
 
         f(x) = 5 + 10 x + 12 x^2,   g(x) = -1 - 2 x + 4 x^2
 
-    against the Lorentzian weight.  Must agree with u_du for the ideal
-    mirror to quadrature accuracy; the two routes are kept separate on
-    purpose.
+    times e^(-2x), against the Lorentzian weight b/(x^2 + b^2) with
+    b = omega z / c.  Must agree with u_du for the ideal mirror to
+    quadrature accuracy; the two routes are kept separate on purpose.
+    Raises IntegrationError, with the value in J, if the integral misses
+    rel_tol.
     """
     k = spec.constants
     c2t = 2.0 * _cos2(cfg.theta) - 1.0  # cos(2 theta)
@@ -263,25 +260,18 @@ def u_du_mirror_single_integral(
     if omega == 0.0:
         return pref * (math.pi / 2.0) * (5.0 - c2t)
 
-    zc = z / k.c
+    b = omega * z / k.c
 
-    def integrand(xi: np.ndarray) -> np.ndarray:
-        x = xi * zc
+    def integrand(x: np.ndarray) -> np.ndarray:
         poly = (5.0 + 10.0 * x + 12.0 * x * x) + c2t * (-1.0 - 2.0 * x + 4.0 * x * x)
-        return omega / (xi * xi + omega * omega) * poly * np.exp(-2.0 * x)
+        return b / (x * x + b * b) * poly * np.exp(-2.0 * x)
 
-    quad_cfg = QuadratureConfig(
-        rel_tol=rel_tol,
-        abs_tol=0.0,
-        max_evaluations=1_000_000,
-        decay_scale=k.c / (2.0 * z),
-    )
-    bps = [omega * 10.0**p for p in range(-6, 7)]
-    bps += [k.c / (2.0 * z) * s for s in (0.1, 1.0, 10.0)]
-    res = integrate_semi_infinite(integrand, quad_cfg, breakpoints=bps)
+    bps = [b * 10.0**p for p in range(-6, 7)] + [0.05, 0.5, 5.0]
+    res = integrate_semi_infinite(integrand, rel_tol, breakpoints=bps)
     if not res.converged:
         raise IntegrationError(
-            f"mirror reference integral did not converge (z={z:.3e})", res
+            f"mirror reference integral did not converge (z={z:.3e})",
+            replace(res, value=pref * res.value, abs_error=pref * res.abs_error),
         )
     return pref * res.value
 

@@ -5,8 +5,8 @@ is a 15-point Gauss-Kronrod rule applied per panel, with a
 worst-panel-first refinement loop driven by the embedded 7-point Gauss
 estimate.  It has two entry points:
 
-* :func:`integrate_semi_infinite` for integrals over (0, inf), mapped to
-  (0, 1) by u = t / (t + decay_scale);
+* :func:`integrate_semi_infinite` for integrals over (0, inf) that decay
+  like e^(-2t), mapped to (0, 1) by u = t / (t + 1/2);
 * :func:`integrate_finite_oscillatory` for finite intervals whose
   integrand oscillates a known number of times (one initial panel per
   oscillation period).
@@ -36,6 +36,12 @@ from the last two differences, d^2/d' (Bailey, Jeyabalan & Li, Exp.
 Math. 14 (2005) 317), which stops the loop one halving sooner than the
 last difference alone.  Its integrand returns one row per sum, so
 related integrals share the nodes and the halvings.
+
+All three entry points take one tolerance, rel_tol: a sum has
+converged when its error estimate is at most rel_tol |value|, so no
+relative tolerance settles an integral whose value is zero.  The
+adaptive rule spends at most _MAX_EVALUATIONS integrand values on one
+integral.
 """
 
 from __future__ import annotations
@@ -92,31 +98,8 @@ _MAX_HALVINGS = 5
 # integrate_trapezoid's error model d^2/d' is used only for a sum that
 # the previous halving moved by at most this fraction of itself
 _MODEL_GATE_REL = 1e-2
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and budget for one integration run.
-
-    decay_scale is the coordinate scale of the integrand's decay; it
-    parametrizes the (0, inf) -> (0, 1) map and is ignored for finite
-    intervals.
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 0.0
-    max_evaluations: int = 1_000_000
-    decay_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0 and self.abs_tol <= 0.0:
-            raise ValueError("one of rel_tol, abs_tol must be positive")
-        if self.rel_tol < 0.0 or self.abs_tol < 0.0:
-            raise ValueError("tolerances must be >= 0")
-        if self.max_evaluations < 15:
-            raise ValueError("max_evaluations must allow at least one panel")
-        if not (self.decay_scale > 0.0 and math.isfinite(self.decay_scale)):
-            raise ValueError("decay_scale must be positive and finite")
+# integrand evaluations the adaptive rule may spend on one integral
+_MAX_EVALUATIONS = 400_000
 
 
 @dataclass(frozen=True)
@@ -153,15 +136,18 @@ def _eval_panels(f: Callable[[np.ndarray], np.ndarray], a: Sequence[float], b: S
 
 
 def _adapt(
-    f: Callable[[np.ndarray], np.ndarray], edges: list[float], cfg: QuadratureConfig
+    f: Callable[[np.ndarray], np.ndarray], edges: list[float], rel_tol: float
 ) -> QuadratureResult:
     """Worst-panel-first refinement over the initial panel edges.
 
     The panels wait on a heap keyed (-error, creation index), so the
     panel with the largest error is split first, and of equal errors the
     older one.  f is called once per refinement step: on every initial
-    panel, then on both halves of each split.
+    panel, then on both halves of each split.  The sum has converged
+    when abs_error <= rel_tol |value|.
     """
+    if not rel_tol > 0.0:
+        raise ValueError("rel_tol must be positive")
     span = edges[-1] - edges[0]
     vals, errs = _eval_panels(f, edges[:-1], edges[1:])
     heap = list(zip([-e for e in errs], range(len(errs)), edges[:-1], edges[1:], vals))
@@ -174,11 +160,11 @@ def _adapt(
     # Refinement stops on: the error within tolerance or at the roundoff
     # floor, budget exhausted, every panel too narrow to split, or a long
     # run of splits that fail to improve the error (noise or a divergence).
-    rel = max(cfg.rel_tol, _ERROR_FLOOR_REL)
+    rel = max(rel_tol, _ERROR_FLOOR_REL)
     stalls, stall_limit = 0, max(200, 2 * len(heap))
     while (
-        total_err > max(cfg.abs_tol, rel * abs(total_val))
-        and evaluations + 30 <= cfg.max_evaluations
+        total_err > rel * abs(total_val)
+        and evaluations + 30 <= _MAX_EVALUATIONS
         and heap
         and stalls < stall_limit
     ):
@@ -200,7 +186,7 @@ def _adapt(
 
     size = abs(total_val)
     abs_error = max(total_err, _ERROR_FLOOR_REL * size)
-    converged = abs_error <= max(cfg.abs_tol, cfg.rel_tol * size)
+    converged = abs_error <= rel_tol * size
     return QuadratureResult(total_val, abs_error, evaluations, converged)
 
 
@@ -226,20 +212,21 @@ def _merged_edges(
 
 def integrate_semi_infinite(
     f: Callable[[np.ndarray], np.ndarray],
-    cfg: QuadratureConfig,
+    rel_tol: float,
     breakpoints: Sequence[float] = (),
 ) -> QuadratureResult:
     """Integrate f over (0, inf).
 
-    The domain is mapped to u in (0, 1) by t = s u/(1-u) with
-    s = cfg.decay_scale, then refined adaptively.  ``breakpoints`` are
-    t-coordinates; they are mapped into u and become initial panel
-    edges, together with a default ladder at t = s/9, s/3, s, 3s, 9s.
+    The domain is mapped to u in (0, 1) by t = s u/(1-u) with s = 0.5,
+    the scale of an e^(-2t) decay, then refined adaptively.
+    ``breakpoints`` are t-coordinates; they are mapped into u and become
+    initial panel edges, together with a default ladder at t = s/9,
+    s/3, s, 3s, 9s.
 
     Never raises on non-convergence: the result carries converged=False
     and the caller decides whether that is fatal.
     """
-    s = cfg.decay_scale
+    s = 0.5
 
     def g(u: np.ndarray) -> np.ndarray:
         one_minus = 1.0 - u
@@ -256,7 +243,7 @@ def integrate_semi_infinite(
         return np.asarray(f(t)) * jac
 
     extra = [t / (t + s) for t in breakpoints if t > 0.0 and math.isfinite(t)]
-    return _adapt(g, _merged_edges(0.0, 1.0, [0.1, 0.25, 0.5, 0.75, 0.9], extra), cfg)
+    return _adapt(g, _merged_edges(0.0, 1.0, [0.1, 0.25, 0.5, 0.75, 0.9], extra), rel_tol)
 
 
 def integrate_finite_oscillatory(
@@ -264,7 +251,7 @@ def integrate_finite_oscillatory(
     a: float,
     b: float,
     phase_scale: float,
-    cfg: QuadratureConfig,
+    rel_tol: float,
     breakpoints: Sequence[float] = (),
 ) -> QuadratureResult:
     """Integrate f over [a, b] when it oscillates ~phase_scale times.
@@ -279,9 +266,9 @@ def integrate_finite_oscillatory(
     if phase_scale < 0.0 or not math.isfinite(phase_scale):
         raise ValueError("phase_scale must be >= 0 and finite")
     n = max(1, math.ceil(phase_scale))
-    n = min(n, max(1, cfg.max_evaluations // 30))
+    n = min(n, max(1, _MAX_EVALUATIONS // 30))
     base = np.linspace(a, b, n + 1)[1:-1].tolist()
-    return _adapt(f, _merged_edges(a, b, base, list(breakpoints)), cfg)
+    return _adapt(f, _merged_edges(a, b, base, list(breakpoints)), rel_tol)
 
 
 def integrate_trapezoid(

@@ -14,6 +14,9 @@ their z-derivatives) and the static contractions of fig1's plasma, a
 few seconds, and keeps every other entry of the file byte for byte.
 ``--small-xi`` rewrites only the small-xi entries of the Drude-type
 models, a few minutes, and keeps every other entry byte for byte.
+``--mirror`` rewrites only the ideal mirror's u_du, from its closed form
+in the sine and cosine integrals, in seconds, and keeps every other
+entry byte for byte.
 ``--check`` recomputes the first u_du value at 36 digits with every xi
 interval split in two and prints both values and their relative
 difference.
@@ -70,6 +73,11 @@ INNER_POINTS = {
 # 1e-21 (Drude-Lorentz, where d ~ x^2) to 1e-9 (Drude, d ~ xi) at 1 nm
 SMALL_XI = (1e-3, 1.0, 1e3, 1e6)
 SMALL_XI_HEIGHTS = (1e-9, 1e-6)
+# the ideal mirror's u_du at B_EXT, 1 nm to 1 km, at these field angles
+# (None is the orientation average)
+MIRROR_HEIGHTS = tuple(10.0**p for p in range(-9, 4))
+MIRROR_THETAS = (None, 0.3)
+MIRROR_DIGITS = 40
 
 
 def quad(f, pts):
@@ -201,6 +209,45 @@ def small_xi_reference(model: str, z: float, xi: float) -> dict:
     return entry
 
 
+def mirror_reference(z: float, theta) -> dict:
+    """u_du of the ideal mirror at B_EXT, from the sine and cosine integrals.
+
+    The cross piece's integral over x = xi z / c is exactly
+    p0 f(a) + p1 b g(a) + p2 b^2 (1/a - f(a)), with b = omega z / c,
+    a = 2b, p0 = 5 - c2t, p1 = 10 - 2 c2t, p2 = 12 + 4 c2t and
+    c2t = cos(2 theta); f and g are the auxiliary functions of Si and Ci
+    (Abramowitz & Stegun 5.2.6-5.2.7).  1/a - f(a) is about 2/a^3, so the
+    last term loses about 2 log10(a) digits: 7 of the 40 at 1 km.
+    """
+    mp.mp.dps = MIRROR_DIGITS
+    k = CONSTANTS
+    omega = mp.mpf(transition_frequency(FieldConfig(B_EXT)))
+    zm = mp.mpf(z)
+    b = omega * zm / mp.mpf(k.c)
+    a = 2 * b
+    ci, si = mp.ci(a), mp.si(a) - mp.pi / 2
+    f = ci * mp.sin(a) - si * mp.cos(a)
+    g = -ci * mp.cos(a) - si * mp.sin(a)
+    c2t = -mp.mpf(1) / 3 if theta is None else mp.cos(2 * mp.mpf(theta))
+    p0, p1, p2 = 5 - c2t, 10 - 2 * c2t, 12 + 4 * c2t
+    hbar, gamma, mu0 = (mp.mpf(v) for v in (k.hbar, NEUTRON.gamma_n, k.mu0))
+    pref = hbar**2 * gamma**2 * mu0 / (256 * mp.pi**2 * zm**3)
+    value = pref * (p0 * f + p1 * b * g + p2 * b**2 * (1 / a - f))
+    return {"z": z, "theta": "avg" if theta is None else theta, "u_du": mp.nstr(value, 25)}
+
+
+MIRROR_ABOUT = (
+    f"u_du of the ideal mirror at b_ext = {B_EXT} T from its closed form in "
+    f"the sine and cosine integrals, by mpmath {mp.__version__} at "
+    f"{MIRROR_DIGITS} digits (tests/make_golden_values.py --mirror)"
+)
+
+
+def mirror_block() -> dict:
+    entries = [mirror_reference(z, t) for t in MIRROR_THETAS for z in MIRROR_HEIGHTS]
+    return {"about": MIRROR_ABOUT, "entries": entries}
+
+
 def u_du_entry(model: str, z: float) -> dict:
     return {"model": model, "z": z, "u_du": mp.nstr(u_du_reference(model, z), 25)}
 
@@ -221,6 +268,11 @@ def main() -> None:
         a = u_du_reference(model, z)
         b = u_du_reference(model, z, per_decade=2, digits=DIGITS + 6)
         print(mp.nstr(a, 25), mp.nstr(b, 25), mp.nstr(abs(a / b - 1), 3))
+        return
+    if "--mirror" in sys.argv:
+        payload = json.loads(OUT.read_text(encoding="utf-8"))
+        payload["mirror"] = mirror_block()
+        OUT.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
         return
     inner_only = "--inner" in sys.argv
     small_xi_only = "--small-xi" in sys.argv
@@ -251,6 +303,8 @@ def main() -> None:
             payload["static"] = [f.result() for f in static]
         payload["about"] = ABOUT
         payload["small_xi"] = [f.result() for f in small_xi]
+    if not (inner_only or small_xi_only):
+        payload["mirror"] = mirror_block()
     OUT.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
 

@@ -22,7 +22,6 @@ from neutroncp import (
     FieldConfig,
     PerfectConductor,
     Plasma,
-    QuadratureConfig,
     atomic_c3,
     c3_ratio,
     critical_distance,
@@ -248,25 +247,19 @@ def test_criterion_09_quadrature_honesty_battery():
     # ten analytic integrals; the reported error bound must cover the
     # true error within a factor of ten, at rel_tol 1e-9
     battery = [
-        (lambda t: np.exp(-t), (), 1.0, 1.0),
-        (lambda t: t**2 * np.exp(-t), (), 2.0, 1.0),
-        (lambda t: np.exp(-(t**2)), (), math.sqrt(math.pi) / 2.0, 1.0),
-        (lambda t: 1.0 / (1.0 + t * t), (), math.pi / 2.0, 1.0),
-        (_planck_tail(1), (), math.pi**2 / 6.0, 1.0),
-        (lambda t: np.exp(-t) * np.cos(10.0 * t), (), 1.0 / 101.0, 1.0),
-        (lambda t: np.exp(-t / 100.0) / 100.0, (), 1.0, 100.0),
-        (lambda t: np.sqrt(t) * np.exp(-t), (), math.sqrt(math.pi) / 2.0, 1.0),
-        (
-            lambda t: np.exp(-((t - 1000.0) ** 2)),
-            (990.0, 1000.0, 1010.0),
-            math.sqrt(math.pi),
-            1.0,
-        ),
-        (_planck_tail(3), (), math.pi**4 / 15.0, 1.0),
+        (lambda t: np.exp(-t), (), 1.0),
+        (lambda t: t**2 * np.exp(-t), (), 2.0),
+        (lambda t: np.exp(-(t**2)), (), math.sqrt(math.pi) / 2.0),
+        (lambda t: 1.0 / (1.0 + t * t), (), math.pi / 2.0),
+        (_planck_tail(1), (), math.pi**2 / 6.0),
+        (lambda t: np.exp(-t) * np.cos(10.0 * t), (), 1.0 / 101.0),
+        (lambda t: np.exp(-t / 100.0) / 100.0, (), 1.0),
+        (lambda t: np.sqrt(t) * np.exp(-t), (), math.sqrt(math.pi) / 2.0),
+        (lambda t: np.exp(-((t - 1000.0) ** 2)), (990.0, 1000.0, 1010.0), math.sqrt(math.pi)),
+        (_planck_tail(3), (), math.pi**4 / 15.0),
     ]
-    for i, (f, bps, exact, scale) in enumerate(battery):
-        cfg = QuadratureConfig(rel_tol=1e-9, decay_scale=scale)
-        res = integrate_semi_infinite(f, cfg, breakpoints=bps)
+    for i, (f, bps, exact) in enumerate(battery):
+        res = integrate_semi_infinite(f, 1e-9, breakpoints=bps)
         assert res.converged, f"integral {i} did not converge"
         true_err = abs(res.value - exact)
         assert true_err <= 10.0 * res.abs_error, (

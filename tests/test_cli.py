@@ -375,6 +375,76 @@ def test_cli_rejects_non_finite_material_parameters():
         assert main(["sweep", *args, "--points", "1"]) == 2, args
 
 
+@pytest.mark.parametrize("z", ["1e-50", "1e50"])
+def test_cli_distance_limits_give_finite_columns(tmp_path, z):
+    # at each end of the allowed range every column of the mirror is a
+    # finite number, so the JSON writer takes the row
+    closed = "nonret_asymptote,ret_asymptote,table1,gravity_earth,gravity_sphere"
+    out = tmp_path / "row.json"
+    argv = ["sweep", "--z-min", z, "--z-max", z, "--points", "1", "--format", "json"]
+    cols = f"u_dd,u_du,u_ground,exponent,{closed}"
+    assert main([*argv, "--outputs", cols, "--out", str(out)]) == 0
+    (row,) = json.loads(out.read_text())["rows"]
+    assert row.pop("status") == "ok"
+    assert all(math.isfinite(v) for v in row.values()), row
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--z-min", "1e-120", "--z-max", "1e-120", "--outputs", "nonret_asymptote"],
+        ["sweep", "--z-min", "1e-120", "--z-max", "1e-120", "--outputs", "table1"],
+        ["sweep", "--z-min", "1e-120", "--z-max", "1e-120", "--outputs", "u_dd"],
+        ["sweep", "--z-min", "1e80", "--z-max", "1e80"],
+        ["sweep", "--z-max", "1e51"],
+        ["table1", "--z", "1e-51"],
+        ["table1", "--z", "1e51"],
+    ],
+)
+def test_cli_rejects_distances_beyond_the_limits(argv, capsys):
+    # past 1e-50 or 1e50 m, z^3 or z^4 of a closed form leaves the double
+    # range: a ZeroDivisionError, an inf under status ok (which JSON
+    # refuses), or an OverflowError.  A usage error instead
+    assert main([*argv, "--points", "1"] if argv[0] == "sweep" else argv) == 2
+    assert "1e+50] m" in capsys.readouterr().err
+
+
+def test_cli_error_rows_say_why(tmp_path, capsys, monkeypatch):
+    # the fig2 plasma's permittivity is far below -1 at the transition
+    # frequency, so each u_resonant fails; stderr gives the reason of
+    # each error row in grid order, and the output bytes stay those of
+    # the rows alone
+    argv = [
+        "sweep", "--model", "plasma", "--omega-p", "1.37e16", "--points", "3",
+        "--outputs", "u_dd,u_resonant", "--rel-tol", "1e-6",
+    ]
+    out = tmp_path / "o.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    req = cli._build_request(cli._parse_args(argv))
+    rows = run_sweep(req)
+    buf = io.StringIO()
+    cli.write_csv(rows, ["z", *req.outputs, "status"], cli._sweep_header(req, "sweep"), buf)
+    assert out.read_text() == buf.getvalue()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    for line, row in zip(err, rows):
+        assert line.startswith(f"error: z={cli._format_cell(row['z'])}: eps(3.635e+08 rad/s)")
+        assert "surface-mode pole" in line
+    # a quadrature that misses rel_tol names its layer and its value
+    failing = neutroncp.quadrature.QuadratureResult(1.5, 0.5, 30, False)
+
+    def unsettled(*a, **k):
+        raise neutroncp.IntegrationError("outer integral did not converge", failing)
+
+    monkeypatch.setattr(cli, "u_dd", unsettled)
+    assert main([*argv, "--points", "1", "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (
+        "error: z=1.00000000000e-09: outer integral did not converge: "
+        "value=1.5, abs_error=5.000e-01, evaluations=30"
+    )
+
+
 FIG1 = ROOT / "configs" / "fig1.cfg"
 FIG2 = ROOT / "configs" / "fig2.cfg"
 

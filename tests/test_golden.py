@@ -8,7 +8,9 @@ include the z-derivatives z dh/dz, and at rel_tol 1e-13 the inner
 values must reach double precision.  The static contractions of fig1's
 plasma (xi = 0, z = 1e-12 to 1e-6 m) and the Drude-type models at small
 xi (1e-3 to 1e6 rad/s) check that a medium decay constant decades below
-v = 1 is still resolved.
+v = 1 is still resolved.  The ideal mirror's u_du, from 1 nm to 1 km,
+comes from its closed form in the sine and cosine integrals, at 40
+digits.
 """
 
 import json
@@ -16,7 +18,16 @@ from pathlib import Path
 
 import pytest
 
-from neutroncp import Drude, DrudeLorentz, FieldConfig, Plasma, contracted_green_imag, u_du
+from neutroncp import (
+    Drude,
+    DrudeLorentz,
+    FieldConfig,
+    PerfectConductor,
+    Plasma,
+    contracted_green_imag,
+    u_du,
+    u_du_mirror_single_integral,
+)
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_values.json").read_text(encoding="utf-8"))
 MODELS = {"plasma": Plasma, "drude": Drude, "drude-lorentz": DrudeLorentz}
@@ -104,3 +115,29 @@ def test_drude_small_xi_golden(entry, rel_tol):
         ref = float(entry[key])
         got = contracted_green_imag(m, entry["z"], entry["xi"], *weights, rel_tol=rel_tol)
         assert abs(got - ref) <= rel_tol * abs(ref), key
+
+
+MIRROR = GOLDEN["mirror"]["entries"]
+
+
+def mirror_field(entry):
+    return FieldConfig(2.0, None if entry["theta"] == "avg" else entry["theta"])
+
+
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-13])
+@pytest.mark.parametrize("entry", MIRROR, ids=lambda e: f"{e['theta']}-{e['z']:g}")
+def test_mirror_reference_golden(entry, rel_tol):
+    # the reduced single integral in x = xi z / c against its closed form
+    ref = float(entry["u_du"])
+    got = u_du_mirror_single_integral(entry["z"], mirror_field(entry), rel_tol=rel_tol)
+    assert abs(got - ref) <= rel_tol * abs(ref)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-7, 1e-9, 1e-12])
+@pytest.mark.parametrize("entry", MIRROR, ids=lambda e: f"{e['theta']}-{e['z']:g}")
+def test_mirror_u_du_golden(entry, rel_tol):
+    # the general double integral for the ideal mirror, against a value
+    # that shares no quadrature with it
+    ref = float(entry["u_du"])
+    got = u_du(entry["z"], mirror_field(entry), PerfectConductor(), rel_tol=rel_tol)
+    assert abs(got - ref) <= rel_tol * abs(ref)

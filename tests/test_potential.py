@@ -31,7 +31,7 @@ from neutroncp import (
     u_du_mirror_single_integral,
     u_resonant,
 )
-from neutroncp import potential
+from neutroncp import greens, potential, quadrature
 from neutroncp.cli import SweepRequest, run_sweep
 from power_law import local_power_law
 
@@ -103,6 +103,20 @@ def test_unsettled_outer_sum_raises(monkeypatch):
     req = SweepRequest(model="pc", z_min=3e-8, z_max=3e-8, points=1)
     (row,) = run_sweep(req)
     assert row["status"] == "error" and math.isnan(row["u_du"])
+
+
+def test_unconverged_mirror_reference_reports_joules(monkeypatch):
+    # with a budget below its initial panels the reference cannot refine;
+    # the error carries the value and error it would return, in J
+    cfg = FieldConfig(2.0, 0.7)
+    converged = u_du_mirror_single_integral(1e-7, cfg, rel_tol=1e-13)
+    monkeypatch.setattr(quadrature, "_MAX_EVALUATIONS", 15)
+    with pytest.raises(IntegrationError, match=r"z=1\.000e-07") as info:
+        u_du_mirror_single_integral(1e-7, cfg, rel_tol=1e-13)
+    result = info.value.result
+    assert not result.converged
+    assert result.value == pytest.approx(converged, rel=1e-6)
+    assert abs(result.value - converged) <= result.abs_error <= 1e-3 * converged
 
 
 @pytest.mark.parametrize("m", [PC, Plasma(1.37e16), Drude(1.37e16, 4.10e12)])
@@ -262,6 +276,35 @@ def test_resonant_requires_field():
 def test_resonant_unsupported_for_plasma():
     with pytest.raises(UnsupportedModelError):
         u_resonant(1e-7, FieldConfig(2.0, 0.4), Plasma(omega_p=1.37e16))
+
+
+@given(
+    st.floats(min_value=-15.0, max_value=-12.0),
+    st.floats(min_value=-9.0, max_value=2.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_resonant_next_to_omega_t(log_delta, log_z):
+    # fig2's Drude-Lorentz with omega_t a relative delta above the
+    # transition frequency has eps of order 1/delta: a near-mirror, whose
+    # resonant piece is within 2.0e-9 of the mirror's (delta = 1e-12,
+    # 1 nm) and closer for smaller delta.  A delta below it puts eps far
+    # under -1 with no loss, and that must raise before any quadrature
+    cfg = FieldConfig(2.0)
+    omega = transition_frequency(cfg)
+    delta, z = 10.0**log_delta, 10.0**log_z
+    above = DrudeLorentz(omega_p=2.3e16, omega_t=omega * (1.0 + delta))
+    mirror = u_resonant(z, cfg, PC, rel_tol=1e-9)
+    assert abs(u_resonant(z, cfg, above, rel_tol=1e-9) - mirror) <= 1e-6 * abs(mirror)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+
+    below = DrudeLorentz(omega_p=2.3e16, omega_t=omega * (1.0 - delta))
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("integrate_finite_oscillatory", "integrate_semi_infinite"):
+            patch.setattr(greens, name, no_quadrature)
+        with pytest.raises(UnsupportedModelError, match="surface-mode pole"):
+            u_resonant(z, cfg, below, rel_tol=1e-9)
 
 
 def test_resonant_defined_for_lossy_and_dielectric():
