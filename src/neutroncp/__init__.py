@@ -1,7 +1,7 @@
 """Dispersion potential of a magnetic neutron near a planar surface.
 
 The package is organised bottom up: physical constants, surface response
-models, adaptive quadrature, the magnetic Green function diagonal, the
+models, two quadrature rules, the magnetic Green function diagonal, the
 potential assembly, and gravitational reference potentials.  The CLI in
 neutroncp.cli exposes distance sweeps and the leading-order table.
 """

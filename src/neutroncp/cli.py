@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 from typing import Optional, Sequence, TextIO
 
 from .constants import CONSTANTS
-from .gravity import SphereSpec, earth_potential, sphere_potential
+from .gravity import earth_potential, sphere_potential
 from .greens import IntegrationError
 from .materials import (
     Drude,
@@ -278,23 +278,16 @@ _WRITERS = {"csv": write_csv, "json": write_json}
 
 
 def _sweep_header(req: SweepRequest, command: str) -> dict[str, object]:
-    header: dict[str, object] = {
-        "tool": f"neutroncp {command}",
-        "model": req.model,
-        "omega_p": repr(req.omega_p),
-        "gamma": repr(req.gamma),
-        "omega_t": repr(req.omega_t),
-        "b_ext": repr(req.b_ext),
-        "theta": "avg" if req.theta is None else repr(req.theta),
-        "z_min": repr(req.z_min),
-        "z_max": repr(req.z_max),
-        "points": req.points,
-        "scale": req.scale,
-        "rel_tol": repr(req.rel_tol),
-        "energy_unit": req.energy_unit,
-    }
-    if command == "table1":
-        del header["model"]  # the table always spans all four models
+    """The request's fields in order; the column row names the outputs."""
+    header: dict[str, object] = {"tool": f"neutroncp {command}"}
+    for f in fields(SweepRequest):
+        # the table always spans all four models
+        if f.name == "outputs" or (f.name == "model" and command == "table1"):
+            continue
+        value = getattr(req, f.name)
+        if value is None:  # theta: the orientation average
+            value = "avg"
+        header[f.name] = repr(value) if isinstance(value, float) else value
     return header
 
 

@@ -1,10 +1,9 @@
 """Physical constants (CODATA 2018) and the neutron's magnetic coupling.
 
-Every numerical result in this package is traceable to the constants
-defined here.  They are exposed as frozen dataclasses so that a
-calculation can never mutate them mid-run, and so that alternative
-particles (or hypothetical g-factors) can be injected for testing by
-constructing a new instance instead of monkey-patching globals.
+Every numerical result in this package is traceable to the two
+instances defined here, CONSTANTS and NEUTRON, which the potential and
+gravity routines read directly.  They are frozen dataclasses, so a
+calculation can never mutate them mid-run.
 
 Units are SI throughout the package.  Energies returned by the potential
 routines are in joules; converting to eV or neV is left to the caller

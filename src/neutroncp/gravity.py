@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import NEUTRON, NeutronSpec
+from .constants import CONSTANTS, NEUTRON
 
 
 @dataclass(frozen=True)
@@ -24,18 +24,18 @@ class SphereSpec:
         return self.density * 4.0 / 3.0 * math.pi * self.radius**3
 
 
-def earth_potential(z: float, spec: NeutronSpec = NEUTRON) -> float:
+_SPHERE = SphereSpec()
+
+
+def earth_potential(z: float) -> float:
     """m g z above the surface, zero at contact."""
     if z < 0.0:
         raise ValueError("z must be >= 0")
-    return spec.mass * spec.constants.g_earth * z
+    return NEUTRON.mass * CONSTANTS.g_earth * z
 
 
-def sphere_potential(
-    z: float, s: SphereSpec = SphereSpec(), spec: NeutronSpec = NEUTRON
-) -> float:
-    """Magnitude G M m / (r + z) of the sphere's potential, referenced at infinity."""
+def sphere_potential(z: float) -> float:
+    """Magnitude G M m / (r + z) of the silicon sphere's potential, zero at infinity."""
     if z < 0.0:
         raise ValueError("z must be >= 0")
-    k = spec.constants
-    return k.G * s.mass * spec.mass / (s.radius + z)
+    return CONSTANTS.G * _SPHERE.mass * NEUTRON.mass / (_SPHERE.radius + z)

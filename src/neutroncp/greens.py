@@ -89,11 +89,11 @@ from typing import Union
 
 import numpy as np
 
+from .constants import CONSTANTS
 from .materials import (
     Material,
     PerfectConductor,
     UnsupportedModelError,
-    permittivity_real,
     wavevector_contrast_imag,
     wavevector_contrast_real,
 )
@@ -103,8 +103,6 @@ from .quadrature import (
     integrate_semi_infinite,
     integrate_trapezoid,
 )
-
-SPEED_OF_LIGHT = 299792458.0
 
 # Beyond this x = xi z / c the tensor is taken as zero: every entry
 # carries the factor e^(-2x), which leaves the normal double range near
@@ -179,7 +177,7 @@ def contracted_green_imag(
     xis = np.asarray(xi, dtype=float)
     if (xis < 0.0).any():
         raise ValueError("xi must be >= 0")
-    c = SPEED_OF_LIGHT
+    c = CONSTANTS.c
     mirror = isinstance(m, PerfectConductor)
 
     # An entry is zero past the underflow cut-off, and for a medium where
@@ -188,7 +186,7 @@ def contracted_green_imag(
     x = flat * z / c
     live = ~(x > _UNDERFLOW_X)
     if not mirror:
-        contrast = wavevector_contrast_imag(m, flat, c)
+        contrast = wavevector_contrast_imag(m, flat)
         live &= contrast != 0.0
     n = np.count_nonzero(live)
     if not n:
@@ -263,21 +261,6 @@ def contracted_green_imag(
     return tuple(parts) if z_derivative else parts[0]
 
 
-def _check_surface_mode(m: Material, omega: float) -> None:
-    # A lossless permittivity below -1 puts the p-polarized surface-mode
-    # pole directly on the evanescent integration path; the integral does
-    # not exist there without dissipation.
-    if isinstance(m, PerfectConductor):
-        return
-    eps = permittivity_real(m, omega)
-    if eps.imag == 0.0 and eps.real <= -1.0:
-        raise UnsupportedModelError(
-            f"eps({omega:.3e} rad/s) = {eps.real:.3e} <= -1 for a lossless medium: "
-            "the surface-mode pole lies on the evanescent integration path and the "
-            "real-frequency response is undefined without dissipation"
-        )
-
-
 def contracted_green_real(
     m: Material,
     z: float,
@@ -286,11 +269,22 @@ def contracted_green_real(
     weight_zz: float,
     rel_tol: float = 1e-10,
 ) -> complex:
-    """weight_xx * h_xx(omega) + weight_zz * h_zz(omega), complex, 1/m^3."""
+    """weight_xx * h_xx(omega) + weight_zz * h_zz(omega), complex, 1/m^3.
+
+    rel_tol bounds the error of the complex value relative to its
+    modulus: each segment stops once its error estimate is at most
+    rel_tol times its own modulus, so the result's estimate is at most
+    rel_tol (|propagating| + |evanescent|).  The real and imaginary
+    parts share that absolute error, so a part much smaller than the
+    modulus is known to fewer digits.  Raises UnsupportedModelError for a
+    lossless medium with eps(omega) <= -1 (surface-mode pole), and
+    IntegrationError, with the segment's value in 1/m^3, if a segment
+    misses rel_tol.
+    """
     _require_height(z)
     if omega <= 0.0:
         raise ValueError("omega must be > 0")
-    c = SPEED_OF_LIGHT
+    c = CONSTANTS.c
     w = omega * z / c
     w2 = w * w
 
@@ -298,12 +292,21 @@ def contracted_green_real(
     if mirror:
         dq2z2 = complex(0.0)
     else:
-        contrast = wavevector_contrast_real(m, omega, c)
+        contrast = wavevector_contrast_real(m, omega)
         dq2z2 = contrast * z * z
         if dq2z2 == 0:
             return complex(0.0)
-        _check_surface_mode(m, omega)
         eps_m1 = contrast / (omega / c) ** 2
+        # A lossless permittivity below -1 puts the p-polarized surface-mode
+        # pole directly on the evanescent integration path; the integral
+        # does not exist there without dissipation.
+        eps = 1.0 + eps_m1
+        if eps.imag == 0.0 and eps.real <= -1.0:
+            raise UnsupportedModelError(
+                f"eps({omega:.3e} rad/s) = {eps.real:.3e} <= -1 for a lossless medium: "
+                "the surface-mode pole lies on the evanescent integration path and the "
+                "real-frequency response is undefined without dissipation"
+            )
 
     # k-integrand at vacuum normal wavevector k_z (times z): k_z = v in
     # (0, w) on the propagating segment, k_z = i u on the evanescent tail

@@ -19,6 +19,8 @@ from typing import Union
 
 import numpy as np
 
+from .constants import CONSTANTS
+
 
 class UnsupportedModelError(ValueError):
     """An operation is not defined for the given material model."""
@@ -120,7 +122,7 @@ def longitudinal_frequency(omega_t: float, omega_p: float) -> float:
 
 
 def wavevector_contrast_imag(
-    m: Material, xi: Union[float, np.ndarray], c: float
+    m: Material, xi: Union[float, np.ndarray]
 ) -> Union[float, np.ndarray]:
     """kappa_med^2 - kappa^2 = (eps(i xi) - 1) xi^2 / c^2, per model.
 
@@ -133,6 +135,7 @@ def wavevector_contrast_imag(
     xi = np.asarray(xi, dtype=float)
     if (xi < 0.0).any():
         raise ValueError("xi must be >= 0")
+    c = CONSTANTS.c
     if isinstance(m, Plasma):
         contrast = np.full(xi.shape, (m.omega_p / c) ** 2)
     elif isinstance(m, Drude):
@@ -146,10 +149,11 @@ def wavevector_contrast_imag(
     return float(contrast) if contrast.ndim == 0 else contrast
 
 
-def wavevector_contrast_real(m: Material, omega: float, c: float) -> complex:
+def wavevector_contrast_real(m: Material, omega: float) -> complex:
     """k_med^2 - k_vac^2 = (eps(omega) - 1) omega^2 / c^2 on the real axis."""
     if omega <= 0.0:
         raise ValueError("omega must be > 0")
+    c = CONSTANTS.c
     if isinstance(m, Plasma):
         return complex(-((m.omega_p / c) ** 2))
     if isinstance(m, Drude):

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constants import CONSTANTS, NEUTRON, NeutronSpec, PhysicalConstants
+from .constants import CONSTANTS, NEUTRON
 from .greens import _UNDERFLOW_X, IntegrationError, contracted_green_imag, contracted_green_real
 from .materials import (
     Drude,
@@ -46,6 +46,8 @@ from .materials import (
 from .quadrature import QuadratureResult, integrate_semi_infinite, integrate_trapezoid
 
 _DEFAULT_REL_TOL = 1e-9
+# (hbar gamma_n / 2)^2, the neutron's squared magnetic moment in J^2/T^2
+_MOMENT_SQ = (CONSTANTS.hbar * NEUTRON.gamma_n / 2.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -66,17 +68,17 @@ class FieldConfig:
             raise ValueError("theta must lie in [0, pi]")
 
 
-def transition_frequency(cfg: FieldConfig, spec: NeutronSpec = NEUTRON) -> float:
+def transition_frequency(cfg: FieldConfig) -> float:
     """Spin-flip frequency |gamma_n| B in rad/s."""
-    return spec.spin_flip_frequency(cfg.b_ext)
+    return NEUTRON.spin_flip_frequency(cfg.b_ext)
 
 
-def critical_distance(cfg: FieldConfig, spec: NeutronSpec = NEUTRON) -> float:
+def critical_distance(cfg: FieldConfig) -> float:
     """Retardation crossover c/omega; +inf when the field vanishes."""
-    omega = transition_frequency(cfg, spec)
+    omega = transition_frequency(cfg)
     if omega == 0.0:
         return math.inf
-    return spec.constants.c / omega
+    return CONSTANTS.c / omega
 
 
 def _cos2(theta: Optional[float]) -> float:
@@ -94,10 +96,6 @@ def _cross_weights(theta: Optional[float]) -> tuple[float, float]:
     return 1.0 + c2, 1.0 - c2
 
 
-def _moment_sq(spec: NeutronSpec) -> float:
-    return (spec.constants.hbar * spec.gamma_n / 2.0) ** 2
-
-
 def _scaled(factor: float, contraction):
     """factor times a contraction, or times each of a (value, z d/dz) pair."""
     if isinstance(contraction, tuple):
@@ -109,7 +107,6 @@ def u_dd(
     z: float,
     cfg: FieldConfig,
     m: Material,
-    spec: NeutronSpec = NEUTRON,
     rel_tol: float = _DEFAULT_REL_TOL,
     z_derivative: bool = False,
 ):
@@ -121,14 +118,13 @@ def u_dd(
     contraction = contracted_green_imag(
         m, z, 0.0, w_xx, w_zz, rel_tol=rel_tol, z_derivative=z_derivative
     )
-    return _scaled(0.5 * spec.constants.mu0 * _moment_sq(spec), contraction)
+    return _scaled(0.5 * CONSTANTS.mu0 * _MOMENT_SQ, contraction)
 
 
 def u_du(
     z: float,
     cfg: FieldConfig,
     m: Material,
-    spec: NeutronSpec = NEUTRON,
     rel_tol: float = _DEFAULT_REL_TOL,
     z_derivative: bool = False,
 ):
@@ -156,13 +152,13 @@ def u_du(
     do not depend on z, and both sums must settle.
     """
     w_xx, w_zz = _cross_weights(cfg.theta)
-    k = spec.constants
-    omega = transition_frequency(cfg, spec)
+    k = CONSTANTS
+    omega = transition_frequency(cfg)
     if omega == 0.0:
         contraction = contracted_green_imag(
             m, z, 0.0, w_xx, w_zz, rel_tol=rel_tol, z_derivative=z_derivative
         )
-        return _scaled(0.5 * k.mu0 * _moment_sq(spec), contraction)
+        return _scaled(0.5 * k.mu0 * _MOMENT_SQ, contraction)
 
     inner_tol = max(rel_tol / 10.0, 1e-13)
     s_hi = math.log(_UNDERFLOW_X * k.c / (z * omega))
@@ -185,7 +181,7 @@ def u_du(
         return f * (0.5 / np.cosh(s))
 
     res = integrate_trapezoid(integrand, s_lo - 40.0, s_hi, rel_tol)
-    scale = k.mu0 / math.pi * _moment_sq(spec)
+    scale = k.mu0 / math.pi * _MOMENT_SQ
     if not res.converged:
         raise IntegrationError(
             f"imaginary-frequency integral did not converge (z={z:.3e}, B={cfg.b_ext:.3e})",
@@ -204,7 +200,6 @@ def u_resonant(
     z: float,
     cfg: FieldConfig,
     m: Material,
-    spec: NeutronSpec = NEUTRON,
     rel_tol: float = _DEFAULT_REL_TOL,
 ) -> float:
     """Excited-state resonant piece at the real transition frequency.
@@ -212,13 +207,18 @@ def u_resonant(
     Undefined for a lossless medium whose permittivity is below -1 at
     the transition frequency (surface-mode pole); the plasma model is in
     that regime for any realistic field strength.
+
+    This is the real part of a contracted_green_real value, whose rel_tol
+    bounds the error relative to the complex modulus.  The real part
+    carries that absolute error, rel_tol |h| in energy units, so where
+    |Re h| is far below |h| its relative error can exceed rel_tol.
     """
     if cfg.b_ext <= 0.0:
         raise ValueError("the resonant piece requires b_ext > 0")
     w_xx, w_zz = _cross_weights(cfg.theta)
-    omega = transition_frequency(cfg, spec)
+    omega = transition_frequency(cfg)
     contraction = contracted_green_real(m, z, omega, w_xx, w_zz, rel_tol=rel_tol)
-    return spec.constants.mu0 * _moment_sq(spec) * contraction.real
+    return CONSTANTS.mu0 * _MOMENT_SQ * contraction.real
 
 
 def orientation_average(fn: Callable[[float], float]) -> float:
@@ -236,7 +236,6 @@ def orientation_average(fn: Callable[[float], float]) -> float:
 def u_du_mirror_single_integral(
     z: float,
     cfg: FieldConfig,
-    spec: NeutronSpec = NEUTRON,
     rel_tol: float = _DEFAULT_REL_TOL,
 ) -> float:
     """Ideal-mirror cross piece via the reduced one-dimensional integral.
@@ -253,10 +252,10 @@ def u_du_mirror_single_integral(
     Raises IntegrationError, with the value in J, if the integral misses
     rel_tol.
     """
-    k = spec.constants
+    k = CONSTANTS
     c2t = 2.0 * _cos2(cfg.theta) - 1.0  # cos(2 theta)
-    pref = k.hbar**2 * spec.gamma_n**2 * k.mu0 / (256.0 * math.pi**2 * z**3)
-    omega = transition_frequency(cfg, spec)
+    pref = k.hbar**2 * NEUTRON.gamma_n**2 * k.mu0 / (256.0 * math.pi**2 * z**3)
+    omega = transition_frequency(cfg)
     if omega == 0.0:
         return pref * (math.pi / 2.0) * (5.0 - c2t)
 
@@ -276,34 +275,25 @@ def u_du_mirror_single_integral(
     return pref * res.value
 
 
-def nonretarded_mirror_u_du(
-    z: float, cfg: FieldConfig, spec: NeutronSpec = NEUTRON
-) -> float:
+def nonretarded_mirror_u_du(z: float, cfg: FieldConfig) -> float:
     """Small-distance limit of the ideal-mirror cross piece."""
-    k = spec.constants
+    k = CONSTANTS
     c2t = 2.0 * _cos2(cfg.theta) - 1.0
-    return k.hbar**2 * spec.gamma_n**2 * k.mu0 * (5.0 - c2t) / (512.0 * math.pi * z**3)
+    return k.hbar**2 * NEUTRON.gamma_n**2 * k.mu0 * (5.0 - c2t) / (512.0 * math.pi * z**3)
 
 
-def retarded_mirror_u_du(
-    z: float, cfg: FieldConfig, spec: NeutronSpec = NEUTRON
-) -> float:
+def retarded_mirror_u_du(z: float, cfg: FieldConfig) -> float:
     """Large-distance limit of the ideal-mirror cross piece (needs B > 0)."""
-    omega = transition_frequency(cfg, spec)
+    omega = transition_frequency(cfg)
     if omega == 0.0:
         raise ValueError("the retarded asymptote requires b_ext > 0")
-    k = spec.constants
-    return k.hbar**2 * spec.gamma_n**2 * k.mu0 * k.c / (
+    k = CONSTANTS
+    return k.hbar**2 * NEUTRON.gamma_n**2 * k.mu0 * k.c / (
         32.0 * math.pi**2 * omega * z**4
     )
 
 
-def nonretarded_leading(
-    m: Material,
-    cfg: FieldConfig,
-    spec: NeutronSpec = NEUTRON,
-    z: float = 1e-9,
-) -> float:
+def nonretarded_leading(m: Material, cfg: FieldConfig, z: float = 1e-9) -> float:
     """Leading small-distance ground-state closed form per model.
 
     Ideal mirror: hbar^2 gamma^2 mu0 / (64 pi z^3), orientation
@@ -315,13 +305,13 @@ def nonretarded_leading(
     """
     if z <= 0.0:
         raise ValueError("z must be > 0")
-    k = spec.constants
-    base = k.hbar**2 * spec.gamma_n**2 * k.mu0
+    k = CONSTANTS
+    base = k.hbar**2 * NEUTRON.gamma_n**2 * k.mu0
     if isinstance(m, PerfectConductor):
         return base / (64.0 * math.pi * z**3)
     if isinstance(m, Plasma):
         return base * m.omega_p**2 / (128.0 * math.pi * k.c**2 * z)
-    omega = transition_frequency(cfg, spec)
+    omega = transition_frequency(cfg)
     if isinstance(m, Drude):
         x = omega / m.gamma
         if x == 0.0:
@@ -342,24 +332,24 @@ def nonretarded_leading(
     raise TypeError(f"unknown material {m!r}")
 
 
-def neutron_c3(spec: NeutronSpec = NEUTRON) -> float:
+def neutron_c3() -> float:
     """Coefficient of the 1/z^3 small-distance ground-state potential."""
-    k = spec.constants
-    return k.hbar**2 * spec.gamma_n**2 * k.mu0 / (64.0 * math.pi)
+    k = CONSTANTS
+    return k.hbar**2 * NEUTRON.gamma_n**2 * k.mu0 / (64.0 * math.pi)
 
 
-def atomic_c3(d_squared: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def atomic_c3(d_squared: float) -> float:
     """Small-distance coefficient for an electric dipole of mean square d^2."""
     if d_squared <= 0.0:
         raise ValueError("d_squared must be > 0")
-    return d_squared / (48.0 * math.pi * constants.eps0)
+    return d_squared / (48.0 * math.pi * CONSTANTS.eps0)
 
 
-def c3_ratio(spec: NeutronSpec = NEUTRON) -> float:
+def c3_ratio() -> float:
     """neutron_c3 over atomic_c3(e^2 a_bohr^2), in closed form.
 
     Algebraically (3/16) g^2 (m_e/m_n)^2 alpha^2 when the dipole scale
     is e * a_bohr; about 4.3e-11.
     """
-    k = spec.constants
-    return 3.0 / 16.0 * spec.g_factor**2 * (k.m_e / spec.mass) ** 2 * k.alpha**2
+    k = CONSTANTS
+    return 3.0 / 16.0 * NEUTRON.g_factor**2 * (k.m_e / NEUTRON.mass) ** 2 * k.alpha**2

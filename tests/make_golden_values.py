@@ -17,6 +17,8 @@ models, a few minutes, and keeps every other entry byte for byte.
 ``--mirror`` rewrites only the ideal mirror's u_du, from its closed form
 in the sine and cosine integrals, in seconds, and keeps every other
 entry byte for byte.
+``--real`` rewrites only the real-axis contractions, about 15 s on one
+core, and keeps every other entry byte for byte.
 ``--check`` recomputes the first u_du value at 36 digits with every xi
 interval split in two and prints both values and their relative
 difference.
@@ -78,6 +80,14 @@ SMALL_XI_HEIGHTS = (1e-9, 1e-6)
 MIRROR_HEIGHTS = tuple(10.0**p for p in range(-9, 4))
 MIRROR_THETAS = (None, 0.3)
 MIRROR_DIGITS = 40
+# the real-axis contraction at B_EXT, orientation averaged: Drude-Lorentz
+# below its resonance (lossless, eps = 1.1), fig1's plasma (lossless,
+# eps = 0 at the transition frequency) and fig2's Drude
+REAL_POINTS = (
+    *(("drude-lorentz", MODELS["drude-lorentz"], z) for z in (1e-9, 1e-8, 1e-7, 1e-6)),
+    *(("plasma", FIG1_PLASMA, z) for z in (8.25e-4, 1.0, 820.0)),
+    *(("drude", MODELS["drude"], z) for z in (1e-9, 1e-6)),
+)
 
 
 def quad(f, pts):
@@ -209,6 +219,87 @@ def small_xi_reference(model: str, z: float, xi: float) -> dict:
     return entry
 
 
+def real_eps_minus_one(model: str, p: dict, omega):
+    """eps(omega) - 1 of each model on the real axis, omega > 0."""
+    wp2 = mp.mpf(p["omega_p"]) ** 2
+    if model == "plasma":
+        return -wp2 / omega**2
+    if model == "drude":
+        return -wp2 / (omega * (omega + 1j * mp.mpf(p["gamma"])))
+    return wp2 / (mp.mpf(p["omega_t"]) ** 2 - omega**2)
+
+
+def real_reference(model: str, p: dict, z: float) -> dict:
+    """(4/3) h_xx(omega) + (2/3) h_zz(omega) at B_EXT in 1/m^3, complex.
+
+    The weights are the cross weights (1 + cos^2, sin^2) averaged over
+    orientations.  With k_z the vacuum normal wavevector, v = k_z z on the
+    propagating segment (0, w), w = omega z / c, and k_z z = i u on the
+    evanescent tail, the continuation xi -> -i omega of the kappa-integral
+    gives
+    8 pi z^3 h_xx = i Int_0^w dv e^(2iv) [r_s v^2 - r_p w^2]
+                    - Int_0^inf du e^(-2u) [r_s u^2 + r_p w^2],
+    8 pi z^3 h_zz = -2i Int_0^w dv e^(2iv) (w^2 - v^2) r_s
+                    - 2 Int_0^inf du e^(-2u) (w^2 + u^2) r_s,
+    r_s = (k_z - k_m)/(k_z + k_m), r_p = (eps k_z - k_m)/(eps k_z + k_m),
+    k_m z = sqrt((k_z z)^2 + d) on the principal branch, d = (eps - 1) w^2.
+    The propagating segment is cut at every period pi of e^(2iv) and at
+    the total-reflection kink; the tail at |sqrt(d)|, at w and
+    geometrically from the smaller of them up to 0.5.  On the tail r_s
+    loses about log10(u^2/|d|) digits, and e^(-2u) still counts up to
+    u = 40, so the working precision is DIGITS plus log10(1600/|d|).
+    """
+    omega = mp.mpf(transition_frequency(FieldConfig(B_EXT)))
+    zm = mp.mpf(z)
+    w = omega * zm / mp.mpf(CONSTANTS.c)
+    em1 = real_eps_minus_one(model, p, omega)
+    mp.mp.dps = DIGITS + max(0, int(mp.ceil(mp.log10(1600 / abs(em1 * w * w)))))
+    eps, d = 1 + em1, em1 * w * w
+    w_xx, w_zz = mp.mpf(4) / 3, mp.mpf(2) / 3
+
+    def reflection(kz):
+        km = mp.sqrt(kz * kz + d)
+        return (kz - km) / (kz + km), (eps * kz - km) / (eps * kz + km)
+
+    def propagating(v):
+        r_s, r_p = reflection(v)
+        h_xx = 1j * (r_s * v * v - r_p * w * w)
+        h_zz = -2j * (w * w - v * v) * r_s
+        return (w_xx * h_xx + w_zz * h_zz) * mp.expj(2 * v)
+
+    def evanescent(u):
+        r_s, r_p = reflection(1j * u)
+        h_xx = -(r_s * u * u + r_p * w * w)
+        h_zz = -2 * (w * w + u * u) * r_s
+        return (w_xx * h_xx + w_zz * h_zz) * mp.exp(-2 * u)
+
+    prop = {mp.mpf(0), w} | {k * mp.pi for k in range(1, int(w / mp.pi) + 1)}
+    if mp.im(d) == 0 and 0 < -mp.re(d) < w * w:
+        prop.add(mp.sqrt(-mp.re(d)))
+    scale = abs(mp.sqrt(d))
+    tail = {mp.mpf(0), scale, w, mp.mpf("0.5"), mp.mpf(4)}
+    u = min(scale, w)
+    while u < mp.mpf("0.5"):
+        tail.add(u)
+        u *= 4
+    value = quad(propagating, sorted(prop)) + quad(evanescent, sorted(tail) + [mp.inf])
+    value /= 8 * mp.pi * zm**3
+    entry = {"model": model, **p, "z": z}
+    return {**entry, "re": mp.nstr(mp.re(value), 25), "im": mp.nstr(mp.im(value), 25)}
+
+
+REAL_ABOUT = (
+    f"(4/3) h_xx + (2/3) h_zz at the transition frequency for b_ext = {B_EXT} T "
+    f"(the orientation-averaged resonant contraction), real and imaginary parts "
+    f"in 1/m^3, by mpmath {mp.__version__} tanh-sinh quadrature on the real "
+    f"k-axis at {DIGITS} digits or more (tests/make_golden_values.py --real)"
+)
+
+
+def real_block() -> dict:
+    return {"about": REAL_ABOUT, "entries": [real_reference(*pt) for pt in REAL_POINTS]}
+
+
 def mirror_reference(z: float, theta) -> dict:
     """u_du of the ideal mirror at B_EXT, from the sine and cosine integrals.
 
@@ -269,9 +360,12 @@ def main() -> None:
         b = u_du_reference(model, z, per_decade=2, digits=DIGITS + 6)
         print(mp.nstr(a, 25), mp.nstr(b, 25), mp.nstr(abs(a / b - 1), 3))
         return
-    if "--mirror" in sys.argv:
+    if "--mirror" in sys.argv or "--real" in sys.argv:
         payload = json.loads(OUT.read_text(encoding="utf-8"))
-        payload["mirror"] = mirror_block()
+        if "--mirror" in sys.argv:
+            payload["mirror"] = mirror_block()
+        if "--real" in sys.argv:
+            payload["real"] = real_block()
         OUT.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
         return
     inner_only = "--inner" in sys.argv
@@ -305,6 +399,7 @@ def main() -> None:
         payload["small_xi"] = [f.result() for f in small_xi]
     if not (inner_only or small_xi_only):
         payload["mirror"] = mirror_block()
+        payload["real"] = real_block()
     OUT.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
 

@@ -10,7 +10,9 @@ plasma (xi = 0, z = 1e-12 to 1e-6 m) and the Drude-type models at small
 xi (1e-3 to 1e6 rad/s) check that a medium decay constant decades below
 v = 1 is still resolved.  The ideal mirror's u_du, from 1 nm to 1 km,
 comes from its closed form in the sine and cosine integrals, at 40
-digits.
+digits.  The real-axis contractions of the resonant piece come from the
+k-integral over the propagating segment, cut into periods, and the
+evanescent tail, at 30 digits or more.
 """
 
 import json
@@ -25,6 +27,8 @@ from neutroncp import (
     PerfectConductor,
     Plasma,
     contracted_green_imag,
+    contracted_green_real,
+    transition_frequency,
     u_du,
     u_du_mirror_single_integral,
 )
@@ -140,4 +144,40 @@ def test_mirror_u_du_golden(entry, rel_tol):
     # that shares no quadrature with it
     ref = float(entry["u_du"])
     got = u_du(entry["z"], mirror_field(entry), PerfectConductor(), rel_tol=rel_tol)
+    assert abs(got - ref) <= rel_tol * abs(ref)
+
+
+REAL = GOLDEN["real"]["entries"]
+# (model, z, rel_tol) where the real-axis route reports convergence but
+# misses rel_tol: 13.2, 10.8 and 15.8 times it on lossless Drude-Lorentz
+REAL_MISSES = {
+    ("drude-lorentz", 1e-6, 1e-7),
+    ("drude-lorentz", 1e-9, 1e-9),
+    ("drude-lorentz", 1e-7, 1e-9),
+}
+
+
+def real_cases():
+    for rel_tol in (1e-7, 1e-9):
+        for e in REAL:
+            marks = ()
+            if (e["model"], e["z"], rel_tol) in REAL_MISSES:
+                marks = pytest.mark.xfail(
+                    strict=True,
+                    reason="FOUND: contracted_green_real reports convergence but "
+                    "misses rel_tol on lossless media",
+                )
+            case_id = f"{e['model']}-{e['z']:g}-{rel_tol:g}"
+            yield pytest.param(e, rel_tol, marks=marks, id=case_id)
+
+
+@pytest.mark.parametrize("entry, rel_tol", real_cases())
+def test_real_axis_golden(entry, rel_tol):
+    # rel_tol bounds the complex value's error relative to its modulus
+    params = {k: entry[k] for k in ("omega_p", "gamma", "omega_t") if k in entry}
+    m = MODELS[entry["model"]](**params)
+    omega = transition_frequency(FieldConfig(2.0))
+    w_xx, w_zz = 1.0 + 1.0 / 3.0, 1.0 - 1.0 / 3.0  # the averaged cross weights
+    ref = complex(float(entry["re"]), float(entry["im"]))
+    got = contracted_green_real(m, entry["z"], omega, w_xx, w_zz, rel_tol=rel_tol)
     assert abs(got - ref) <= rel_tol * abs(ref)

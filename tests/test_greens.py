@@ -87,14 +87,14 @@ def mirror_real(z, w):
 
 def reflection_imag(m, xi, k_par):
     q = math.hypot(xi / C, k_par)
-    dq2 = wavevector_contrast_imag(m, xi, C)
+    dq2 = wavevector_contrast_imag(m, xi)
     s2 = (xi / C) ** 2
     return greens._reflection(q, math.sqrt(q * q + dq2), dq2, s2, dq2 / s2)
 
 
 def reflection_real(m, omega, k_par):
     w2 = (omega / C) ** 2
-    dq2 = wavevector_contrast_real(m, omega, C)
+    dq2 = wavevector_contrast_real(m, omega)
     k_z = np.sqrt(complex(w2 - k_par**2))
     k_m = np.sqrt(k_z**2 + dq2)
     return greens._reflection(-1j * k_z, -1j * k_m, -dq2, -w2, dq2 / w2)

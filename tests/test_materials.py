@@ -114,7 +114,7 @@ def test_validation_rejects_non_finite(bad):
 def test_vacuum_degenerate_case():
     m = Plasma(omega_p=0.0)
     assert permittivity_imag(m, 1e15) == 1.0
-    assert wavevector_contrast_imag(m, 1e15, C) == 0.0
+    assert wavevector_contrast_imag(m, 1e15) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -129,7 +129,7 @@ def test_contrast_matches_permittivity_imag(m):
     # contrast = (eps - 1) xi^2 / c^2, computed without the subtraction
     for xi in (1e13, 1e15, 1e17):
         direct = (permittivity_imag(m, xi) - 1.0) * xi**2 / C**2
-        assert wavevector_contrast_imag(m, xi, C) == pytest.approx(direct, rel=1e-12)
+        assert wavevector_contrast_imag(m, xi) == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -143,7 +143,7 @@ def test_contrast_matches_permittivity_imag(m):
 def test_contrast_matches_permittivity_real(m):
     for omega in (1e13, 5e15, 9e16):
         direct = (permittivity_real(m, omega) - 1.0) * omega**2 / C**2
-        contrast = wavevector_contrast_real(m, omega, C)
+        contrast = wavevector_contrast_real(m, omega)
         assert contrast == pytest.approx(direct, rel=1e-12)
 
 
@@ -159,25 +159,25 @@ def test_contrast_matches_permittivity_real(m):
 def test_contrast_of_an_array_is_the_scalar_contrasts(m):
     # one call on a batch gives, byte for byte, what one call per entry gives
     xis = np.concatenate(([0.0, 5e-324, 1e-60], np.geomspace(1.0, 1e20, 41)))
-    batch = wavevector_contrast_imag(m, xis, C)
+    batch = wavevector_contrast_imag(m, xis)
     assert isinstance(batch, np.ndarray) and batch.shape == xis.shape
-    scalars = [wavevector_contrast_imag(m, float(xi), C) for xi in xis]
+    scalars = [wavevector_contrast_imag(m, float(xi)) for xi in xis]
     assert all(type(v) is float for v in scalars)
     assert batch.tobytes() == np.array(scalars).tobytes()
-    grid = wavevector_contrast_imag(m, xis.reshape(4, 11), C)
+    grid = wavevector_contrast_imag(m, xis.reshape(4, 11))
     assert grid.tobytes() == batch.tobytes()
     with pytest.raises(ValueError, match="xi"):
-        wavevector_contrast_imag(m, np.array([1e15, -1.0]), C)
+        wavevector_contrast_imag(m, np.array([1e15, -1.0]))
 
 
 def test_static_contrast_limits():
     # plasma keeps a finite static contrast; collision-damped models lose it
-    assert wavevector_contrast_imag(Plasma(omega_p=1e16), 0.0, C) == pytest.approx(
+    assert wavevector_contrast_imag(Plasma(omega_p=1e16), 0.0) == pytest.approx(
         (1e16 / C) ** 2, rel=1e-14
     )
-    assert wavevector_contrast_imag(Drude(omega_p=1e16, gamma=1e13), 0.0, C) == 0.0
+    assert wavevector_contrast_imag(Drude(omega_p=1e16, gamma=1e13), 0.0) == 0.0
     assert (
-        wavevector_contrast_imag(DrudeLorentz(omega_p=2.3e16, omega_t=7.1e16), 0.0, C)
+        wavevector_contrast_imag(DrudeLorentz(omega_p=2.3e16, omega_t=7.1e16), 0.0)
         == 0.0
     )
 
