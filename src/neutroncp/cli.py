@@ -131,18 +131,19 @@ def _sweep_point(payload: tuple[SweepRequest, float]) -> dict[str, object]:
     status = "ok"
     reason = ""
 
-    # the exponent z u'/u takes u and z u' from the same solve
+    # u_dd rides in u_du's solve, and the exponent z u'/u takes u and z u'
+    # from that solve too
     slope = "exponent" in want
     dd = du = zdd = zdu = math.nan
     try:
         if slope:
-            dd, zdd = u_dd(z, cfg, m, rel_tol=req.rel_tol, z_derivative=True)
-            du, zdu = u_du(z, cfg, m, rel_tol=req.rel_tol, z_derivative=True)
-        else:
-            if want & {"u_dd", "u_ground", "u_excited"}:
-                dd = u_dd(z, cfg, m, rel_tol=req.rel_tol)
-            if want & {"u_du", "u_ground", "u_excited"}:
-                du = u_du(z, cfg, m, rel_tol=req.rel_tol)
+            (dd, zdd), (du, zdu) = u_du(
+                z, cfg, m, rel_tol=req.rel_tol, z_derivative=True, with_static=True
+            )
+        elif want & {"u_du", "u_ground", "u_excited"}:
+            dd, du = u_du(z, cfg, m, rel_tol=req.rel_tol, with_static=True)
+        elif "u_dd" in want:
+            dd = u_dd(z, cfg, m, rel_tol=req.rel_tol)
     except IntegrationError as exc:
         status, reason = "error", str(exc)
 

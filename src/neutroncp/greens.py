@@ -42,12 +42,12 @@ The integrand is analytic for |Im ln v| < pi/2, so the integral is
 the trapezoidal rule in w = ln v (quadrature.integrate_trapezoid), whose
 error then falls like exp(-pi^2/h).  The rule's error model takes the
 error of a sum from its last two differences, so a k-integral settles
-at h = 1/4 or 1/8 (three or four integrand calls; three for the ideal
-mirror and Drude-Lorentz over 1 nm - 1 um at 2 T, rel_tol 1e-7 and
-1e-9).  Nodes uniform in ln v resolve a medium decay constant
-kappa_m z = sqrt(x^2 + d) at any scale, with no panel edges to place,
-and every xi of a batch shares the nodes.  The
-rule runs over w from ln(rel_tol) - 6 to ln 24: cutting v below
+at h = 1/4 or 1/8 (two or three integrand calls, the first on the
+h = 1/2 grid; h = 1/4 for the ideal mirror and Drude-Lorentz over
+1 nm - 1 um at 2 T, rel_tol 1e-7 and 1e-9).  Nodes uniform in ln v
+resolve a medium decay constant kappa_m z = sqrt(x^2 + d) at any scale,
+with no panel edges to place, and every xi of a batch shares the
+nodes.  The rule runs over w from ln(rel_tol) - 6 to ln 24: cutting v below
 v_lo = rel_tol e^-6 moves the integral by about 2 v_lo relative, and
 e^(-2v) is below 1e-20 past v = 24.  e^(-2x) is applied after the
 quadrature, from x in extended precision.  The real axis is integrated
@@ -148,8 +148,8 @@ def contracted_green_imag(
     m: Material,
     z: float,
     xi: Union[float, np.ndarray],
-    weight_xx: float,
-    weight_zz: float,
+    weight_xx: Union[float, np.ndarray],
+    weight_zz: Union[float, np.ndarray],
     rel_tol: float = 1e-10,
     z_derivative: bool = False,
 ):
@@ -163,6 +163,7 @@ def contracted_green_imag(
     xi may be an array: its k-integrals are then one trapezoidal rule,
     one row per entry, all on the same nodes, and the result is an array
     of xi's shape.  A scalar xi is the batch of one and returns a float.
+    The weights are scalars or arrays of xi's shape, one pair per entry.
     Entries whose tensor is zero at double precision (underflow,
     vanishing contrast) skip the quadrature.  Raises IntegrationError,
     naming the first entry that missed rel_tol, if the rule has not
@@ -192,8 +193,12 @@ def contracted_green_imag(
     if not n:
         zeros = [0.0 if xis.ndim == 0 else np.zeros(xis.shape) for _ in range(1 + z_derivative)]
         return tuple(zeros) if z_derivative else zeros[0]
-    # per live entry: x = xi z / c, d = contrast z^2 and eps - 1
+    # per live entry: x = xi z / c, d = contrast z^2 and eps - 1; weights
+    # given per entry become columns against the nodes, scalars stay
     x = x[live]
+    w_xx, w_zz = (
+        w if np.ndim(w) == 0 else np.ravel(w)[live][:, None] for w in (weight_xx, weight_zz)
+    )
     if mirror:
         dq2z2 = eps_m1 = np.zeros(n)
     else:
@@ -214,7 +219,7 @@ def contracted_green_imag(
     # one row per entry against the nodes of w = ln v
     x, dq2z2, eps_m1 = x[:, None], dq2z2[:, None], eps_m1[:, None]
     x2 = x * x
-    xx_p = weight_xx * x2  # the weight of r_p in acc
+    xx_p = w_xx * x2  # the weight of r_p in acc
     if not with_rp:
         eps_m1 = None
 
@@ -223,7 +228,7 @@ def contracted_green_imag(
         rho = x + v
         rho2 = rho * rho
         # acc = xx_p r_p - r_s bracket, with t^2 = rho^2 - x^2 = v (x + rho)
-        bracket = weight_xx * rho2 + 2.0 * weight_zz * (v * (x + rho))
+        bracket = w_xx * rho2 + 2.0 * w_zz * (v * (x + rho))
         if mirror:  # r_s = -1, r_p = 1
             acc = bracket + xx_p
         else:
@@ -277,7 +282,8 @@ def contracted_green_real(
     rel_tol (|propagating| + |evanescent|).  The real and imaginary
     parts share that absolute error, so a part much smaller than the
     modulus is known to fewer digits.  Raises UnsupportedModelError for a
-    lossless medium with eps(omega) <= -1 (surface-mode pole), and
+    lossless medium with eps(omega) <= -1 (surface-mode pole), ValueError
+    for a medium at an omega so small that (omega/c)^2 underflows, and
     IntegrationError, with the segment's value in 1/m^3, if a segment
     misses rel_tol.
     """
@@ -296,7 +302,13 @@ def contracted_green_real(
         dq2z2 = contrast * z * z
         if dq2z2 == 0:
             return complex(0.0)
-        eps_m1 = contrast / (omega / c) ** 2
+        s2 = (omega / c) ** 2
+        if s2 == 0.0:
+            raise ValueError(
+                f"omega = {omega:.3e} rad/s is too small: (omega/c)^2 underflows to 0, "
+                "so eps - 1 = contrast / (omega/c)^2 is undefined"
+            )
+        eps_m1 = contrast / s2
         # A lossless permittivity below -1 puts the p-polarized surface-mode
         # pole directly on the evanescent integration path; the integral
         # does not exist there without dissipation.

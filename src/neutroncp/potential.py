@@ -127,6 +127,7 @@ def u_du(
     m: Material,
     rel_tol: float = _DEFAULT_REL_TOL,
     z_derivative: bool = False,
+    with_static: bool = False,
 ):
     """Cross-state piece: Lorentzian-weighted imaginary-frequency sum.
 
@@ -134,49 +135,73 @@ def u_du(
     is the trapezoidal rule in s = ln(xi/omega)
     (quadrature.integrate_trapezoid): the weight is sech(s)/2 and g is
     analytic for |Im s| < pi/2, so the error falls like exp(-pi^2/h)
-    (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  The step h is halved
-    from 1, adding the odd nodes, until the rule's error estimate is at
-    most rel_tol: the last difference of the sums, or, once they converge,
-    d^2/d' from the last two; the rule's roundoff floor of 1e-14 makes a
-    rel_tol below it fail.  No node lies above
-    ln(_UNDERFLOW_X c/(z omega)), where g is exactly 0.
-    Below s_lo = ln(rel_tol/4 min(1, c/(z omega))) g is its static value
-    g(0), taken down to s_lo - 40 without a k-integral.  The k-integrals of
-    one step (g(0) with the first) are one batch of contracted_green_imag,
-    itself a trapezoidal rule in ln v, at tolerance rel_tol/10 (at least
-    1e-13).  Raises IntegrationError if one misses it (naming xi and z) or
-    the sum has not settled after the last halving (naming z and B).
+    (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  The rule's first
+    call takes the h = 1/2 grid, and each halving after it the odd nodes,
+    until the rule's error estimate is at most rel_tol: the last
+    difference of the sums, or, once they converge, d^2/d' from the last
+    two; the rule's roundoff floor of 1e-14 makes a rel_tol below it
+    fail.  No node lies above ln(_UNDERFLOW_X c/(z omega)), where g is
+    exactly 0.  Below s_lo = ln(rel_tol/4 min(1, c/(z omega))) g is its
+    static value g(0), taken down to s_lo - 40 without a k-integral.  The
+    k-integrals of one call of the rule (g(0) with the first) are one
+    batch of contracted_green_imag, itself a trapezoidal rule in ln v, at
+    tolerance rel_tol/10 (at least 1e-13).  Raises IntegrationError if one
+    misses it (naming xi and z) or the sum has not settled after the last
+    halving (naming z and B).
 
     z_derivative=True returns the pair (u_du, z du_du/dz) from one solve:
     every k-integral carries its z-derivative as a partner row, the nodes
     do not depend on z, and both sums must settle.
+
+    with_static=True returns (u_dd, u_du), each a pair under
+    z_derivative, from the same solve: u_dd's static contraction is one
+    more xi = 0 entry, with the static weights, in the first batch, so it
+    is solved at the inner tolerance.  At B = 0 both pieces come from one
+    batch of the two xi = 0 entries.
     """
-    w_xx, w_zz = _cross_weights(cfg.theta)
     k = CONSTANTS
+    cross_w = _cross_weights(cfg.theta)
+    # the xi = 0 entries that lead the first batch, as (w_xx, w_zz) pairs:
+    # u_dd's static contraction if asked for, then g(0)
+    head_w = [_static_weights(cfg.theta), cross_w] if with_static else [cross_w]
+    n_head = len(head_w)
+    half = 0.5 * k.mu0 * _MOMENT_SQ  # u_dd per unit contraction
+
+    def pieces(head: np.ndarray, cross: np.ndarray):
+        # head: the xi = 0 contractions, cross: u_du; one row per sum
+        out = [half * head[:, 0], cross] if with_static else [cross]
+        out = [tuple(p.tolist()) if z_derivative else float(p[0]) for p in out]
+        return tuple(out) if with_static else out[0]
+
     omega = transition_frequency(cfg)
     if omega == 0.0:
-        contraction = contracted_green_imag(
-            m, z, 0.0, w_xx, w_zz, rel_tol=rel_tol, z_derivative=z_derivative
+        head = contracted_green_imag(
+            m, z, np.zeros(n_head), *np.transpose(head_w), rel_tol=rel_tol,
+            z_derivative=z_derivative,
         )
-        return _scaled(0.5 * k.mu0 * _MOMENT_SQ, contraction)
+        head = np.reshape(head, (1 + z_derivative, n_head))
+        return pieces(head, half * head[:, -1])
 
     inner_tol = max(rel_tol / 10.0, 1e-13)
     s_hi = math.log(_UNDERFLOW_X * k.c / (z * omega))
     s_lo = math.log(rel_tol / 4.0 * min(1.0, k.c / (z * omega)))
-    g0 = None  # g(0), one entry per sum: the value, then its z-derivative
+    head = None  # the xi = 0 contractions, one row per sum: values, z-derivatives
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        nonlocal g0
+        nonlocal head
         static = s < s_lo
         xi = omega * np.exp(s[~static])
+        weights = cross_w
+        if head is None:
+            weights = np.transpose([*head_w, *[cross_w] * xi.size])
+            xi = np.append(np.zeros(n_head), xi)
         g = contracted_green_imag(
-            m, z, xi if g0 is not None else np.append(0.0, xi), w_xx, w_zz,
-            rel_tol=inner_tol, z_derivative=z_derivative,
+            m, z, xi, *weights, rel_tol=inner_tol, z_derivative=z_derivative
         )
         g = np.reshape(g, (1 + z_derivative, -1))
-        if g0 is None:
-            g0, g = g[:, :1], g[:, 1:]
-        f = np.repeat(g0, s.size, axis=1)
+        if head is None:
+            head, g = g[:, :n_head], g[:, n_head:]
+        f = np.repeat(head[:, -1:], s.size, axis=1)
         f[:, ~static] = g
         return f * (0.5 / np.cosh(s))
 
@@ -192,8 +217,7 @@ def u_du(
                 False,
             ),
         )
-    result = scale * res.value
-    return tuple(result.tolist()) if z_derivative else float(result[0])
+    return pieces(head, scale * res.value)
 
 
 def u_resonant(

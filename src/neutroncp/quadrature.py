@@ -29,12 +29,13 @@ The fixed rule, :func:`integrate_trapezoid`, is the trapezoidal rule on
 the grid h Z, for integrands that are analytic in a strip about the real
 line and negligible beyond [lo, hi]; its error then falls like
 exp(-2 pi a/h) for a strip of half-width a (Trefethen & Weideman, SIAM
-Rev. 56 (2014) 385).  The step is halved, adding only the odd nodes,
-until the sum settles.  At that rate each halving roughly squares the
-error, so once the sums converge the error of the last one is taken
-from the last two differences, d^2/d' (Bailey, Jeyabalan & Li, Exp.
-Math. 14 (2005) 317), which stops the loop one halving sooner than the
-last difference alone.  Its integrand returns one row per sum, so
+Rev. 56 (2014) 385).  Its first call takes the h = 1/2 grid, whose even
+nodes give the h = 1 sum; from there the step is halved, adding only the
+odd nodes, until the sum settles.  At that rate each halving roughly
+squares the error, so once the sums converge the error of the last one
+is taken from the last two differences, d^2/d' (Bailey, Jeyabalan &
+Li, Exp. Math. 14 (2005) 317), which stops the loop one halving sooner
+than the last difference alone.  Its integrand returns one row per sum, so
 related integrals share the nodes and the halvings.
 
 All three entry points take one tolerance, rel_tol: a sum has
@@ -93,7 +94,8 @@ WEIGHTS_G = np.array(list(_WG_HALF[:-1]) + [_WG_HALF[-1]] + list(reversed(_WG_HA
 # Reported error is floored at this relative level: panel sums accumulate
 # roundoff near 1e-16 per panel, so claiming better would be dishonest.
 _ERROR_FLOOR_REL = 1e-14
-# halvings of integrate_trapezoid's step, from h = 1 to 1/32
+# halvings of integrate_trapezoid's step, from h = 1 to 1/32; the first
+# integrand call takes h = 1/2, so f is called at most this many times
 _MAX_HALVINGS = 5
 # integrate_trapezoid's error model d^2/d' is used only for a sum that
 # the previous halving moved by at most this fraction of itself
@@ -278,12 +280,15 @@ def integrate_trapezoid(
 
     f gets a 1-D array of nodes and returns one row of values per sum
     (a 1-D result is one row).  h starts at 1 and is halved up to
-    _MAX_HALVINGS times; each halving calls f on the new, odd nodes
-    only.  A row's error is its last difference d = |T_h - T_2h|.  From
-    the second halving on it is d^2/d', with d' = |T_2h - T_4h|, where
-    the differences shrink (d < d') and the previous halving moved the
-    sum by at most _MODEL_GATE_REL of it (d' <= 1e-2 |T_h|): for an
-    error that falls like exp(-c/h) each halving roughly squares it.
+    _MAX_HALVINGS times.  The first call takes the whole h = 1/2 grid:
+    T_1 sums its even nodes and T_1/2 adds its odd ones.  Each later
+    halving calls f on the new, odd nodes only.  The loop never stops at
+    h = 1, so the h = 1/2 nodes are always needed.  A row's error is its
+    last difference d = |T_h - T_2h|.  From the second halving on it is
+    d^2/d', with d' = |T_2h - T_4h|, where the differences shrink
+    (d < d') and the previous halving moved the sum by at most
+    _MODEL_GATE_REL of it (d' <= 1e-2 |T_h|): for an error that falls
+    like exp(-c/h) each halving roughly squares it.
     The loop stops when every row has max(error, _ERROR_FLOOR_REL |T_h|)
     <= rel_tol |T_h|, so a rel_tol below the floor never converges.  The
     result holds the rows' sums and those errors as arrays, and
@@ -301,14 +306,21 @@ def integrate_trapezoid(
     Never raises on non-convergence: the result carries converged=False
     and the caller decides whether that is fatal.
     """
+    # the first call takes the h = 1/2 grid: its even nodes make T_1,
+    # its odd ones the first halving's new nodes
+    j0 = math.ceil(2.0 * lo)
+    grid = np.atleast_2d(f(0.5 * np.arange(j0, math.floor(2.0 * hi) + 1)))
     total = 0.0
     evaluations = 0
     for level in range(_MAX_HALVINGS + 1):
         h = 2.0**-level
-        first = math.ceil(lo / h) | (level > 0)  # odd j only, once halving
-        nodes = h * np.arange(first, math.floor(hi / h) + 1, 2 if level else 1)
-        evaluations += nodes.size
-        prev, total = total, 0.5 * total + h * np.atleast_2d(f(nodes)).sum(axis=1)
+        if level < 2:  # the even nodes of the grid, then the odd ones
+            values = grid[:, (j0 + level) % 2 :: 2]
+        else:  # the odd multiples of h
+            first = math.ceil(lo / h) | 1
+            values = np.atleast_2d(f(h * np.arange(first, math.floor(hi / h) + 1, 2)))
+        evaluations += values.shape[1]
+        prev, total = total, 0.5 * total + h * values.sum(axis=1)
         size = np.abs(total)
         diff = np.abs(total - prev)
         error = diff

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,8 +112,8 @@ def test_run_sweep_caps_workers_at_points(monkeypatch):
 
 def test_run_sweep_assembly():
     # the rows the CLI writes are assembled from the potential pieces:
-    # u_dd and u_du come from the solve that also gives their
-    # z-derivatives, within rel_tol of the plain solve; exponent is
+    # u_dd and u_du come from u_du's one solve that also gives their
+    # z-derivatives, within rel_tol of the plain solves; exponent is
     # z u'/u of u = u_dd + u_du from that solve, and it agrees with the
     # Richardson-extrapolated central difference of u
     req = SweepRequest(
@@ -137,8 +138,9 @@ def test_run_sweep_assembly():
     assert len(rows) == 2
     for row in rows:
         z = row["z"]
-        dd, z_ddd = u_dd(z, cfg, m, rel_tol=1e-7, z_derivative=True)
-        du, z_ddu = u_du(z, cfg, m, rel_tol=1e-7, z_derivative=True)
+        (dd, z_ddd), (du, z_ddu) = u_du(
+            z, cfg, m, rel_tol=1e-7, z_derivative=True, with_static=True
+        )
         assert row["status"] == "ok"
         assert row["u_dd"] == dd and row["u_du"] == du
         assert abs(dd - u_dd(z, cfg, m, rel_tol=1e-7)) <= 1e-7 * abs(dd)
@@ -365,6 +367,26 @@ def test_cli_resonant_failures_are_errors(tmp_path, monkeypatch):
     assert all(l.endswith(",nan,error") for l in data[1:])
 
 
+@pytest.mark.parametrize(
+    "model",
+    [["--model", "plasma"], ["--model", "drude", "--gamma", "4.1e12"]],
+    ids=["plasma", "drude"],
+)
+def test_cli_vanishing_field_gives_an_error_row(tmp_path, capsys, model):
+    # at 1e-163 T, (omega/c)^2 underflows to 0: eps - 1 = contrast over it
+    # is no number, so the resonant row is an error with its reason
+    out = tmp_path / "r.csv"
+    argv = [
+        "sweep", *model, "--omega-p", "1.37e16", "--b-ext", "1e-163",
+        "--points", "1", "--outputs", "u_resonant", "--out", str(out),
+    ]
+    assert main(argv) == 1
+    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert data[1:] == ["1.00000000000e-09,nan,error"]
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: z=1.00000000000e-09: omega = 1.817e-155 rad/s is too small")
+
+
 def test_cli_rejects_non_finite_material_parameters():
     for args in (
         ["--model", "plasma", "--omega-p", "nan"],
@@ -512,6 +534,32 @@ def test_exponent_matches_richardson(case, frac):
         return u_dd(zz, cfg, m, rel_tol=1e-12) + u_du(zz, cfg, m, rel_tol=1e-12)
 
     assert abs(row["exponent"] - richardson_power_law(z, ground)) <= 1e-9
+
+
+@pytest.mark.parametrize("case", ["pc", "plasma", "drude", "drude-lorentz"])
+def test_ground_row_is_one_solve(monkeypatch, case):
+    # over fig2's range a u_ground row gets u_dd from u_du's first batch:
+    # at most two k-integral batches of contracted_green_imag, and no
+    # separate u_dd solve
+    config, flags = EXPONENT_CASES[case]
+    req = request(["sweep", "--config", str(config), *flags])
+    rule = neutroncp.greens.integrate_trapezoid
+    batches = []
+
+    def counted(*args):
+        batches.append(args)
+        return rule(*args)
+
+    def no_u_dd(*args, **kwargs):
+        raise AssertionError("a u_ground row solved u_dd on its own")
+
+    monkeypatch.setattr(neutroncp.greens, "integrate_trapezoid", counted)
+    monkeypatch.setattr(cli, "u_dd", no_u_dd)
+    for z in np.geomspace(req.z_min, req.z_max, 7):
+        del batches[:]
+        (row,) = run_sweep(dataclasses.replace(req, z_min=float(z), points=1))
+        assert row["status"] == "ok" and row["u_ground"] > 0.0, row
+        assert 1 <= len(batches) <= 2, z
 
 
 def test_cli_subprocess_determinism(tmp_path):

@@ -453,6 +453,30 @@ def test_batch_meets_rel_tol_over_z_and_tolerance(m, log_z, log_tol):
     assert (np.abs(got - ref) <= rel_tol * np.abs(ref) + 2**-1074).all()
 
 
+def _k_integral_steps(monkeypatch):
+    """The finest step h of each k-integral the rule takes, in call order.
+
+    h is read from the nodes f was called on, the grid h Z, so it does
+    not depend on how the rule groups its calls.
+    """
+    rule = greens.integrate_trapezoid
+    steps = []
+
+    def stepped(f, lo, hi, tol):
+        nodes = []
+
+        def g(w):
+            nodes.append(w)
+            return f(w)
+
+        res = rule(g, lo, hi, tol)
+        steps.append(np.diff(np.unique(np.concatenate(nodes))).min())
+        return res
+
+    monkeypatch.setattr(greens, "integrate_trapezoid", stepped)
+    return steps
+
+
 @pytest.mark.parametrize("rel_tol", [1e-7, 1e-9])
 @pytest.mark.parametrize(
     "m, zs",
@@ -467,47 +491,26 @@ def test_batch_meets_rel_tol_over_z_and_tolerance(m, log_z, log_tol):
 )
 def test_u_du_k_integrals_settle_within_four_calls(monkeypatch, m, zs, rel_tol):
     # every k-integral of u_du, over fig2's and fig1's distance ranges,
-    # settles by h = 1/8 in ln v; counts do not depend on the machine
-    rule = greens.integrate_trapezoid
-    calls = []
-
-    def counted(f, lo, hi, tol):
-        calls.append(0)
-
-        def g(w):
-            calls[-1] += 1
-            return f(w)
-
-        return rule(g, lo, hi, tol)
-
-    monkeypatch.setattr(greens, "integrate_trapezoid", counted)
+    # settles by h = 1/8 in ln v: four calls of a rule that starts on the
+    # h = 1 grid, three of one that starts on h = 1/2.  Counts do not
+    # depend on the machine
+    steps = _k_integral_steps(monkeypatch)
     for z in zs:
         u_du(z, FieldConfig(2.0), m, rel_tol=rel_tol)
-    assert len(calls) >= 2 * len(zs) and max(calls) <= 4
+    assert len(steps) >= len(zs) and min(steps) >= 1 / 8
 
 
 @pytest.mark.parametrize("rel_tol", [1e-7, 1e-9])
 @pytest.mark.parametrize("m", [PC, SILICON_DL], ids=["pc", "drude-lorentz"])
 def test_u_du_k_integrals_settle_within_three_calls(monkeypatch, m, rel_tol):
     # the rule's error model stops these k-integrals at h = 1/4 over
-    # fig2's range; Drude, both plasmas still take four calls at some z
-    rule = greens.integrate_trapezoid
-    calls = []
-
-    def counted(f, lo, hi, tol):
-        calls.append(0)
-
-        def g(w):
-            calls[-1] += 1
-            return f(w)
-
-        return rule(g, lo, hi, tol)
-
-    monkeypatch.setattr(greens, "integrate_trapezoid", counted)
+    # fig2's range (three calls from the h = 1 grid, two from h = 1/2);
+    # Drude, both plasmas still reach h = 1/8 at some z
+    steps = _k_integral_steps(monkeypatch)
     zs = np.geomspace(1e-9, 1e-6, 7)
     for z in zs:
         u_du(float(z), FieldConfig(2.0), m, rel_tol=rel_tol)
-    assert len(calls) >= 2 * len(zs) and max(calls) <= 3
+    assert len(steps) >= len(zs) and min(steps) >= 1 / 4
 
 
 # ---------------------------------------------------------- frozen values

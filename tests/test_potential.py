@@ -393,3 +393,31 @@ def test_u_du_meets_rel_tol_of_the_tight_solve(name, u, log_tol, theta):
     if m is PC:
         single = u_du_mirror_single_integral(z, cfg, rel_tol=1e-12)
         assert abs(got[0] - single) <= rel_tol * single
+
+
+# ------------------------------------------------------ u_dd in u_du's solve
+#
+# with_static=True carries u_dd's static contraction as one more xi = 0
+# entry of u_du's first batch, where the inner tolerance is rel_tol/10.
+# Both pieces must stay within rel_tol of their own solves, for the
+# static weights' edge cases (w_xx = 0 at theta = 0), with and without a
+# field, and with their z-derivatives.
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2, None], ids=["0", "pi/2", "avg"])
+@pytest.mark.parametrize("b_ext", [0.0, 2.0])
+@pytest.mark.parametrize("z_derivative", [False, True])
+def test_folded_u_dd_meets_rel_tol(name, theta, b_ext, z_derivative):
+    m, z_lo, z_hi = ORACLE_MODELS[name]
+    cfg, rel_tol = FieldConfig(b_ext, theta), 1e-8
+    for z in (z_lo, math.sqrt(z_lo * z_hi), z_hi):
+        folded = u_du(z, cfg, m, rel_tol=rel_tol, z_derivative=z_derivative, with_static=True)
+        alone = (
+            u_dd(z, cfg, m, rel_tol=rel_tol, z_derivative=z_derivative),
+            u_du(z, cfg, m, rel_tol=rel_tol, z_derivative=z_derivative),
+        )
+        for got, ref in zip(folded, alone):
+            got, ref = np.atleast_1d(got), np.atleast_1d(ref)
+            assert got.shape == ref.shape
+            assert (np.abs(got - ref) <= rel_tol * np.abs(ref)).all(), (z, got, ref)

@@ -400,11 +400,11 @@ def _noise():
 def test_trapezoid_calls_f_on_the_grid_then_the_odd_nodes(lo, hi):
     f, calls = _counting(_noise())
     res = integrate_trapezoid(f, lo, hi, 1e-9)
-    assert len(calls) == 1 + quadrature._MAX_HALVINGS
-    # every h j in [lo, hi] at h = 1, then the odd multiples of each new h
-    j = np.arange(math.ceil(lo), math.floor(hi) + 1)
-    assert np.array_equal(calls[0], j.astype(float))
-    for level, x in enumerate(calls[1:], start=1):
+    assert len(calls) == quadrature._MAX_HALVINGS
+    # every h j in [lo, hi] at h = 1/2, then the odd multiples of each new h
+    j = np.arange(math.ceil(2 * lo), math.floor(2 * hi) + 1)
+    assert np.array_equal(calls[0], 0.5 * j)
+    for level, x in enumerate(calls[1:], start=2):
         h = 2.0**-level
         j = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
         assert np.array_equal(x, h * j[j % 2 == 1])
@@ -412,12 +412,82 @@ def test_trapezoid_calls_f_on_the_grid_then_the_odd_nodes(lo, hi):
     assert not res.converged
 
 
+def _reference_trapezoid(f, lo, hi, rel_tol):
+    """integrate_trapezoid as one call per step: the h = 1 grid, then the
+    odd nodes of each halving, each summed from its own call."""
+    total, evaluations = 0.0, 0
+    for level in range(quadrature._MAX_HALVINGS + 1):
+        h = 2.0**-level
+        first = math.ceil(lo / h) | (level > 0)
+        nodes = h * np.arange(first, math.floor(hi / h) + 1, 2 if level else 1)
+        evaluations += nodes.size
+        prev, total = total, 0.5 * total + h * np.atleast_2d(f(nodes)).sum(axis=1)
+        size = np.abs(total)
+        error = diff = np.abs(total - prev)
+        if level > 1:
+            trust = (diff < last) & (last <= quadrature._MODEL_GATE_REL * size)
+            error = diff * np.divide(diff, last, out=np.ones_like(diff), where=trust)
+        last = diff
+        abs_error = np.maximum(error, quadrature._ERROR_FLOOR_REL * size)
+        if level and (abs_error <= rel_tol * size).all():
+            return total, abs_error, evaluations, True
+    return total, abs_error, evaluations, False
+
+
+def _rows(x):
+    # three sums: a narrow sech, a Gaussian and a shifted wide sech
+    return np.stack([1.0 / np.cosh((x - 0.3) / 0.2), np.exp(-x * x), 1.0 / np.cosh(x / 3 + 1)])
+
+
+def _grid_noise(x):
+    # the same value at a node on every call, but no two sums agree
+    return np.modf(np.abs(np.sin(12.9898 * x)) * 43758.5453)[0]
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, rel_tol, converged",
+    [
+        (_rows, -40.3, 39.7, 1e-8, True),  # several rows, lo and hi off the grid
+        (_rows, -12.6, 61.1, 1e-4, True),
+        (lambda x: np.exp(-((x / 3.0) ** 2)), -40.0, 40.0, 1e-12, True),
+        (lambda x: 2.0 + 0.0 * x, -3.25, 3.75, 1e-9, True),
+        (_grid_noise, -20.4, 20.2, 1e-6, False),
+        (_rows, -40.0, 40.0, 1e-15, False),  # below the roundoff floor
+    ],
+)
+def test_trapezoid_matches_a_reference_halving_loop(f, lo, hi, rel_tol, converged):
+    # the first call's h = 1/2 grid splits into the reference's first two
+    # sums and each later call is the reference's: the result is the same
+    # to the bit
+    res = integrate_trapezoid(f, lo, hi, rel_tol)
+    value, abs_error, evaluations, ref_converged = _reference_trapezoid(f, lo, hi, rel_tol)
+    assert res.converged is ref_converged is converged
+    assert np.array_equal(res.value, value)
+    assert np.array_equal(res.abs_error, abs_error)
+    assert res.evaluations == evaluations
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, nodes",
+    [
+        (lambda x: np.exp(-((x / 3.0) ** 2)), -40.25, 39.75, 160),
+        (lambda x: 2.0 + 0.0 * x, -3.25, 3.75, 14),
+    ],
+)
+def test_trapezoid_settles_on_its_first_call(f, lo, hi, nodes):
+    # a sum already exact on the h = 1 grid stops at h = 1/2, after one call
+    counted, calls = _counting(f)
+    res = integrate_trapezoid(counted, lo, hi, 1e-9)
+    assert res.converged and len(calls) == 1
+    assert res.evaluations == len(calls[0]) == nodes
+
+
 def test_trapezoid_rows_share_the_nodes():
     # each row settles to its own integral; the run stops when both have
     rows = lambda x: np.stack([np.exp(-x * x), 0.5 / np.cosh(x)])
     f, calls = _counting(rows)
     res = integrate_trapezoid(f, -40.0, 40.0, 1e-12)
-    assert res.converged and len(calls) < 1 + quadrature._MAX_HALVINGS
+    assert res.converged and len(calls) < quadrature._MAX_HALVINGS
     assert abs(res.value[0] - math.sqrt(math.pi)) <= 1e-12 * math.sqrt(math.pi)
     assert abs(res.value[1] - math.pi / 2.0) <= 1e-12 * math.pi / 2.0
     assert (res.abs_error <= 1e-12 * np.abs(res.value)).all()
