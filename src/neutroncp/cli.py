@@ -20,6 +20,7 @@ identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import json
 import sys
@@ -131,21 +132,24 @@ def _sweep_point(payload: tuple[SweepRequest, float]) -> dict[str, object]:
     status = "ok"
     reason = ""
 
-    # u_dd rides in u_du's solve, and the exponent z u'/u takes u and z u'
+    # u_du solves u_dd with it, and the exponent z u'/u takes u and z u'
     # from that solve too
     slope = "exponent" in want
+    both = slope or want & {"u_du", "u_ground", "u_excited"}
     dd = du = zdd = zdu = math.nan
     try:
         if slope:
-            (dd, zdd), (du, zdu) = u_du(
-                z, cfg, m, rel_tol=req.rel_tol, z_derivative=True, with_static=True
-            )
-        elif want & {"u_du", "u_ground", "u_excited"}:
-            dd, du = u_du(z, cfg, m, rel_tol=req.rel_tol, with_static=True)
+            (dd, zdd), (du, zdu) = u_du(z, cfg, m, rel_tol=req.rel_tol, z_derivative=True)
+        elif both:
+            dd, du = u_du(z, cfg, m, rel_tol=req.rel_tol)
         elif "u_dd" in want:
             dd = u_dd(z, cfg, m, rel_tol=req.rel_tol)
     except IntegrationError as exc:
         status, reason = "error", str(exc)
+        if both and "u_dd" in want:
+            # an error row still carries a u_dd that settles on its own
+            with contextlib.suppress(IntegrationError):
+                dd = u_dd(z, cfg, m, rel_tol=req.rel_tol)
 
     # without a field there is no resonant channel: nan, not a failure
     resonant = math.nan

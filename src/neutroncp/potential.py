@@ -127,11 +127,11 @@ def u_du(
     m: Material,
     rel_tol: float = _DEFAULT_REL_TOL,
     z_derivative: bool = False,
-    with_static: bool = False,
 ):
-    """Cross-state piece: Lorentzian-weighted imaginary-frequency sum.
+    """Static and cross pieces, (u_dd, u_du), from one solve.
 
-    The integral over xi of g(xi), the k-integral of contracted_green_imag,
+    The cross piece is a Lorentzian-weighted imaginary-frequency sum: the
+    integral over xi of g(xi), the k-integral of contracted_green_imag,
     is the trapezoidal rule in s = ln(xi/omega)
     (quadrature.integrate_trapezoid): the weight is sech(s)/2 and g is
     analytic for |Im s| < pi/2, so the error falls like exp(-pi^2/h)
@@ -143,44 +143,40 @@ def u_du(
     fail.  No node lies above ln(_UNDERFLOW_X c/(z omega)), where g is
     exactly 0.  Below s_lo = ln(rel_tol/4 min(1, c/(z omega))) g is its
     static value g(0), taken down to s_lo - 40 without a k-integral.  The
-    k-integrals of one call of the rule (g(0) with the first) are one
-    batch of contracted_green_imag, itself a trapezoidal rule in ln v, at
-    tolerance rel_tol/10 (at least 1e-13).  Raises IntegrationError if one
-    misses it (naming xi and z) or the sum has not settled after the last
-    halving (naming z and B).
+    k-integrals of one call of the rule are one batch of
+    contracted_green_imag, itself a trapezoidal rule in ln v, at
+    tolerance rel_tol/10 (at least 1e-13).  The first batch is led by two
+    xi = 0 entries: u_dd's static contraction, with the static weights,
+    and g(0).  Where that tolerance is above rel_tol (rel_tol < 1e-13),
+    u_dd is solved on its own instead.  At B = 0 both pieces come from
+    one batch of the two xi = 0 entries at rel_tol.  Raises
+    IntegrationError if a k-integral misses its tolerance (naming xi and
+    z) or the sum has not settled after the last halving (naming z and
+    B).
 
-    z_derivative=True returns the pair (u_du, z du_du/dz) from one solve:
-    every k-integral carries its z-derivative as a partner row, the nodes
-    do not depend on z, and both sums must settle.
-
-    with_static=True returns (u_dd, u_du), each a pair under
-    z_derivative, from the same solve: u_dd's static contraction is one
-    more xi = 0 entry, with the static weights, in the first batch, so it
-    is solved at the inner tolerance.  At B = 0 both pieces come from one
-    batch of the two xi = 0 entries.
+    z_derivative=True returns each piece as the pair (u, z du/dz) from the
+    same solve: every k-integral carries its z-derivative as a partner
+    row, the nodes do not depend on z, and both sums must settle.
     """
     k = CONSTANTS
     cross_w = _cross_weights(cfg.theta)
     # the xi = 0 entries that lead the first batch, as (w_xx, w_zz) pairs:
-    # u_dd's static contraction if asked for, then g(0)
-    head_w = [_static_weights(cfg.theta), cross_w] if with_static else [cross_w]
-    n_head = len(head_w)
+    # u_dd's static contraction, then g(0)
+    head_w = [_static_weights(cfg.theta), cross_w]
     half = 0.5 * k.mu0 * _MOMENT_SQ  # u_dd per unit contraction
 
-    def pieces(head: np.ndarray, cross: np.ndarray):
-        # head: the xi = 0 contractions, cross: u_du; one row per sum
-        out = [half * head[:, 0], cross] if with_static else [cross]
-        out = [tuple(p.tolist()) if z_derivative else float(p[0]) for p in out]
-        return tuple(out) if with_static else out[0]
+    def pieces(dd: np.ndarray, du: np.ndarray):
+        # one entry per sum: the value, then its z-derivative
+        return tuple(tuple(p.tolist()) if z_derivative else float(p[0]) for p in (dd, du))
 
     omega = transition_frequency(cfg)
     if omega == 0.0:
         head = contracted_green_imag(
-            m, z, np.zeros(n_head), *np.transpose(head_w), rel_tol=rel_tol,
+            m, z, np.zeros(2), *np.transpose(head_w), rel_tol=rel_tol,
             z_derivative=z_derivative,
         )
-        head = np.reshape(head, (1 + z_derivative, n_head))
-        return pieces(head, half * head[:, -1])
+        head = half * np.reshape(head, (1 + z_derivative, 2))
+        return pieces(head[:, 0], head[:, 1])
 
     inner_tol = max(rel_tol / 10.0, 1e-13)
     s_hi = math.log(_UNDERFLOW_X * k.c / (z * omega))
@@ -194,14 +190,14 @@ def u_du(
         weights = cross_w
         if head is None:
             weights = np.transpose([*head_w, *[cross_w] * xi.size])
-            xi = np.append(np.zeros(n_head), xi)
+            xi = np.append(np.zeros(2), xi)
         g = contracted_green_imag(
             m, z, xi, *weights, rel_tol=inner_tol, z_derivative=z_derivative
         )
         g = np.reshape(g, (1 + z_derivative, -1))
         if head is None:
-            head, g = g[:, :n_head], g[:, n_head:]
-        f = np.repeat(head[:, -1:], s.size, axis=1)
+            head, g = g[:, :2], g[:, 2:]
+        f = np.repeat(head[:, 1:], s.size, axis=1)
         f[:, ~static] = g
         return f * (0.5 / np.cosh(s))
 
@@ -217,7 +213,11 @@ def u_du(
                 False,
             ),
         )
-    return pieces(head, scale * res.value)
+    dd = half * head[:, 0]
+    if inner_tol > rel_tol:
+        # the batch is not solved below 1e-13; a tighter u_dd is its own solve
+        dd = np.ravel(u_dd(z, cfg, m, rel_tol=rel_tol, z_derivative=z_derivative))
+    return pieces(dd, scale * res.value)
 
 
 def u_resonant(

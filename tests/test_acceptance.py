@@ -46,7 +46,7 @@ SILICON_DL = DrudeLorentz(omega_p=2.3e16, omega_t=7.1e16)
 
 
 def ground(z, cfg, m, rel_tol):
-    return u_dd(z, cfg, m, rel_tol=rel_tol) + u_du(z, cfg, m, rel_tol=rel_tol)
+    return u_dd(z, cfg, m, rel_tol=rel_tol) + u_du(z, cfg, m, rel_tol=rel_tol)[1]
 
 
 def test_criterion_01_mirror_dual_route_agreement():
@@ -60,7 +60,7 @@ def test_criterion_01_mirror_dual_route_agreement():
         z = z_c * 10.0**k
         for theta in (0.0, math.pi / 4, math.pi / 2):
             cfg = FieldConfig(2.0, theta)
-            general = u_du(z, cfg, PC, rel_tol=1e-8)
+            general = u_du(z, cfg, PC, rel_tol=1e-8)[1]
             single = u_du_mirror_single_integral(z, cfg, rel_tol=1e-10)
             worst = max(worst, abs(general / single - 1.0))
     elapsed = time.monotonic() - start
@@ -75,12 +75,12 @@ def test_criterion_02_mirror_asymptotes():
     for theta in (0.0, None, math.pi / 2):
         cfg = FieldConfig(2.0, theta)
         near = z_c / 300.0
-        dev_near = u_du(near, cfg, PC, rel_tol=1e-8) / nonretarded_mirror_u_du(
+        dev_near = u_du(near, cfg, PC, rel_tol=1e-8)[1] / nonretarded_mirror_u_du(
             near, cfg
         ) - 1.0
         assert abs(dev_near) <= 0.01, f"theta={theta}: near dev {dev_near:.3e}"
         far = 300.0 * z_c
-        dev_far = u_du(far, cfg, PC, rel_tol=1e-8) / retarded_mirror_u_du(
+        dev_far = u_du(far, cfg, PC, rel_tol=1e-8)[1] / retarded_mirror_u_du(
             far, cfg
         ) - 1.0
         assert abs(dev_far) <= 0.01, f"theta={theta}: far dev {dev_far:.3e}"

@@ -80,7 +80,7 @@ def test_mirror_dual_route():
     for z, rel_tol in (
         (1e-8, 1e-9), (1e-3, 1e-9), (0.8247507615140914, 1e-9), (8.0, 1e-9), (820.0, 1e-11)
     ):
-        general = u_du(z, cfg, PC, rel_tol=rel_tol)
+        general = u_du(z, cfg, PC, rel_tol=rel_tol)[1]
         single = u_du_mirror_single_integral(z, cfg, rel_tol=1e-11)
         assert general == pytest.approx(single, rel=1e-7)
 
@@ -88,8 +88,8 @@ def test_mirror_dual_route():
 def test_unsettled_outer_sum_raises(monkeypatch):
     # a contraction that differs at every node never lets the halved
     # trapezoidal sums agree: u_du must raise, and a sweep row through
-    # it must say error.  With the z-derivative only the derivative is
-    # noisy, and both sums must settle
+    # it must say error but keep u_dd, whose own solve settles.  With the
+    # z-derivative only the derivative is noisy, and both sums must settle
     rng = np.random.default_rng(7)
 
     def noisy(m, z, xi, w_xx, w_zz, rel_tol, z_derivative=False):
@@ -100,9 +100,11 @@ def test_unsettled_outer_sum_raises(monkeypatch):
     for z_derivative in (False, True):
         with pytest.raises(IntegrationError, match=r"z=3\.000e-08, B=2\.000e\+00"):
             u_du(3e-8, FieldConfig(2.0), PC, rel_tol=1e-9, z_derivative=z_derivative)
-    req = SweepRequest(model="pc", z_min=3e-8, z_max=3e-8, points=1)
-    (row,) = run_sweep(req)
-    assert row["status"] == "error" and math.isnan(row["u_du"])
+    for outputs in (("u_dd", "u_du", "u_ground"), ("u_dd", "exponent")):
+        req = SweepRequest(model="pc", z_min=3e-8, z_max=3e-8, points=1, outputs=outputs)
+        (row,) = run_sweep(req)
+        assert row["status"] == "error" and math.isnan(row.get("u_du", math.nan))
+        assert math.isfinite(row["u_dd"]) and math.isnan(row.get("exponent", math.nan))
 
 
 def test_unconverged_mirror_reference_reports_joules(monkeypatch):
@@ -127,7 +129,7 @@ def test_u_du_below_the_roundoff_floor_raises(m):
     cfg = FieldConfig(2.0)
     with pytest.raises(IntegrationError, match=r"z=1\.000e-08, B=2\.000e\+00") as info:
         u_du(1e-8, cfg, m, rel_tol=1e-15)
-    settled = u_du(1e-8, cfg, m, rel_tol=1e-14)
+    _, settled = u_du(1e-8, cfg, m, rel_tol=1e-14)
     assert not info.value.result.converged
     assert info.value.result.value == pytest.approx(settled, rel=1e-13)
 
@@ -139,8 +141,8 @@ def test_fig1_plasma_u_du_settles_at_tight_tolerance():
     m = Plasma(omega_p=363494611.93541175)
     cfg = FieldConfig(2.0, None)
     for z, rel_tol in ((1e-9, 1e-12), (1e-6, 1e-13)):
-        tight = u_du(z, cfg, m, rel_tol=rel_tol)
-        loose = u_du(z, cfg, m, rel_tol=1e-9)
+        tight = u_du(z, cfg, m, rel_tol=rel_tol)[1]
+        loose = u_du(z, cfg, m, rel_tol=1e-9)[1]
         assert abs(tight - loose) <= 1e-9 * abs(tight)
 
 
@@ -149,7 +151,7 @@ def test_zero_field_collapses_to_half_static():
     z = 1e-6
     for theta in (0.0, 1.1, None):
         cfg0 = FieldConfig(0.0, theta)
-        got = u_du(z, cfg0, PC)
+        got = u_du(z, cfg0, PC)[1]
         c2 = 1.0 / 3.0 if theta is None else math.cos(theta) ** 2
         expected = BASE * (3.0 - c2) / (256.0 * math.pi * z**3)
         assert got == pytest.approx(expected, rel=1e-9)
@@ -160,8 +162,8 @@ def test_zero_field_continuity():
     z = 1e-6
     cfg_tiny = FieldConfig(1e-9, 0.5)
     cfg_zero = FieldConfig(0.0, 0.5)
-    a = u_du(z, cfg_tiny, PC, rel_tol=1e-9)
-    b = u_du(z, cfg_zero, PC, rel_tol=1e-9)
+    a = u_du(z, cfg_tiny, PC, rel_tol=1e-9)[1]
+    b = u_du(z, cfg_zero, PC, rel_tol=1e-9)[1]
     assert a == pytest.approx(b, rel=1e-6)
 
 
@@ -169,7 +171,7 @@ def test_zero_field_ground_state_angle_independent():
     # at B = 0 the static and cross weights sum to (2, 1) at every angle
     z = 1e-7
     vals = [
-        u_dd(z, FieldConfig(0.0, th), PC) + u_du(z, FieldConfig(0.0, th), PC)
+        u_dd(z, FieldConfig(0.0, th), PC) + u_du(z, FieldConfig(0.0, th), PC)[1]
         for th in (0.0, 0.9, math.pi / 2, None)
     ]
     for v in vals[1:]:
@@ -181,8 +183,8 @@ def test_nonretarded_ground_state_angle_independent():
     z = 1e-9
     cfg_a = FieldConfig(2.0, 0.0)
     cfg_b = FieldConfig(2.0, math.pi / 2)
-    ua = u_dd(z, cfg_a, PC) + u_du(z, cfg_a, PC)
-    ub = u_dd(z, cfg_b, PC) + u_du(z, cfg_b, PC)
+    ua = u_dd(z, cfg_a, PC) + u_du(z, cfg_a, PC)[1]
+    ub = u_dd(z, cfg_b, PC) + u_du(z, cfg_b, PC)[1]
     assert ua == pytest.approx(ub, rel=1e-6)
 
 
@@ -191,10 +193,10 @@ def test_asymptote_margins():
     for theta in (0.0, None, math.pi / 2):
         cfg = FieldConfig(2.0, theta)
         near = z_c / 300.0
-        dev = u_du(near, cfg, PC) / nonretarded_mirror_u_du(near, cfg) - 1.0
+        dev = u_du(near, cfg, PC)[1] / nonretarded_mirror_u_du(near, cfg) - 1.0
         assert abs(dev) < 0.01
         far = 300.0 * z_c
-        dev = u_du(far, cfg, PC) / retarded_mirror_u_du(far, cfg) - 1.0
+        dev = u_du(far, cfg, PC)[1] / retarded_mirror_u_du(far, cfg) - 1.0
         assert abs(dev) < 0.01
 
 
@@ -264,7 +266,7 @@ def test_resonant_small_frequency_limit():
     z = 1e-7
     theta = 0.4
     r = u_resonant(z, FieldConfig(1e-6, theta), PC, rel_tol=1e-10)
-    half = u_du(z, FieldConfig(0.0, theta), PC, rel_tol=1e-10)
+    half = u_du(z, FieldConfig(0.0, theta), PC, rel_tol=1e-10)[1]
     assert r == pytest.approx(2.0 * half, rel=1e-6)
 
 
@@ -353,7 +355,7 @@ FROZEN_U_DU = [
 @pytest.mark.parametrize("m, z, ref", FROZEN_U_DU)
 def test_u_du_frozen(m, z, ref):
     rel_tol = 1e-9
-    got = u_du(z, FieldConfig(2.0, None), m, rel_tol=rel_tol)
+    got = u_du(z, FieldConfig(2.0, None), m, rel_tol=rel_tol)[1]
     assert abs(got - ref) <= rel_tol * abs(ref)
 
 
@@ -362,8 +364,9 @@ def test_u_du_frozen(m, z, ref):
 # The trapezoidal rule takes a converging sum's error from its last two
 # differences and stops a halving sooner than the last difference alone
 # would.  Over each model's distance range, extended ten times each way,
-# u_du and z du_du/dz must still lie within rel_tol of the rel_tol 1e-13
-# solve, and the ideal mirror within rel_tol of its reduced integral.
+# u_dd, u_du and their z-derivatives must still lie within rel_tol of the
+# rel_tol 1e-13 solve, and the ideal mirror within rel_tol of its reduced
+# integral.
 
 ORACLE_MODELS = {
     "pc": (PC, 1e-9, 1e-6),
@@ -388,36 +391,52 @@ def test_u_du_meets_rel_tol_of_the_tight_solve(name, u, log_tol, theta):
     cfg = FieldConfig(2.0, theta)
     got = u_du(z, cfg, m, rel_tol=rel_tol, z_derivative=True)
     ref = u_du(z, cfg, m, rel_tol=1e-13, z_derivative=True)
-    for a, b in zip(got, ref):
+    for a, b in zip(np.ravel(got), np.ravel(ref)):
         assert abs(a - b) <= rel_tol * abs(b)
     if m is PC:
         single = u_du_mirror_single_integral(z, cfg, rel_tol=1e-12)
-        assert abs(got[0] - single) <= rel_tol * single
+        assert abs(got[1][0] - single) <= rel_tol * single
 
 
 # ------------------------------------------------------ u_dd in u_du's solve
 #
-# with_static=True carries u_dd's static contraction as one more xi = 0
-# entry of u_du's first batch, where the inner tolerance is rel_tol/10.
-# Both pieces must stay within rel_tol of their own solves, for the
-# static weights' edge cases (w_xx = 0 at theta = 0), with and without a
-# field, and with their z-derivatives.
+# u_du carries u_dd's static contraction as one more xi = 0 entry of its
+# first batch, solved at the inner tolerance rel_tol/10, and solves u_dd
+# on its own where that tolerance, at least 1e-13, is above rel_tol.  Its
+# u_dd must stay within rel_tol of u_dd's own solve, for the static
+# weights' edge cases (w_xx = 0 at theta = 0), with and without a field,
+# and with the z-derivative.
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2, None], ids=["0", "pi/2", "avg"])
 @pytest.mark.parametrize("b_ext", [0.0, 2.0])
 @pytest.mark.parametrize("z_derivative", [False, True])
-def test_folded_u_dd_meets_rel_tol(name, theta, b_ext, z_derivative):
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-14])
+def test_folded_u_dd_meets_rel_tol(name, theta, b_ext, z_derivative, rel_tol):
     m, z_lo, z_hi = ORACLE_MODELS[name]
-    cfg, rel_tol = FieldConfig(b_ext, theta), 1e-8
+    cfg = FieldConfig(b_ext, theta)
     for z in (z_lo, math.sqrt(z_lo * z_hi), z_hi):
-        folded = u_du(z, cfg, m, rel_tol=rel_tol, z_derivative=z_derivative, with_static=True)
-        alone = (
-            u_dd(z, cfg, m, rel_tol=rel_tol, z_derivative=z_derivative),
-            u_du(z, cfg, m, rel_tol=rel_tol, z_derivative=z_derivative),
-        )
-        for got, ref in zip(folded, alone):
-            got, ref = np.atleast_1d(got), np.atleast_1d(ref)
-            assert got.shape == ref.shape
-            assert (np.abs(got - ref) <= rel_tol * np.abs(ref)).all(), (z, got, ref)
+        folded, _ = u_du(z, cfg, m, rel_tol=rel_tol, z_derivative=z_derivative)
+        got = np.ravel(folded)
+        ref = np.ravel(u_dd(z, cfg, m, rel_tol=rel_tol, z_derivative=z_derivative))
+        assert got.shape == ref.shape
+        assert (np.abs(got - ref) <= rel_tol * np.abs(ref)).all(), (z, got, ref)
+
+
+@pytest.mark.parametrize("b_ext", [0.0, 2.0])
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-13, 1e-14])
+def test_folded_u_dd_is_solved_to_rel_tol(monkeypatch, b_ext, rel_tol):
+    # at theta = 0 the static contraction is h_zz(0) alone, the only
+    # xi = 0 entry with w_zz = 1 (g(0) has w_zz = 0).  Some k-integral of
+    # it must be asked for rel_tol, also where u_du's batches stop at 1e-13
+    asked = []
+
+    def spy(m, z, xi, w_xx, w_zz, rel_tol, z_derivative=False):
+        static = (np.ravel(xi) == 0.0) & (np.ravel(w_zz + 0.0 * np.asarray(xi)) == 1.0)
+        asked.extend([rel_tol] * np.count_nonzero(static))
+        return greens.contracted_green_imag(m, z, xi, w_xx, w_zz, rel_tol, z_derivative)
+
+    monkeypatch.setattr(potential, "contracted_green_imag", spy)
+    u_du(1e-8, FieldConfig(b_ext, 0.0), PC, rel_tol=rel_tol)
+    assert asked and min(asked) <= rel_tol
