@@ -28,7 +28,7 @@ then still bind; Drude-type media do not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,7 +43,7 @@ from .materials import (
     Plasma,
     longitudinal_frequency,
 )
-from .quadrature import QuadratureResult, integrate_semi_infinite, integrate_trapezoid
+from .quadrature import QuadratureResult, integrate_trapezoid
 
 _DEFAULT_REL_TOL = 1e-9
 # (hbar gamma_n / 2)^2, the neutron's squared magnetic moment in J^2/T^2
@@ -96,29 +96,20 @@ def _cross_weights(theta: Optional[float]) -> tuple[float, float]:
     return 1.0 + c2, 1.0 - c2
 
 
-def _scaled(factor: float, contraction):
-    """factor times a contraction, or times each of a (value, z d/dz) pair."""
-    if isinstance(contraction, tuple):
-        return tuple(factor * c for c in contraction)
-    return factor * contraction
-
-
 def u_dd(
     z: float,
     cfg: FieldConfig,
     m: Material,
     rel_tol: float = _DEFAULT_REL_TOL,
-    z_derivative: bool = False,
-):
+) -> float:
     """Static same-state piece; equal for both spin states.
 
-    z_derivative=True returns the pair (u_dd, z du_dd/dz) from one solve.
+    Its z-derivative comes with u_du's solve (u_du(..., z_derivative=True)),
+    which carries this contraction as its first entry.
     """
     w_xx, w_zz = _static_weights(cfg.theta)
-    contraction = contracted_green_imag(
-        m, z, 0.0, w_xx, w_zz, rel_tol=rel_tol, z_derivative=z_derivative
-    )
-    return _scaled(0.5 * CONSTANTS.mu0 * _MOMENT_SQ, contraction)
+    contraction = contracted_green_imag(m, z, 0.0, w_xx, w_zz, rel_tol=rel_tol)
+    return 0.5 * CONSTANTS.mu0 * _MOMENT_SQ * contraction
 
 
 def u_du(
@@ -145,11 +136,12 @@ def u_du(
     static value g(0), taken down to s_lo - 40 without a k-integral.  The
     k-integrals of one call of the rule are one batch of
     contracted_green_imag, itself a trapezoidal rule in ln v, at
-    tolerance rel_tol/10 (at least 1e-13).  The first batch is led by two
-    xi = 0 entries: u_dd's static contraction, with the static weights,
-    and g(0).  Where that tolerance is above rel_tol (rel_tol < 1e-13),
-    u_dd is solved on its own instead.  At B = 0 both pieces come from
-    one batch of the two xi = 0 entries at rel_tol.  Raises
+    tolerance rel_tol/10 raised to 1e-13, but never above rel_tol nor
+    below the 1e-14 floor (rel_tol itself from 1e-14 to 1e-13).  The
+    first batch is led by two xi = 0 entries: u_dd's static contraction,
+    with the static weights, and g(0), so u_dd is solved to that
+    tolerance too.  At B = 0 both pieces come from one batch of the two
+    xi = 0 entries at rel_tol.  Raises
     IntegrationError if a k-integral misses its tolerance (naming xi and
     z) or the sum has not settled after the last halving (naming z and
     B).
@@ -178,7 +170,7 @@ def u_du(
         head = half * np.reshape(head, (1 + z_derivative, 2))
         return pieces(head[:, 0], head[:, 1])
 
-    inner_tol = max(rel_tol / 10.0, 1e-13)
+    inner_tol = min(max(rel_tol / 10.0, 1e-13), max(rel_tol, 1e-14))
     s_hi = math.log(_UNDERFLOW_X * k.c / (z * omega))
     s_lo = math.log(rel_tol / 4.0 * min(1.0, k.c / (z * omega)))
     head = None  # the xi = 0 contractions, one row per sum: values, z-derivatives
@@ -213,11 +205,7 @@ def u_du(
                 False,
             ),
         )
-    dd = half * head[:, 0]
-    if inner_tol > rel_tol:
-        # the batch is not solved below 1e-13; a tighter u_dd is its own solve
-        dd = np.ravel(u_dd(z, cfg, m, rel_tol=rel_tol, z_derivative=z_derivative))
-    return pieces(dd, scale * res.value)
+    return pieces(half * head[:, 0], scale * res.value)
 
 
 def u_resonant(
@@ -257,24 +245,65 @@ def orientation_average(fn: Callable[[float], float]) -> float:
     return 0.5 * sum(w * fn(math.acos(x)) for x, w in zip(nodes, weights))
 
 
+def _si_ci_series(a: float) -> tuple[float, float, float]:
+    """f(a), g(a) and 1/a - f(a), the auxiliary functions of the sine and
+    cosine integrals (Abramowitz & Stegun 5.2.6-5.2.7), for 0 < a < 2.
+
+    From the power series of Si and Ci (5.2.14, 5.2.16) to the a^29 term,
+    below 1e-23 at a = 2, each summed with its constants by math.fsum.
+    """
+    # Euler's gamma and ln a start Ci's sum, -pi/2 starts Si's
+    term, si, ci = 1.0, [-math.pi / 2.0], [0.5772156649015329, math.log(a)]
+    for n in range(1, 30):
+        term *= a / n  # a^n / n!
+        (si if n % 2 else ci).append((-1) ** (n // 2) * term / n)
+    si, ci = math.fsum(si), math.fsum(ci)  # Si(a) - pi/2 and Ci(a)
+    sin, cos = math.sin(a), math.cos(a)
+    f = ci * sin - si * cos
+    return f, -ci * cos - si * sin, 1.0 / a - f
+
+
+def _si_ci_continued_fraction(a: float) -> tuple[float, float, float]:
+    """f(a), g(a) and 1/a - f(a) as _si_ci_series gives them, for a >= 2.
+
+    f + i g = i e^(ia) E1(ia) = 1/(a - i r), where r is the tail of the
+    even continued fraction of e^z E1(z) (A&S 5.1.22) at z = ia:
+        e^z E1(z) = 1/(z + r),  r = 1 - 1/(z + 3 - 4/(z + 5 - 9/(z + 7 - ...))),
+    evaluated from its level 20 + 200/a down, which settles it to 1e-16.
+    Then 1/a - f = -Re[i r / (a (a - i r))], about 2/a^3, comes without
+    the cancellation of 1/a - f.
+    """
+    n = 20 + int(200.0 / a)
+    t = complex(2 * n + 1, a)
+    for j in range(n - 1, 0, -1):
+        t = complex(2 * j + 1, a) - (j + 1) ** 2 / t
+    ir = 1j * (1.0 - 1.0 / t)
+    h = 1.0 / (a - ir)
+    return h.real, h.imag, -(ir / (a * (a - ir))).real
+
+
 def u_du_mirror_single_integral(
     z: float,
     cfg: FieldConfig,
     rel_tol: float = _DEFAULT_REL_TOL,
 ) -> float:
-    """Ideal-mirror cross piece via the reduced one-dimensional integral.
+    """Ideal-mirror cross piece in closed form: the reference for u_du.
 
     Independent reference route for the general double-integral path:
-    the transverse-wavevector integral is done in closed form first,
-    leaving a single integral in x = xi z / c over the polynomial pair
+    the transverse-wavevector integral done first leaves a single
+    integral in x = xi z / c over the polynomial
 
-        f(x) = 5 + 10 x + 12 x^2,   g(x) = -1 - 2 x + 4 x^2
+        (5 - c2t) + (10 - 2 c2t) x + (12 + 4 c2t) x^2,   c2t = cos(2 theta),
 
     times e^(-2x), against the Lorentzian weight b/(x^2 + b^2) with
-    b = omega z / c.  Must agree with u_du for the ideal mirror to
-    quadrature accuracy; the two routes are kept separate on purpose.
-    Raises IntegrationError, with the value in J, if the integral misses
-    rel_tol.
+    b = omega z / c.  With a = 2b its three moments are f(a), b g(a) and
+    b^2 (1/a - f(a)) (Abramowitz & Stegun 5.2.12-5.2.13), f and g the
+    auxiliary functions of the sine and cosine integrals: a power series
+    below a = 2 and a continued fraction from there on, within 1e-15
+    relative.  u_du for the ideal mirror must agree with it to u_du's
+    rel_tol; the two routes share no code.  No quadrature runs, so it
+    never raises; rel_tol has no effect and is kept so that existing
+    callers run unchanged.
     """
     k = CONSTANTS
     c2t = 2.0 * _cos2(cfg.theta) - 1.0  # cos(2 theta)
@@ -282,21 +311,11 @@ def u_du_mirror_single_integral(
     omega = transition_frequency(cfg)
     if omega == 0.0:
         return pref * (math.pi / 2.0) * (5.0 - c2t)
-
     b = omega * z / k.c
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        poly = (5.0 + 10.0 * x + 12.0 * x * x) + c2t * (-1.0 - 2.0 * x + 4.0 * x * x)
-        return b / (x * x + b * b) * poly * np.exp(-2.0 * x)
-
-    bps = [b * 10.0**p for p in range(-6, 7)] + [0.05, 0.5, 5.0]
-    res = integrate_semi_infinite(integrand, rel_tol, breakpoints=bps)
-    if not res.converged:
-        raise IntegrationError(
-            f"mirror reference integral did not converge (z={z:.3e})",
-            replace(res, value=pref * res.value, abs_error=pref * res.abs_error),
-        )
-    return pref * res.value
+    a = 2.0 * b
+    f, g, tail = (_si_ci_series if a < 2.0 else _si_ci_continued_fraction)(a)
+    moments = (5.0 - c2t) * f + (10.0 - 2.0 * c2t) * b * g + (12.0 + 4.0 * c2t) * b * b * tail
+    return pref * moments
 
 
 def nonretarded_mirror_u_du(z: float, cfg: FieldConfig) -> float:

@@ -19,6 +19,11 @@ in the sine and cosine integrals, in seconds, and keeps every other
 entry byte for byte.
 ``--real`` rewrites only the real-axis contractions, about 15 s on one
 core, and keeps every other entry byte for byte.
+``--contour`` rewrites only the real-axis contractions beyond the
+original path's reach, from the vertical line k_z z = w + iu, about
+20 s on one core, and keeps every other entry byte for byte.  It
+first checks that the line reproduces every ``--real`` entry to 1e-20
+and stops if one is further off.
 ``--check`` recomputes the first u_du value at 36 digits with every xi
 interval split in two and prints both values and their relative
 difference.
@@ -80,6 +85,10 @@ SMALL_XI_HEIGHTS = (1e-9, 1e-6)
 MIRROR_HEIGHTS = tuple(10.0**p for p in range(-9, 4))
 MIRROR_THETAS = (None, 0.3)
 MIRROR_DIGITS = 40
+# heights where only the closed-form reference is checked: a = 2.4e4 and
+# 2.4e5, where 1/a - f(a), about 2/a^3, taken as a difference in double
+# precision loses 8 to 10 digits
+MIRROR_FAR_HEIGHTS = (1e4, 1e5)
 # the real-axis contraction at B_EXT, orientation averaged: Drude-Lorentz
 # below its resonance (lossless, eps = 1.1), fig1's plasma (lossless,
 # eps = 0 at the transition frequency) and fig2's Drude
@@ -229,6 +238,23 @@ def real_eps_minus_one(model: str, p: dict, omega):
     return wp2 / (mp.mpf(p["omega_t"]) ** 2 - omega**2)
 
 
+def real_setup(model: str, p: dict, z: float, omega: float):
+    """w = omega z / c and eps(omega) - 1, at the working precision it sets.
+
+    On the tail r_s loses about log10(u^2/|d|) digits, d = (eps - 1) w^2,
+    and e^(-2u) still counts up to u = 40, so that precision is DIGITS
+    plus log10(1600/|d|).  Both are taken twice: at DIGITS to find it,
+    then at it.
+    """
+    omega, zm = mp.mpf(omega), mp.mpf(z)
+    mp.mp.dps = DIGITS
+    for _ in range(2):
+        w = omega * zm / mp.mpf(CONSTANTS.c)
+        em1 = real_eps_minus_one(model, p, omega)
+        mp.mp.dps = DIGITS + max(0, int(mp.ceil(mp.log10(1600 / abs(em1 * w * w)))))
+    return w, em1
+
+
 def real_reference(model: str, p: dict, z: float) -> dict:
     """(4/3) h_xx(omega) + (2/3) h_zz(omega) at B_EXT in 1/m^3, complex.
 
@@ -245,15 +271,11 @@ def real_reference(model: str, p: dict, z: float) -> dict:
     k_m z = sqrt((k_z z)^2 + d) on the principal branch, d = (eps - 1) w^2.
     The propagating segment is cut at every period pi of e^(2iv) and at
     the total-reflection kink; the tail at |sqrt(d)|, at w and
-    geometrically from the smaller of them up to 0.5.  On the tail r_s
-    loses about log10(u^2/|d|) digits, and e^(-2u) still counts up to
-    u = 40, so the working precision is DIGITS plus log10(1600/|d|).
+    geometrically from the smaller of them up to 0.5.  The working
+    precision is real_setup's.
     """
-    omega = mp.mpf(transition_frequency(FieldConfig(B_EXT)))
     zm = mp.mpf(z)
-    w = omega * zm / mp.mpf(CONSTANTS.c)
-    em1 = real_eps_minus_one(model, p, omega)
-    mp.mp.dps = DIGITS + max(0, int(mp.ceil(mp.log10(1600 / abs(em1 * w * w)))))
+    w, em1 = real_setup(model, p, z, transition_frequency(FieldConfig(B_EXT)))
     eps, d = 1 + em1, em1 * w * w
     w_xx, w_zz = mp.mpf(4) / 3, mp.mpf(2) / 3
 
@@ -300,6 +322,102 @@ def real_block() -> dict:
     return {"about": REAL_ABOUT, "entries": [real_reference(*pt) for pt in REAL_POINTS]}
 
 
+OMEGA_2T = transition_frequency(FieldConfig(B_EXT))
+# (model, parameters, z, omega) of the contour block: fig1's plasma below
+# its configured range; Drude-Lorentz with omega_t 1.1 and 1.01 times the
+# transition frequency (eps - 1 = 36 and 2e17), whose branch point
+# i sqrt(d) the vertical line passes at a distance w; fig2's Drude and
+# Drude-Lorentz at 820 m; and fig2's Drude-Lorentz in its transparency
+# band (omega = 1e17 rad/s, eps = 0.89), where w reaches 3.3e8
+CONTOUR_POINTS = (
+    *(("plasma", FIG1_PLASMA, z, OMEGA_2T) for z in (0.51e-6, 1.78e-6)),
+    ("drude-lorentz", {"omega_p": 1e9, "omega_t": 1.1 * OMEGA_2T}, 1.0, OMEGA_2T),
+    *(
+        ("drude-lorentz", {"omega_p": 2.3e16, "omega_t": 1.01 * OMEGA_2T}, z, OMEGA_2T)
+        for z in (1e-9, 1e-8)
+    ),
+    *((model, MODELS[model], 820.0, OMEGA_2T) for model in ("drude", "drude-lorentz")),
+    *(("drude-lorentz", MODELS["drude-lorentz"], z, 1e17) for z in (1e-6, 1e-3, 1.0)),
+)
+CONTOUR_CHECK = mp.mpf("1e-20")
+
+
+def contour_value(model: str, p: dict, z: float, omega: float):
+    """real_reference's contraction at any omega, on the vertical line.
+
+    k_z z = w + iu, u from 0 to inf.  The k-integrand is analytic between
+    the original path (k_z z from w down to 0, then up the imaginary
+    axis) and this line for any passive medium, and e^(2i k_z z) closes
+    the contour at the top, so
+    8 pi z^3 h_xx = e^(2iw) Int_0^inf du e^(-2u) [r_s k^2 - r_p w^2],
+    8 pi z^3 h_zz = -2 e^(2iw) Int_0^inf du e^(-2u) (w^2 - k^2) r_s,
+    k = w + iu, with k_m z = sqrt(k^2 + d) on the principal branch, which
+    Im d >= 0 keeps analytic in the first quadrant.  k^2 + d comes
+    closest to 0 at u = Re sqrt(d), a distance w off the line; the line
+    is cut there and at that point plus and minus w 4^j, geometrically
+    from the smaller of |sqrt(d)| and w up to 0.5, and at 0.5, 4 and 60.
+    w is taken from the double inputs in full precision, so the phase
+    e^(2iw) is that of these inputs.  The working precision is
+    real_setup's.
+    """
+    zm = mp.mpf(z)
+    w, em1 = real_setup(model, p, z, omega)
+    eps, d = 1 + em1, em1 * w * w
+    w_xx, w_zz = mp.mpf(4) / 3, mp.mpf(2) / 3
+
+    def integrand(u):
+        k = w + 1j * u
+        km = mp.sqrt(k * k + d)
+        r_s, r_p = (k - km) / (k + km), (eps * k - km) / (eps * k + km)
+        h_xx = r_s * k * k - r_p * w * w
+        h_zz = -2 * (w * w - k * k) * r_s
+        return (w_xx * h_xx + w_zz * h_zz) * mp.exp(-2 * u)
+
+    top = mp.mpf(60)
+    pts = {mp.mpf(0), mp.mpf("0.5"), mp.mpf(4), top}
+    near = mp.re(mp.sqrt(d))
+    step = w
+    while step < near:
+        pts |= {near - step, near + step}
+        step *= 4
+    pts.add(near)
+    u = min(abs(mp.sqrt(d)), w)
+    while u < mp.mpf("0.5"):
+        pts.add(u)
+        u *= 4
+    pts = sorted(u for u in pts if 0 <= u <= top)
+    return mp.expj(2 * w) * quad(integrand, pts + [mp.inf]) / (8 * mp.pi * zm**3)
+
+
+def contour_reference(model: str, p: dict, z: float, omega: float) -> dict:
+    value = contour_value(model, p, z, omega)
+    entry = {"model": model, **p, "z": z, "omega": omega}
+    return {**entry, "re": mp.nstr(mp.re(value), 25), "im": mp.nstr(mp.im(value), 25)}
+
+
+CONTOUR_ABOUT = (
+    f"(4/3) h_xx + (2/3) h_zz at omega (the orientation-averaged resonant "
+    f"contraction), real and imaginary parts in 1/m^3, by mpmath {mp.__version__} "
+    f"tanh-sinh quadrature on the vertical line k_z z = w + iu at {DIGITS} digits "
+    f"or more, which reproduces every real-axis entry to {mp.nstr(CONTOUR_CHECK, 1)} "
+    f"(tests/make_golden_values.py --contour)"
+)
+
+
+def contour_block(real_entries: list) -> dict:
+    """The contour entries, after checking the line against real_entries."""
+    for e in real_entries:
+        p = {k: e[k] for k in ("omega_p", "gamma", "omega_t") if k in e}
+        got = contour_value(e["model"], p, e["z"], OMEGA_2T)
+        ref = mp.mpc(e["re"], e["im"])
+        diff = abs(got - ref) / abs(ref)
+        print(f"{e['model']} z={e['z']:g}: contour vs real axis {mp.nstr(diff, 3)}")
+        if diff > CONTOUR_CHECK:
+            raise SystemExit(f"the contour misses the real-axis entry at z={e['z']:g}")
+    entries = [contour_reference(*pt) for pt in CONTOUR_POINTS]
+    return {"about": CONTOUR_ABOUT, "entries": entries}
+
+
 def mirror_reference(z: float, theta) -> dict:
     """u_du of the ideal mirror at B_EXT, from the sine and cosine integrals.
 
@@ -308,7 +426,8 @@ def mirror_reference(z: float, theta) -> dict:
     a = 2b, p0 = 5 - c2t, p1 = 10 - 2 c2t, p2 = 12 + 4 c2t and
     c2t = cos(2 theta); f and g are the auxiliary functions of Si and Ci
     (Abramowitz & Stegun 5.2.6-5.2.7).  1/a - f(a) is about 2/a^3, so the
-    last term loses about 2 log10(a) digits: 7 of the 40 at 1 km.
+    last term loses about 2 log10(a) digits: 7 of the 40 at 1 km and 11
+    at 100 km.
     """
     mp.mp.dps = MIRROR_DIGITS
     k = CONSTANTS
@@ -330,13 +449,15 @@ def mirror_reference(z: float, theta) -> dict:
 MIRROR_ABOUT = (
     f"u_du of the ideal mirror at b_ext = {B_EXT} T from its closed form in "
     f"the sine and cosine integrals, by mpmath {mp.__version__} at "
-    f"{MIRROR_DIGITS} digits (tests/make_golden_values.py --mirror)"
+    f"{MIRROR_DIGITS} digits (tests/make_golden_values.py --mirror); "
+    f"the far entries check the closed-form reference alone"
 )
 
 
 def mirror_block() -> dict:
     entries = [mirror_reference(z, t) for t in MIRROR_THETAS for z in MIRROR_HEIGHTS]
-    return {"about": MIRROR_ABOUT, "entries": entries}
+    far = [mirror_reference(z, t) for t in MIRROR_THETAS for z in MIRROR_FAR_HEIGHTS]
+    return {"about": MIRROR_ABOUT, "entries": entries, "far": far}
 
 
 def u_du_entry(model: str, z: float) -> dict:
@@ -360,12 +481,14 @@ def main() -> None:
         b = u_du_reference(model, z, per_decade=2, digits=DIGITS + 6)
         print(mp.nstr(a, 25), mp.nstr(b, 25), mp.nstr(abs(a / b - 1), 3))
         return
-    if "--mirror" in sys.argv or "--real" in sys.argv:
+    if {"--mirror", "--real", "--contour"} & set(sys.argv):
         payload = json.loads(OUT.read_text(encoding="utf-8"))
         if "--mirror" in sys.argv:
             payload["mirror"] = mirror_block()
         if "--real" in sys.argv:
             payload["real"] = real_block()
+        if "--contour" in sys.argv:
+            payload["contour"] = contour_block(payload["real"]["entries"])
         OUT.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
         return
     inner_only = "--inner" in sys.argv
@@ -400,6 +523,7 @@ def main() -> None:
     if not (inner_only or small_xi_only):
         payload["mirror"] = mirror_block()
         payload["real"] = real_block()
+        payload["contour"] = contour_block(payload["real"]["entries"])
     OUT.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
 

@@ -50,9 +50,10 @@ def ground(z, cfg, m, rel_tol):
 
 
 def test_criterion_01_mirror_dual_route_agreement():
-    # general double-integral route vs the reduced single integral for
-    # the ideal mirror, across nine decades around the crossover and
-    # three field angles, to 1e-6 relative, in under ten seconds
+    # general double-integral route vs the reference for the ideal mirror,
+    # its reduced single integral in closed form (the auxiliary functions
+    # of Si and Ci), across nine decades around the crossover and three
+    # field angles, to 1e-6 relative, in under ten seconds
     start = time.monotonic()
     z_c = critical_distance(FieldConfig(2.0))
     worst = 0.0

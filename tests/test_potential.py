@@ -31,7 +31,7 @@ from neutroncp import (
     u_du_mirror_single_integral,
     u_resonant,
 )
-from neutroncp import greens, potential, quadrature
+from neutroncp import greens, potential
 from neutroncp.cli import SweepRequest, run_sweep
 from power_law import local_power_law
 
@@ -107,25 +107,25 @@ def test_unsettled_outer_sum_raises(monkeypatch):
         assert math.isfinite(row["u_dd"]) and math.isnan(row.get("exponent", math.nan))
 
 
-def test_unconverged_mirror_reference_reports_joules(monkeypatch):
-    # with a budget below its initial panels the reference cannot refine;
-    # the error carries the value and error it would return, in J
-    cfg = FieldConfig(2.0, 0.7)
-    converged = u_du_mirror_single_integral(1e-7, cfg, rel_tol=1e-13)
-    monkeypatch.setattr(quadrature, "_MAX_EVALUATIONS", 15)
-    with pytest.raises(IntegrationError, match=r"z=1\.000e-07") as info:
-        u_du_mirror_single_integral(1e-7, cfg, rel_tol=1e-13)
-    result = info.value.result
-    assert not result.converged
-    assert result.value == pytest.approx(converged, rel=1e-6)
-    assert abs(result.value - converged) <= result.abs_error <= 1e-3 * converged
+@pytest.mark.parametrize("a", [1.5, 1.75, 1.9, 1.99, 1.999, 2.0, 2.001, 2.01, 2.1, 2.25, 2.5])
+def test_mirror_series_and_continued_fraction_agree(a):
+    # the mirror reference takes f, g and 1/a - f from the Si/Ci series
+    # below a = 2 and from E1's continued fraction from there on; next to
+    # the switch both routes must give the same numbers.  1/a - f is
+    # compared on the scale 1/a, from which the series takes it
+    ser = potential._si_ci_series(a)
+    cf = potential._si_ci_continued_fraction(a)
+    h_ser, h_cf = complex(*ser[:2]), complex(*cf[:2])
+    assert abs(h_ser - h_cf) <= 1e-15 * abs(h_cf)
+    assert abs(ser[2] - cf[2]) <= 1e-15 / a
 
 
 @pytest.mark.parametrize("m", [PC, Plasma(1.37e16), Drude(1.37e16, 4.10e12)])
 def test_u_du_below_the_roundoff_floor_raises(m):
-    # its k-integrals are solved to 1e-13 and no trapezoidal sum claims
-    # better than 1e-14: a rel_tol of 1e-15 cannot be backed, so u_du
-    # raises instead of returning a number.  At 1e-14 it settles
+    # its k-integrals are solved to at best the 1e-14 floor, and no
+    # trapezoidal sum claims better than 1e-14: a rel_tol of 1e-15 cannot
+    # be backed, so u_du raises instead of returning a number.  At 1e-14,
+    # with its k-integrals solved to 1e-14, it settles
     cfg = FieldConfig(2.0)
     with pytest.raises(IntegrationError, match=r"z=1\.000e-08, B=2\.000e\+00") as info:
         u_du(1e-8, cfg, m, rel_tol=1e-15)
@@ -401,11 +401,11 @@ def test_u_du_meets_rel_tol_of_the_tight_solve(name, u, log_tol, theta):
 # ------------------------------------------------------ u_dd in u_du's solve
 #
 # u_du carries u_dd's static contraction as one more xi = 0 entry of its
-# first batch, solved at the inner tolerance rel_tol/10, and solves u_dd
-# on its own where that tolerance, at least 1e-13, is above rel_tol.  Its
-# u_dd must stay within rel_tol of u_dd's own solve, for the static
-# weights' edge cases (w_xx = 0 at theta = 0), with and without a field,
-# and with the z-derivative.
+# first batch, solved at the batch tolerance: rel_tol/10 raised to 1e-13,
+# but never above rel_tol (nor below the 1e-14 floor).  Its u_dd must stay
+# within rel_tol of u_dd's own solve, for the static weights' edge cases
+# (w_xx = 0 at theta = 0), with and without a field, and its z-derivative
+# within rel_tol of the static contraction's, with the static weights.
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
@@ -416,10 +416,19 @@ def test_u_du_meets_rel_tol_of_the_tight_solve(name, u, log_tol, theta):
 def test_folded_u_dd_meets_rel_tol(name, theta, b_ext, z_derivative, rel_tol):
     m, z_lo, z_hi = ORACLE_MODELS[name]
     cfg = FieldConfig(b_ext, theta)
+    c2 = 1.0 / 3.0 if theta is None else math.cos(theta) ** 2
+    half = 0.5 * K.mu0 * (K.hbar * NEUTRON.gamma_n / 2.0) ** 2
     for z in (z_lo, math.sqrt(z_lo * z_hi), z_hi):
         folded, _ = u_du(z, cfg, m, rel_tol=rel_tol, z_derivative=z_derivative)
         got = np.ravel(folded)
-        ref = np.ravel(u_dd(z, cfg, m, rel_tol=rel_tol, z_derivative=z_derivative))
+        if z_derivative:
+            # the static contraction and its z-derivative, weights (sin^2, cos^2)
+            pair = greens.contracted_green_imag(
+                m, z, 0.0, 1.0 - c2, c2, rel_tol, z_derivative=True
+            )
+            ref = half * np.ravel(pair)
+        else:
+            ref = np.ravel(u_dd(z, cfg, m, rel_tol=rel_tol))
         assert got.shape == ref.shape
         assert (np.abs(got - ref) <= rel_tol * np.abs(ref)).all(), (z, got, ref)
 
@@ -428,8 +437,9 @@ def test_folded_u_dd_meets_rel_tol(name, theta, b_ext, z_derivative, rel_tol):
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-13, 1e-14])
 def test_folded_u_dd_is_solved_to_rel_tol(monkeypatch, b_ext, rel_tol):
     # at theta = 0 the static contraction is h_zz(0) alone, the only
-    # xi = 0 entry with w_zz = 1 (g(0) has w_zz = 0).  Some k-integral of
-    # it must be asked for rel_tol, also where u_du's batches stop at 1e-13
+    # xi = 0 entry with w_zz = 1 (g(0) has w_zz = 0).  Its k-integral must
+    # be asked for rel_tol or less, also below 1e-13, where the batch
+    # tolerance is rel_tol itself
     asked = []
 
     def spy(m, z, xi, w_xx, w_zz, rel_tol, z_derivative=False):
@@ -440,3 +450,19 @@ def test_folded_u_dd_is_solved_to_rel_tol(monkeypatch, b_ext, rel_tol):
     monkeypatch.setattr(potential, "contracted_green_imag", spy)
     u_du(1e-8, FieldConfig(b_ext, 0.0), PC, rel_tol=rel_tol)
     assert asked and min(asked) <= rel_tol
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+@pytest.mark.parametrize("rel_tol", [1e-14, 5e-14])
+def test_u_du_below_1e_13_solves_u_dd_in_its_batch(monkeypatch, name, rel_tol):
+    # below rel_tol 1e-13 the batch tolerance is rel_tol itself, so u_dd
+    # still rides in u_du's first batch and is never solved on its own
+    def no_u_dd(*args, **kwargs):
+        raise AssertionError("u_dd solved on its own")
+
+    monkeypatch.setattr(potential, "u_dd", no_u_dd)
+    m, z_lo, z_hi = ORACLE_MODELS[name]
+    z = math.sqrt(z_lo * z_hi)
+    for z_derivative in (False, True):
+        pieces = u_du(z, FieldConfig(2.0), m, rel_tol=rel_tol, z_derivative=z_derivative)
+        assert len(pieces) == 2 and np.isfinite(pieces).all()
