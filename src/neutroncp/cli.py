@@ -24,7 +24,6 @@ import contextlib
 import math
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, TextIO
 
@@ -203,6 +202,9 @@ def run_sweep(req: SweepRequest, jobs: int = 1) -> list[dict[str, object]]:
     workers = min(jobs, len(payloads))
     if workers <= 1:
         return [_sweep_point(p) for p in payloads]
+    # imported here, so a serial run never loads the multiprocessing machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_point, payloads, chunksize=1))
 

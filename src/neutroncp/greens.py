@@ -53,12 +53,27 @@ e^(-2v) is below 1e-20 past v = 24.  e^(-2x) is applied after the
 quadrature, from x in extended precision.  The real axis is integrated
 over the vacuum normal wavevector k_z z with the adaptive rule.
 
-Both axes share one reflection kernel, _reflection(q, q_m, contrast,
-eps, s2), written in the vacuum and medium decay constants q, q_m of the
-imaginary axis and the frequency term s2 = xi^2/c^2:
+Both axes share one reflection kernel, _reflection, written in the
+vacuum and medium decay constants q, q_m of the imaginary axis and the
+frequency term s2 = xi^2/c^2:
 
     r_s = -contrast / (q + q_m)^2
     r_p = (eps - 1) ((eps + 1) q^2 - s2) / (eps q + q_m)^2
+
+It takes the per-entry constants once (contrast, s2, eps - 1 and the
+weight of r_p) and returns the function of q, q^2 and q_m that a
+quadrature calls per node.  With weights w_xx, w_zz and d = contrast z^2,
+the imaginary-axis integrand of an entry is then, per node,
+
+    rho = x + v,   t^2 = v (x + rho),   q_m = sqrt(rho^2 + d),
+    acc = d (w_xx rho^2 + 2 w_zz t^2) / (rho + q_m)^2
+          + (a rho^2 - b) / (eps rho + q_m)^2,
+
+times e^(-2v) v, with a = w_xx x^2 (eps - 1)(2 + (eps - 1)),
+b = w_xx x^2 (eps - 1) x^2 and eps = 1 + (eps - 1) formed once per
+entry (the ideal mirror's acc is w_xx (rho^2 + x^2) + 2 w_zz t^2).  An
+integrand call makes twenty passes over its (entry, node) array, most
+of them in place.
 
 The wavevector contrast q_m^2 - q^2 = (eps - 1) s2 comes per model from
 the materials module rather than from eps, which keeps r_s exact in the
@@ -128,20 +143,46 @@ def _require_height(z: float) -> None:
         raise ValueError("z must be positive and finite")
 
 
-def _reflection(q, q_m, contrast, s2, eps_m1):
-    """r_s and r_p; see "Numerical form" above for the arguments.
+def _reflection(contrast, s2, eps_m1, weight_p=1.0):
+    """r_s and r_p of fixed media entries, as a function of the decay constants.
 
-    Scalars or arrays, real or complex.  eps_m1 is eps - 1, which the
-    caller takes as contrast / s2 (exact per model); eps_m1 = 0 gives
-    r_p = 0 exactly.  eps_m1 = None skips r_p (returned as None), for
-    callers without a finite permittivity.
+    contrast, s2 and eps_m1 are the arguments of "Numerical form" above:
+    scalars or columns with one entry per medium, real or complex.
+    eps_m1 is eps - 1, which the caller takes as contrast / s2 (exact
+    per model); eps_m1 = 0 gives r_p = 0 exactly, and eps_m1 = None skips
+    r_p, for callers without a finite permittivity.  The per-entry
+    products are formed here once; the returned function
+
+        reflect(q, q2, q_m, weight_s=1.0) -> (weight_s r_s, weight_p r_p)
+
+    does the work per node, with q2 = q^2 from the caller (r_p is None
+    when skipped).  weight_s is a scalar or an array of the nodes' shape;
+    an array is overwritten with weight_s r_s, so the caller passes
+    scratch.  No other argument is written to.
     """
-    r_s = -contrast / (q + q_m) ** 2
-    if eps_m1 is None:
-        return r_s, None
-    eps = 1.0 + eps_m1
-    r_p = eps_m1 * ((eps + 1.0) * q * q - s2) / (eps * q + q_m) ** 2
-    return r_s, r_p
+    minus = -contrast
+    if eps_m1 is not None:
+        # r_p weight_p = (a q^2 - b) / (eps q + q_m)^2
+        scale = weight_p * eps_m1
+        eps, a, b = 1.0 + eps_m1, scale * (2.0 + eps_m1), scale * s2
+
+    def reflect(q, q2, q_m, weight_s=1.0):
+        den = q + q_m
+        den *= den
+        r_s = weight_s
+        r_s *= minus  # in place for an array weight_s
+        r_s /= den
+        if eps_m1 is None:
+            return r_s, None
+        r_p = q2 * a
+        r_p -= b
+        den = eps * q
+        den += q_m
+        den *= den
+        r_p /= den
+        return r_s, r_p
+
+    return reflect
 
 
 def contracted_green_imag(
@@ -176,73 +217,93 @@ def contracted_green_imag(
     """
     _require_height(z)
     xis = np.asarray(xi, dtype=float)
-    if (xis < 0.0).any():
-        raise ValueError("xi must be >= 0")
+    flat = xis.ravel()
     c = CONSTANTS.c
     mirror = isinstance(m, PerfectConductor)
 
     # An entry is zero past the underflow cut-off, and for a medium where
     # it has no wavevector contrast (then r_s = r_p = 0)
-    flat = xis.ravel()
     x = flat * z / c
     live = ~(x > _UNDERFLOW_X)
-    if not mirror:
+    if mirror:
+        if np.count_nonzero(flat < 0.0):
+            raise ValueError("xi must be >= 0")
+    else:  # raises the same ValueError for xi < 0
         contrast = wavevector_contrast_imag(m, flat)
         live &= contrast != 0.0
     n = np.count_nonzero(live)
     if not n:
         zeros = [0.0 if xis.ndim == 0 else np.zeros(xis.shape) for _ in range(1 + z_derivative)]
         return tuple(zeros) if z_derivative else zeros[0]
-    # per live entry: x = xi z / c, d = contrast z^2 and eps - 1; weights
-    # given per entry become columns against the nodes, scalars stay
-    x = x[live]
+    # the live entries, by a plain slice (no copies) when all are live
+    pick = slice(None) if n == flat.size else live
+    xl, x = flat[pick], x[pick]
+    x2 = x * x
+    # per-entry columns against the nodes of w = ln v; weights given per
+    # entry become columns too, scalars stay scalars
     w_xx, w_zz = (
-        w if np.ndim(w) == 0 else np.ravel(w)[live][:, None] for w in (weight_xx, weight_zz)
+        w if np.ndim(w) == 0 else np.ravel(w)[pick][:, None] for w in (weight_xx, weight_zz)
     )
-    if mirror:
-        dq2z2 = eps_m1 = np.zeros(n)
-    else:
-        contrast = contrast[live]
-        dq2z2 = contrast * z * z
+    weight_p = w_xx * x2[:, None]  # the weight of r_p in acc
+    if not mirror:
+        d = contrast[pick] * z * z
         # eps - 1 = contrast / s2.  It is set to 0, which drops r_p, where
         # r_p x^2 cannot reach the value: with |r_p| <= 1 that term
         # integrates to at most x^2/2, while for x this small the r_s part
         # is above min(d, 1)/600, so below x^2 = 2^-64 min(d, 1) the term
         # is under half an ulp.  That covers xi = 0, and xi so far below
         # the plasma frequency that (eps q + q_m)^2 overflows
-        s2 = (flat[live] / c) ** 2
-        keep_rp = (s2 > 0.0) & (x * x > 2.0**-64 * np.minimum(dq2z2, 1.0))
-        eps_m1 = np.where(keep_rp, contrast / np.where(keep_rp, s2, 1.0), 0.0)
-    # r_p is skipped when no entry has a permittivity; otherwise
-    # eps - 1 = 0 makes it exactly zero for an entry without one
-    with_rp = bool(eps_m1.any())
-    # one row per entry against the nodes of w = ln v
-    x, dq2z2, eps_m1 = x[:, None], dq2z2[:, None], eps_m1[:, None]
-    x2 = x * x
-    xx_p = w_xx * x2  # the weight of r_p in acc
-    if not with_rp:
-        eps_m1 = None
+        s2 = (xl / c) ** 2
+        keep_rp = (s2 > 0.0) & (x2 > 2.0**-64 * np.minimum(d, 1.0))
+        if np.count_nonzero(keep_rp) == n:
+            eps_m1 = contrast[pick] / s2
+        else:
+            eps_m1 = np.where(keep_rp, contrast[pick] / np.where(keep_rp, s2, 1.0), 0.0)
+        # r_p is skipped when no entry has a permittivity; otherwise
+        # eps - 1 = 0 makes it exactly zero for an entry without one
+        d = d[:, None]
+        reflect = _reflection(
+            d, x2[:, None], eps_m1[:, None] if np.count_nonzero(eps_m1) else None, weight_p
+        )
+    x = x[:, None]
+    # acc = weight_p r_p - r_s (w_xx rho^2 + 2 w_zz t^2); the bracket is
+    # formed with the sign of -r_s's factor: + for the mirror's r_s = -1,
+    # - for a medium, whose -r_s is d / (q + q_m)^2
+    sign = 1.0 if mirror else -1.0
+    a_xx, a_zz = sign * w_xx, sign * 2.0 * w_zz
 
     def integrand(w: np.ndarray) -> np.ndarray:
         v = np.exp(w)
         rho = x + v
         rho2 = rho * rho
-        # acc = xx_p r_p - r_s bracket, with t^2 = rho^2 - x^2 = v (x + rho)
-        bracket = w_xx * rho2 + 2.0 * w_zz * (v * (x + rho))
+        # t^2 = rho^2 - x^2 = v (x + rho)
+        acc = rho + x
+        acc *= v * a_zz
+        tmp = np.multiply(rho2, a_xx)
+        acc += tmp
         if mirror:  # r_s = -1, r_p = 1
-            acc = bracket + xx_p
+            acc += weight_p
         else:
-            r_s, r_p = _reflection(rho, np.sqrt(rho2 + dq2z2), dq2z2, x2, eps_m1)
-            acc = -r_s * bracket if r_p is None else xx_p * r_p - r_s * bracket
-        value = acc * (np.exp(-2.0 * v) * v)
-        if z_derivative:
-            return np.concatenate((value, -2.0 * rho * value))
-        return value
+            q_m = np.add(rho2, d, out=tmp)
+            np.sqrt(q_m, out=q_m)
+            acc, r_p = reflect(rho, rho2, q_m, acc)
+            if r_p is not None:
+                acc += r_p
+        decay = np.exp(-2.0 * v) * v
+        if not z_derivative:
+            acc *= decay
+            return acc
+        # the value rows, then their partners times -2 rho
+        out = np.empty((2 * n, v.size))
+        np.multiply(acc, decay, out=out[:n])
+        np.multiply(rho, -2.0, out=out[n:])
+        out[n:] *= out[:n]
+        return out
 
     res = integrate_trapezoid(integrand, math.log(rel_tol) - 6.0, math.log(24.0), rel_tol)
     # e^(-2x) from x in extended precision: a rounded x would carry its
     # error times 2x into the value (up to 1.6e-13 at x = 350)
-    decay = np.exp(-2.0 * (flat[live].astype(np.longdouble) * z / c)).astype(float)
+    decay = np.exp(-2.0 * (xl.astype(np.longdouble) * z / c)).astype(float)
     if not res.converged:
         j = int(np.argmin(res.abs_error <= rel_tol * np.abs(res.value)))
         what = "z-derivative of the " if j >= n else ""
@@ -250,7 +311,7 @@ def contracted_green_imag(
         scale = decay[j % n] / (8.0 * math.pi * z**3)
         raise IntegrationError(
             f"{what}transverse-wavevector integral did not converge "
-            f"(xi={flat[live][j % n]:.3e}, z={z:.3e})",
+            f"(xi={xl[j % n]:.3e}, z={z:.3e})",
             QuadratureResult(
                 float(res.value[j] * scale),
                 float(res.abs_error[j] * scale),
@@ -260,9 +321,11 @@ def contracted_green_imag(
         )
     # one row of values, then one of z-derivatives if asked for
     values = res.value.reshape(-1, n) * decay / (8.0 * math.pi * z**3)
-    out = np.zeros((len(values), xis.size))
-    out[:, live] = values
-    parts = [float(v[0]) if xis.ndim == 0 else v.reshape(xis.shape) for v in out]
+    if n < flat.size:
+        out = np.zeros((len(values), flat.size))
+        out[:, live] = values
+        values = out
+    parts = [float(v[0]) if xis.ndim == 0 else v.reshape(xis.shape) for v in values]
     return tuple(parts) if z_derivative else parts[0]
 
 
@@ -320,6 +383,8 @@ def contracted_green_real(
                 "real-frequency response is undefined without dissipation"
             )
 
+        reflect = _reflection(-dq2z2, -w2, eps_m1)
+
     # k-integrand at vacuum normal wavevector k_z (times z): k_z = v in
     # (0, w) on the propagating segment, k_z = i u on the evanescent tail
     def integrand(kz: np.ndarray) -> np.ndarray:
@@ -328,7 +393,7 @@ def contracted_green_real(
             r_s, r_p = -1.0, 1.0
         else:
             km = np.sqrt(kz2 + dq2z2)
-            r_s, r_p = _reflection(-1j * kz, -1j * km, -dq2z2, -w2, eps_m1)
+            r_s, r_p = reflect(-1j * kz, -kz2, -1j * km)
         bracket = weight_xx * (r_p * w2 - r_s * kz2) + 2.0 * weight_zz * (w2 - kz2) * r_s
         return bracket * np.exp(2.0j * kz)
 

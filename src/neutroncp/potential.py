@@ -152,9 +152,9 @@ def u_du(
     """
     k = CONSTANTS
     cross_w = _cross_weights(cfg.theta)
-    # the xi = 0 entries that lead the first batch, as (w_xx, w_zz) pairs:
-    # u_dd's static contraction, then g(0)
-    head_w = [_static_weights(cfg.theta), cross_w]
+    # the xi = 0 entries that lead the first batch, as (w_xx, w_zz)
+    # columns: u_dd's static contraction, then g(0)
+    head_w = np.transpose([_static_weights(cfg.theta), cross_w])
     half = 0.5 * k.mu0 * _MOMENT_SQ  # u_dd per unit contraction
 
     def pieces(dd: np.ndarray, du: np.ndarray):
@@ -164,8 +164,7 @@ def u_du(
     omega = transition_frequency(cfg)
     if omega == 0.0:
         head = contracted_green_imag(
-            m, z, np.zeros(2), *np.transpose(head_w), rel_tol=rel_tol,
-            z_derivative=z_derivative,
+            m, z, np.zeros(2), *head_w, rel_tol=rel_tol, z_derivative=z_derivative
         )
         head = half * np.reshape(head, (1 + z_derivative, 2))
         return pieces(head[:, 0], head[:, 1])
@@ -177,21 +176,24 @@ def u_du(
 
     def integrand(s: np.ndarray) -> np.ndarray:
         nonlocal head
-        static = s < s_lo
-        xi = omega * np.exp(s[~static])
+        # the nodes ascend, so the static ones, s < s_lo, come first
+        k0 = int(np.searchsorted(s, s_lo))
+        xi = omega * np.exp(s[k0:])
         weights = cross_w
-        if head is None:
-            weights = np.transpose([*head_w, *[cross_w] * xi.size])
-            xi = np.append(np.zeros(2), xi)
+        if head is None:  # g(0)'s weights repeat for every xi
+            weights = np.repeat(head_w, (1, 1 + xi.size), axis=1)
+            xi = np.concatenate((np.zeros(2), xi))
         g = contracted_green_imag(
             m, z, xi, *weights, rel_tol=inner_tol, z_derivative=z_derivative
         )
         g = np.reshape(g, (1 + z_derivative, -1))
         if head is None:
             head, g = g[:, :2], g[:, 2:]
-        f = np.repeat(head[:, 1:], s.size, axis=1)
-        f[:, ~static] = g
-        return f * (0.5 / np.cosh(s))
+        f = np.empty((len(g), s.size))
+        f[:, :k0] = head[:, 1:]
+        f[:, k0:] = g
+        f *= 0.5 / np.cosh(s)
+        return f
 
     res = integrate_trapezoid(integrand, s_lo - 40.0, s_hi, rel_tol)
     scale = k.mu0 / math.pi * _MOMENT_SQ

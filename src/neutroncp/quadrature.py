@@ -278,9 +278,10 @@ def integrate_trapezoid(
 ) -> QuadratureResult:
     """Trapezoidal sums h sum_j f(h j) over the nodes h j in [lo, hi].
 
-    f gets a 1-D array of nodes and returns one row of values per sum
-    (a 1-D result is one row).  h starts at 1 and is halved up to
-    _MAX_HALVINGS times.  The first call takes the whole h = 1/2 grid:
+    f gets a 1-D array of nodes, in ascending order, and returns one row
+    of values per sum (a 1-D result is one row).  h starts at 1 and is
+    halved up to _MAX_HALVINGS times.  The first call takes the whole
+    h = 1/2 grid:
     T_1 sums its even nodes and T_1/2 adds its odd ones.  Each later
     halving calls f on the new, odd nodes only.  The loop never stops at
     h = 1, so the h = 1/2 nodes are always needed.  A row's error is its
@@ -307,28 +308,28 @@ def integrate_trapezoid(
     and the caller decides whether that is fatal.
     """
     # the first call takes the h = 1/2 grid: its even nodes make T_1,
-    # its odd ones the first halving's new nodes
+    # which only seeds the first difference, its odd ones the first
+    # halving's new nodes
     j0 = math.ceil(2.0 * lo)
     grid = np.atleast_2d(f(0.5 * np.arange(j0, math.floor(2.0 * hi) + 1)))
-    total = 0.0
-    evaluations = 0
-    for level in range(_MAX_HALVINGS + 1):
+    total = grid[:, j0 % 2 :: 2].sum(axis=1)
+    evaluations = grid.shape[1]
+    for level in range(1, _MAX_HALVINGS + 1):
         h = 2.0**-level
-        if level < 2:  # the even nodes of the grid, then the odd ones
-            values = grid[:, (j0 + level) % 2 :: 2]
+        if level == 1:
+            values = grid[:, (j0 + 1) % 2 :: 2]
         else:  # the odd multiples of h
             first = math.ceil(lo / h) | 1
             values = np.atleast_2d(f(h * np.arange(first, math.floor(hi / h) + 1, 2)))
-        evaluations += values.shape[1]
+            evaluations += values.shape[1]
         prev, total = total, 0.5 * total + h * values.sum(axis=1)
         size = np.abs(total)
-        diff = np.abs(total - prev)
-        error = diff
+        error = diff = np.abs(total - prev)
         if level > 1:  # d^2/d' for the rows that pass the gate
             trust = (diff < last) & (last <= _MODEL_GATE_REL * size)
-            error = diff * np.divide(diff, last, out=np.ones_like(diff), where=trust)
+            error = np.where(trust, diff * (diff / np.where(trust, last, 1.0)), diff)
         last = diff
         abs_error = np.maximum(error, _ERROR_FLOOR_REL * size)
-        if level and (abs_error <= rel_tol * size).all():
+        if np.count_nonzero(abs_error <= rel_tol * size) == size.size:
             return QuadratureResult(total, abs_error, evaluations, True)
     return QuadratureResult(total, abs_error, evaluations, False)

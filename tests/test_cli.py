@@ -1,5 +1,6 @@
 """CLI: request handling, serialization, determinism, exit codes."""
 
+import concurrent.futures
 import dataclasses
 import io
 import json
@@ -100,7 +101,8 @@ def test_run_sweep_caps_workers_at_points(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # run_sweep imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     req = SweepRequest(z_min=1e-8, z_max=1e-7, points=3, outputs=("gravity_earth",))
     serial = run_sweep(req)
     assert run_sweep(req, jobs=64) == serial
@@ -108,6 +110,22 @@ def test_run_sweep_caps_workers_at_points(monkeypatch):
     one = SweepRequest(z_min=1e-8, z_max=1e-8, points=1, outputs=("gravity_earth",))
     assert run_sweep(one, jobs=8) == run_sweep(one)
     assert sizes == [3]  # one point runs in this process
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # the worker pool is imported only by a run that uses one, so a fresh
+    # interpreter importing the CLI does not load concurrent.futures.process
+    code = "import sys, neutroncp.cli; print('concurrent.futures.process' in sys.modules)"
+    package_root = str(Path(neutroncp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_run_sweep_assembly():

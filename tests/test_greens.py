@@ -89,7 +89,7 @@ def reflection_imag(m, xi, k_par):
     q = math.hypot(xi / C, k_par)
     dq2 = wavevector_contrast_imag(m, xi)
     s2 = (xi / C) ** 2
-    return greens._reflection(q, math.sqrt(q * q + dq2), dq2, s2, dq2 / s2)
+    return greens._reflection(dq2, s2, dq2 / s2)(q, q * q, math.sqrt(q * q + dq2))
 
 
 def reflection_real(m, omega, k_par):
@@ -97,7 +97,7 @@ def reflection_real(m, omega, k_par):
     dq2 = wavevector_contrast_real(m, omega)
     k_z = np.sqrt(complex(w2 - k_par**2))
     k_m = np.sqrt(k_z**2 + dq2)
-    return greens._reflection(-1j * k_z, -1j * k_m, -dq2, -w2, dq2 / w2)
+    return greens._reflection(-dq2, -w2, dq2 / w2)(-1j * k_z, -(k_z**2), -1j * k_m)
 
 
 def test_mirror_reflection():
@@ -390,6 +390,71 @@ def test_batched_contraction_matches_scalar(m):
     assert batch[-1] == 0.0
     if isinstance(m, (Drude, DrudeLorentz)):
         assert batch[0] == 0.0
+
+
+def _first_batch():
+    # xi and per-entry weights as u_du's first k-integral batch passes
+    # them at 2 T: two xi = 0 entries, u_dd's static weights and g(0)'s
+    # cross weights, then cross weights for every xi
+    omega = transition_frequency(FieldConfig(2.0))
+    xi = np.concatenate((np.zeros(2), omega * np.exp(np.arange(-6.0, 9.0))))
+    head_w = np.transpose([(2.0 / 3.0, 1.0 / 3.0), (4.0 / 3.0, 2.0 / 3.0)])
+    return xi, *np.repeat(head_w, (1, xi.size - 1), axis=1)
+
+
+@pytest.mark.parametrize("z_derivative", [False, True])
+@pytest.mark.parametrize("m", [PC, *MODELS], ids=["pc", "plasma", "drude", "drude-lorentz"])
+def test_kernel_scratch_does_not_alias_its_inputs(m, z_derivative):
+    # the k-integrand works in place on arrays of its own: a second
+    # identical call returns the same bits, and the caller's xi and weight
+    # arrays are left as they were
+    xi, w_xx, w_zz = _first_batch()
+    cases = [
+        (xi, w_xx, w_zz),  # per-entry weights
+        (xi[2:], 4.0 / 3.0, 2.0 / 3.0),  # scalar weights
+        (xi[2:].reshape(3, -1), 4.0 / 3.0, 2.0 / 3.0),  # an xi array of any shape
+        (float(xi[5]), 4.0 / 3.0, 2.0 / 3.0),  # scalar xi
+        (0.0, 2.0 / 3.0, 1.0 / 3.0),  # u_dd's one entry
+    ]
+    for args in cases:
+        before = [np.copy(a) for a in args]
+        first, again = (
+            contracted_green_imag(m, 1e-8, *args, rel_tol=1e-9, z_derivative=z_derivative)
+            for _ in range(2)
+        )
+        for a, b in zip(np.atleast_1d(first), np.atleast_1d(again)):
+            assert np.array_equal(a, b)
+        for a, b in zip(args, before):
+            assert np.array_equal(a, b)
+
+
+def test_reflection_takes_scalars_and_complex_arrays():
+    # _reflection serves both axes: Python scalars, real or complex, and
+    # arrays of the nodes' shape give the same r_s and r_p entry by entry,
+    # and it writes only to an array weight_s, which becomes weight_s r_s
+    for m, omega in ((GOLD_DRUDE, 1e15), (SILICON_DL, 1e15), (GOLD_PLASMA, 3e16)):
+        w2 = (omega / C) ** 2
+        dq2 = wavevector_contrast_real(m, omega)
+        k_par = np.array([0.3, 0.9, 1.02, 2.0, 5.0]) * omega / C
+        k_z = np.sqrt((w2 - k_par**2).astype(complex))
+        k_m = np.sqrt(k_z**2 + dq2)
+        q, q2, q_m = -1j * k_z, -(k_z**2), -1j * k_m
+        kept = [np.copy(a) for a in (q, q2, q_m)]
+        reflect = greens._reflection(-dq2, -w2, dq2 / w2, weight_p=0.5)
+        weight_s = np.full(q.shape, 0.25 + 0j)
+        r_s, r_p = reflect(q, q2, q_m, weight_s)
+        assert r_s is weight_s
+        for a, b in zip((q, q2, q_m), kept):
+            assert np.array_equal(a, b)
+        for j in range(q.size):
+            s_j, p_j = reflect(complex(q[j]), complex(q2[j]), complex(q_m[j]), 0.25)
+            assert r_s[j] == pytest.approx(s_j, rel=1e-15)
+            assert r_p[j] == pytest.approx(p_j, rel=1e-15)
+    # the imaginary axis with Python floats, and with no permittivity
+    r_s, r_p = reflection_imag(GOLD_DRUDE, 1e15, 1e7)
+    assert -1.0 < r_s < 0.0 < r_p < 1.0
+    r_s, r_p = greens._reflection(4.0, 1.0, None)(2.0, 4.0, math.sqrt(8.0))
+    assert r_p is None and r_s == pytest.approx(-4.0 / (2.0 + math.sqrt(8.0)) ** 2, rel=1e-15)
 
 
 def test_batch_names_the_xi_that_did_not_converge(monkeypatch):
