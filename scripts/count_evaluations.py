@@ -10,9 +10,11 @@ k-integral batches (calls of the rule), the k-integrand calls and the
 kernel values (entries of the integrand's output), the most batches one
 row took, and the sha256 of the row CSVs in order.
 
-The counts do not depend on the machine, so two commits that should
-place the same nodes must print the same counts, and two that should
-write the same bytes the same digest.  ``counting()`` is the wrapper on
+The counts do not depend on the speed of the machine, so on one NumPy
+build and CPU two commits that should place the same nodes must print
+the same counts, and two that should write the same bytes the same
+digest.  (NumPy picks np.exp and np.sqrt per CPU, and a last-bit
+difference there could flip a stop decision that sits on its threshold.)  ``counting()`` is the wrapper on
 its own, for any other set of calls.
 """
 
@@ -60,10 +62,17 @@ def counting() -> Iterator[Counter]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    if str(ROOT) not in sys.path:
+    # perfbench is imported from the repository root, which leaves
+    # sys.path as it was
+    added = str(ROOT) not in sys.path
+    if added:
         sys.path.insert(0, str(ROOT))
-    from perfbench.run import answer
-    from perfbench.workloads import WORKLOADS, row_set
+    try:
+        from perfbench.run import answer
+        from perfbench.workloads import WORKLOADS, row_set
+    finally:
+        if added:
+            sys.path.remove(str(ROOT))
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)

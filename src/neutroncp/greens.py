@@ -71,9 +71,7 @@ the imaginary-axis integrand of an entry is then, per node,
 
 times e^(-2v) v, with a = w_xx x^2 (eps - 1)(2 + (eps - 1)),
 b = w_xx x^2 (eps - 1) x^2 and eps = 1 + (eps - 1) formed once per
-entry (the ideal mirror's acc is w_xx (rho^2 + x^2) + 2 w_zz t^2).  An
-integrand call makes twenty passes over its (entry, node) array, most
-of them in place.
+entry (the ideal mirror's acc is w_xx (rho^2 + x^2) + 2 w_zz t^2).
 
 The wavevector contrast q_m^2 - q^2 = (eps - 1) s2 comes per model from
 the materials module rather than from eps, which keeps r_s exact in the
@@ -153,12 +151,10 @@ def _reflection(contrast, s2, eps_m1, weight_p=1.0):
     r_p, for callers without a finite permittivity.  The per-entry
     products are formed here once; the returned function
 
-        reflect(q, q2, q_m, weight_s=1.0) -> (weight_s r_s, weight_p r_p)
+        reflect(q, q2, q_m) -> (r_s, weight_p r_p)
 
     does the work per node, with q2 = q^2 from the caller (r_p is None
-    when skipped).  weight_s is a scalar or an array of the nodes' shape;
-    an array is overwritten with weight_s r_s, so the caller passes
-    scratch.  No other argument is written to.
+    when skipped).  It writes to none of its arguments.
     """
     minus = -contrast
     if eps_m1 is not None:
@@ -166,12 +162,10 @@ def _reflection(contrast, s2, eps_m1, weight_p=1.0):
         scale = weight_p * eps_m1
         eps, a, b = 1.0 + eps_m1, scale * (2.0 + eps_m1), scale * s2
 
-    def reflect(q, q2, q_m, weight_s=1.0):
+    def reflect(q, q2, q_m):
         den = q + q_m
         den *= den
-        r_s = weight_s
-        r_s *= minus  # in place for an array weight_s
-        r_s /= den
+        r_s = minus / den
         if eps_m1 is None:
             return r_s, None
         r_p = q2 * a
@@ -255,10 +249,7 @@ def contracted_green_imag(
         # the plasma frequency that (eps q + q_m)^2 overflows
         s2 = (xl / c) ** 2
         keep_rp = (s2 > 0.0) & (x2 > 2.0**-64 * np.minimum(d, 1.0))
-        if np.count_nonzero(keep_rp) == n:
-            eps_m1 = contrast[pick] / s2
-        else:
-            eps_m1 = np.where(keep_rp, contrast[pick] / np.where(keep_rp, s2, 1.0), 0.0)
+        eps_m1 = np.where(keep_rp, contrast[pick] / np.where(keep_rp, s2, 1.0), 0.0)
         # r_p is skipped when no entry has a permittivity; otherwise
         # eps - 1 = 0 makes it exactly zero for an entry without one
         d = d[:, None]
@@ -286,7 +277,8 @@ def contracted_green_imag(
         else:
             q_m = np.add(rho2, d, out=tmp)
             np.sqrt(q_m, out=q_m)
-            acc, r_p = reflect(rho, rho2, q_m, acc)
+            r_s, r_p = reflect(rho, rho2, q_m)
+            acc *= r_s
             if r_p is not None:
                 acc += r_p
         decay = np.exp(-2.0 * v) * v

@@ -1,21 +1,30 @@
 """Exact k-integral work of fixed u_du solves.
 
-Counts of batches, integrand calls and kernel values do not depend on
-the machine, so they pin the nodes the imaginary axis places: a change
-that should leave every node where it was must leave these numbers
-exactly as they are.  They are counted by scripts/count_evaluations.py,
-which wraps greens.integrate_trapezoid.
+Counts of batches, integrand calls and kernel values pin the nodes the
+imaginary axis places: a change that should leave every node where it
+was must leave these numbers exactly as they are.  They are counted by
+scripts/count_evaluations.py, which wraps greens.integrate_trapezoid.
+
+The counts are reproducible on one NumPy build and CPU.  The rules' stop
+and gate decisions compare error estimates built from np.exp and
+np.sqrt, whose implementation NumPy picks per CPU, so another machine
+may round them differently in the last bit.  That moves an estimate by
+far less than 1e-6 of itself, and
+test_pinned_counts_sit_clear_of_the_thresholds checks that moving every
+threshold by 1e-6 leaves each count as it is.
 """
 
 import importlib.util
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from neutroncp import DrudeLorentz, Drude, FieldConfig, PerfectConductor, Plasma, u_du
+from neutroncp import greens, potential, quadrature
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
@@ -47,6 +56,10 @@ FIG2_COUNTS = {
 }
 
 
+# the same for fig1's plasma at 1 m, rel_tol 1e-8, with z-derivative rows
+FIG1_COUNTS = (2, 4, 24752)
+
+
 def _counts(m, z, rel_tol, z_derivative=False):
     with count_evaluations.counting() as counts:
         u_du(z, FieldConfig(b_ext=2.0), m, rel_tol=rel_tol, z_derivative=z_derivative)
@@ -60,7 +73,26 @@ def test_fig2_u_du_counts(model, z):
 
 def test_fig1_u_du_z_derivative_counts():
     # the z-derivative rows double the kernel values, not the nodes
-    assert _counts(FIG1_PLASMA, 1.0, 1e-8, z_derivative=True) == (2, 4, 24752)
+    assert _counts(FIG1_PLASMA, 1.0, 1e-8, z_derivative=True) == FIG1_COUNTS
+
+
+@pytest.mark.parametrize("scale", [1.0 - 1e-6, 1.0 + 1e-6])
+def test_pinned_counts_sit_clear_of_the_thresholds(monkeypatch, scale):
+    # both rules, the inner k-integral's and the outer xi one's, stop at
+    # error <= rel_tol |T| and trust their error model below
+    # d' <= _MODEL_GATE_REL |T|; scaling every such threshold, with the
+    # nodes left where they are, must not move a decision
+    for module in (greens, potential):
+        rule = module.integrate_trapezoid
+        monkeypatch.setattr(
+            module,
+            "integrate_trapezoid",
+            lambda f, lo, hi, rel_tol, rule=rule: rule(f, lo, hi, rel_tol * scale),
+        )
+    monkeypatch.setattr(quadrature, "_MODEL_GATE_REL", quadrature._MODEL_GATE_REL * scale)
+    for (model, z), counts in FIG2_COUNTS.items():
+        assert _counts(FIG2[model], z, 1e-7) == counts
+    assert _counts(FIG1_PLASMA, 1.0, 1e-8, z_derivative=True) == FIG1_COUNTS
 
 
 def test_counting_restores_the_rule():
@@ -73,8 +105,10 @@ def test_counting_restores_the_rule():
 def test_script_reports_the_fig2_ground_row_set():
     # per-row means over the 64 rows of fig2_ground's seed-1 row set
     out = io.StringIO()
+    path = list(sys.path)
     with redirect_stdout(out):
         assert count_evaluations.main(["--workload", "fig2_ground", "--seed", "1"]) == 0
+    assert sys.path == path
     report = json.loads(out.getvalue())
     assert report["rows"] == 64
     assert report["k_integral_batches"] == 1.953

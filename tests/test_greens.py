@@ -431,7 +431,7 @@ def test_kernel_scratch_does_not_alias_its_inputs(m, z_derivative):
 def test_reflection_takes_scalars_and_complex_arrays():
     # _reflection serves both axes: Python scalars, real or complex, and
     # arrays of the nodes' shape give the same r_s and r_p entry by entry,
-    # and it writes only to an array weight_s, which becomes weight_s r_s
+    # and it writes to none of its arguments
     for m, omega in ((GOLD_DRUDE, 1e15), (SILICON_DL, 1e15), (GOLD_PLASMA, 3e16)):
         w2 = (omega / C) ** 2
         dq2 = wavevector_contrast_real(m, omega)
@@ -441,13 +441,11 @@ def test_reflection_takes_scalars_and_complex_arrays():
         q, q2, q_m = -1j * k_z, -(k_z**2), -1j * k_m
         kept = [np.copy(a) for a in (q, q2, q_m)]
         reflect = greens._reflection(-dq2, -w2, dq2 / w2, weight_p=0.5)
-        weight_s = np.full(q.shape, 0.25 + 0j)
-        r_s, r_p = reflect(q, q2, q_m, weight_s)
-        assert r_s is weight_s
+        r_s, r_p = reflect(q, q2, q_m)
         for a, b in zip((q, q2, q_m), kept):
             assert np.array_equal(a, b)
         for j in range(q.size):
-            s_j, p_j = reflect(complex(q[j]), complex(q2[j]), complex(q_m[j]), 0.25)
+            s_j, p_j = reflect(complex(q[j]), complex(q2[j]), complex(q_m[j]))
             assert r_s[j] == pytest.approx(s_j, rel=1e-15)
             assert r_p[j] == pytest.approx(p_j, rel=1e-15)
     # the imaginary axis with Python floats, and with no permittivity
@@ -455,6 +453,32 @@ def test_reflection_takes_scalars_and_complex_arrays():
     assert -1.0 < r_s < 0.0 < r_p < 1.0
     r_s, r_p = greens._reflection(4.0, 1.0, None)(2.0, 4.0, math.sqrt(8.0))
     assert r_p is None and r_s == pytest.approx(-4.0 / (2.0 + math.sqrt(8.0)) ** 2, rel=1e-15)
+
+
+def test_reflection_takes_columns_of_entries():
+    # the imaginary axis's call: one column of contrast, s2 and eps - 1
+    # per entry against an (entry, node) array of decay constants, and
+    # the scalar constants of a single medium against the same nodes
+    xi = np.array([1e13, 1e15, 3e16])
+    k_par = np.geomspace(1e5, 1e9, 7)
+    for m in MODELS:
+        dq2, s2 = wavevector_contrast_imag(m, xi), (xi / C) ** 2
+        q = np.hypot((xi / C)[:, None], k_par)
+        q_m = np.sqrt(q * q + dq2[:, None])
+        kept = [np.copy(a) for a in (dq2, s2, q, q_m)]
+        column = greens._reflection(dq2[:, None], s2[:, None], (dq2 / s2)[:, None])
+        r_s, r_p = column(q, q * q, q_m)
+        assert r_s.shape == r_p.shape == q.shape
+        for a, b in zip((dq2, s2, q, q_m), kept):
+            assert np.array_equal(a, b)
+        for i in range(xi.size):
+            row = greens._reflection(dq2[i], s2[i], dq2[i] / s2[i])
+            s_i, p_i = row(q[i], q[i] * q[i], q_m[i])
+            assert np.array_equal(r_s[i], s_i) and np.array_equal(r_p[i], p_i)
+            for j in range(k_par.size):
+                s_ij, p_ij = reflection_imag(m, float(xi[i]), float(k_par[j]))
+                assert r_s[i, j] == pytest.approx(s_ij, rel=1e-14)
+                assert r_p[i, j] == pytest.approx(p_ij, rel=1e-14)
 
 
 def test_batch_names_the_xi_that_did_not_converge(monkeypatch):
