@@ -8,14 +8,19 @@ benchmark, while ``greens.integrate_trapezoid`` is wrapped to count its
 work.  It prints one JSON object: the rows, the per-row means of the
 k-integral batches (calls of the rule), the k-integrand calls and the
 kernel values (entries of the integrand's output), the most batches one
-row took, and the sha256 of the row CSVs in order.
+row took, and the sha256 of the row CSVs in order.  Then it answers the
+row set once more, uncounted, and prints the minor page faults of its
+own process per row of that pass (``ru_minflt``), with the first pass as
+the warm-up: a count of fresh memory the rows touch.
 
 The counts do not depend on the speed of the machine, so on one NumPy
 build and CPU two commits that should place the same nodes must print
 the same counts, and two that should write the same bytes the same
 digest.  (NumPy picks np.exp and np.sqrt per CPU, and a last-bit
-difference there could flip a stop decision that sits on its threshold.)  ``counting()`` is the wrapper on
-its own, for any other set of calls.
+difference there could flip a stop decision that sits on its threshold.)
+The page faults are printed only, never pinned: they depend on the
+allocator and on what the process did before.  ``counting()`` is the
+wrapper on its own, for any other set of calls.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import resource
 import sys
 from collections import Counter
 from pathlib import Path
@@ -88,6 +94,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             digest.update(answer(req).encode())
         total.update(counts)
         most = max(most, counts["batches"])
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for req in rows:
+        answer(req)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     n = len(rows)
     print(
         json.dumps(
@@ -100,6 +110,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 "kernel_values": round(total["kernel_values"] / n, 3),
                 "max_batches_in_a_row": most,
                 "csv_sha256": digest.hexdigest(),
+                "minor_faults_per_row": round(faults / n, 3),
             }
         )
     )

@@ -42,12 +42,15 @@ The integrand is analytic for |Im ln v| < pi/2, so the integral is
 the trapezoidal rule in w = ln v (quadrature.integrate_trapezoid), whose
 error then falls like exp(-pi^2/h).  The rule's error model takes the
 error of a sum from its last two differences, so a k-integral settles
-at h = 1/4 or 1/8 (two or three integrand calls, the first on the
-h = 1/2 grid; h = 1/4 for the ideal mirror and Drude-Lorentz over
-1 nm - 1 um at 2 T, rel_tol 1e-7 and 1e-9).  Nodes uniform in ln v
-resolve a medium decay constant kappa_m z = sqrt(x^2 + d) at any scale,
-with no panel edges to place, and every xi of a batch shares the
-nodes.  The rule runs over w from ln(rel_tol) - 6 to ln 24: cutting v below
+at h = 1/4 or 1/8: one integrand call on the h = 1/4 grid, and a second
+on the h = 1/8 nodes only where a row needs them (h = 1/4 for the ideal
+mirror and Drude-Lorentz over 1 nm - 1 um at 2 T, rel_tol 1e-7 and
+1e-9).  The integrand forms its (entry, node) intermediates in one
+grow-only scratch buffer of the process, _scratch, which every call and
+batch reuses, and returns a fresh array, which the rule keeps.  Nodes
+uniform in ln v resolve a medium decay constant kappa_m z =
+sqrt(x^2 + d) at any scale, with no panel edges to place, and every xi
+of a batch shares the nodes.  The rule runs over w from ln(rel_tol) - 6 to ln 24: cutting v below
 v_lo = rel_tol e^-6 moves the integral by about 2 v_lo relative, and
 e^(-2v) is below 1e-20 past v = 24.  e^(-2x) is applied after the
 quadrature, from x in extended precision.  The real axis is integrated
@@ -124,6 +127,22 @@ from .quadrature import (
 # relative error control breaks down.
 _UNDERFLOW_X = 350.0
 
+# The imaginary-axis k-integrand's (entry, node) intermediates, one
+# grow-only buffer per process: every call and batch reuses it, so of
+# its (entry, node) arrays a call allocates only the one it returns.
+# Nothing in it outlives one integrand call, and contracted_green_imag
+# is never re-entered from its own integrand; the CLI's --jobs workers
+# are processes, each with its own.
+_scratch = np.empty(0)
+
+
+def _scratch_planes(k: int, n: int, m: int) -> np.ndarray:
+    """k contiguous (n, m) planes of the scratch buffer, grown if needed."""
+    global _scratch
+    if _scratch.size < k * n * m:
+        _scratch = np.empty(k * n * m)
+    return _scratch[: k * n * m].reshape(k, n, m)
+
 
 class IntegrationError(RuntimeError):
     """A quadrature did not reach its tolerance; carries the result."""
@@ -151,10 +170,12 @@ def _reflection(contrast, s2, eps_m1, weight_p=1.0):
     r_p, for callers without a finite permittivity.  The per-entry
     products are formed here once; the returned function
 
-        reflect(q, q2, q_m) -> (r_s, weight_p r_p)
+        reflect(q, q2, q_m, out=None) -> (r_s, weight_p r_p)
 
     does the work per node, with q2 = q^2 from the caller (r_p is None
-    when skipped).  It writes to none of its arguments.
+    when skipped).  It writes to none of its arguments.  out, if given,
+    is three arrays of the result's shape: r_s and r_p are formed in the
+    first two, the third is work space, and nothing else is allocated.
     """
     minus = -contrast
     if eps_m1 is not None:
@@ -162,15 +183,16 @@ def _reflection(contrast, s2, eps_m1, weight_p=1.0):
         scale = weight_p * eps_m1
         eps, a, b = 1.0 + eps_m1, scale * (2.0 + eps_m1), scale * s2
 
-    def reflect(q, q2, q_m):
-        den = q + q_m
+    def reflect(q, q2, q_m, out=None):
+        r_s, r_p, work = (None, None, None) if out is None else out
+        den = np.add(q, q_m, out=work)
         den *= den
-        r_s = minus / den
+        r_s = np.divide(minus, den, out=r_s)
         if eps_m1 is None:
             return r_s, None
-        r_p = q2 * a
+        r_p = np.multiply(q2, a, out=r_p)
         r_p -= b
-        den = eps * q
+        den = np.multiply(eps, q, out=work)
         den += q_m
         den *= den
         r_p /= den
@@ -265,19 +287,22 @@ def contracted_green_imag(
 
     def integrand(w: np.ndarray) -> np.ndarray:
         v = np.exp(w)
-        rho = x + v
-        rho2 = rho * rho
+        # rho, rho^2, a work plane, reflect's three, and acc when the
+        # returned array is the z-derivative pair: all in the scratch.
+        # The array returned is fresh, since the rule holds on to it
+        rho, rho2, tmp, *work, scratch_acc = _scratch_planes(7, n, v.size)
+        np.add(x, v, out=rho)
+        np.multiply(rho, rho, out=rho2)
         # t^2 = rho^2 - x^2 = v (x + rho)
-        acc = rho + x
-        acc *= v * a_zz
-        tmp = np.multiply(rho2, a_xx)
-        acc += tmp
+        acc = np.add(rho, x, out=scratch_acc if z_derivative else None)
+        acc *= v * a_zz if np.ndim(a_zz) == 0 else np.multiply(v, a_zz, out=tmp)
+        acc += np.multiply(rho2, a_xx, out=tmp)
         if mirror:  # r_s = -1, r_p = 1
             acc += weight_p
         else:
             q_m = np.add(rho2, d, out=tmp)
             np.sqrt(q_m, out=q_m)
-            r_s, r_p = reflect(rho, rho2, q_m)
+            r_s, r_p = reflect(rho, rho2, q_m, out=work)
             acc *= r_s
             if r_p is not None:
                 acc += r_p

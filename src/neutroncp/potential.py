@@ -127,7 +127,7 @@ def u_du(
     (quadrature.integrate_trapezoid): the weight is sech(s)/2 and g is
     analytic for |Im s| < pi/2, so the error falls like exp(-pi^2/h)
     (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  The rule's first
-    call takes the h = 1/2 grid, and each halving after it the odd nodes,
+    call takes the h = 1/4 grid, and each halving after it the odd nodes,
     until the rule's error estimate is at most rel_tol: the last
     difference of the sums, or, once they converge, d^2/d' from the last
     two; the rule's roundoff floor of 1e-14 makes a rel_tol below it
@@ -138,10 +138,11 @@ def u_du(
     contracted_green_imag, itself a trapezoidal rule in ln v, at
     tolerance rel_tol/10 raised to 1e-13, but never above rel_tol nor
     below the 1e-14 floor (rel_tol itself from 1e-14 to 1e-13).  The
-    first batch is led by two xi = 0 entries: u_dd's static contraction,
-    with the static weights, and g(0), so u_dd is solved to that
-    tolerance too.  At B = 0 both pieces come from one batch of the two
-    xi = 0 entries at rel_tol.  Raises
+    first batch, every xi of the h = 1/4 grid and at the benchmark's
+    tolerances nearly always the only one, is led by two xi = 0 entries:
+    u_dd's static contraction, with the static weights, and g(0), so
+    u_dd is solved to that tolerance too.  At B = 0 both pieces come
+    from one batch of the two xi = 0 entries at rel_tol.  Raises
     IntegrationError if a k-integral misses its tolerance (naming xi and
     z) or the sum has not settled after the last halving (naming z and
     B).

@@ -29,13 +29,13 @@ The fixed rule, :func:`integrate_trapezoid`, is the trapezoidal rule on
 the grid h Z, for integrands that are analytic in a strip about the real
 line and negligible beyond [lo, hi]; its error then falls like
 exp(-2 pi a/h) for a strip of half-width a (Trefethen & Weideman, SIAM
-Rev. 56 (2014) 385).  Its first call takes the h = 1/2 grid, whose even
-nodes give the h = 1 sum; from there the step is halved, adding only the
-odd nodes, until the sum settles.  At that rate each halving roughly
-squares the error, so once the sums converge the error of the last one
-is taken from the last two differences, d^2/d' (Bailey, Jeyabalan &
-Li, Exp. Math. 14 (2005) 317), which stops the loop one halving sooner
-than the last difference alone.  Its integrand returns one row per sum, so
+Rev. 56 (2014) 385).  Its first call takes the h = 1/4 grid, whose
+strided nodes give the h = 1, 1/2 and 1/4 sums; from there the step is
+halved, adding only the odd nodes, until the sum settles.  At that rate
+each halving roughly squares the error, so once the sums converge the
+error of the last one is taken from the last two differences, d^2/d'
+(Bailey, Jeyabalan & Li, Exp. Math. 14 (2005) 317), which stops the
+loop one halving sooner than the last difference alone.  Its integrand returns one row per sum, so
 related integrals share the nodes and the halvings.
 
 All three entry points take one tolerance, rel_tol: a sum has
@@ -95,7 +95,8 @@ WEIGHTS_G = np.array(list(_WG_HALF[:-1]) + [_WG_HALF[-1]] + list(reversed(_WG_HA
 # roundoff near 1e-16 per panel, so claiming better would be dishonest.
 _ERROR_FLOOR_REL = 1e-14
 # halvings of integrate_trapezoid's step, from h = 1 to 1/32; the first
-# integrand call takes h = 1/2, so f is called at most this many times
+# integrand call takes h = 1/4, so f is called at most this many times
+# less one (4)
 _MAX_HALVINGS = 5
 # integrate_trapezoid's error model d^2/d' is used only for a sum that
 # the previous halving moved by at most this fraction of itself
@@ -281,15 +282,20 @@ def integrate_trapezoid(
     f gets a 1-D array of nodes, in ascending order, and returns one row
     of values per sum (a 1-D result is one row).  h starts at 1 and is
     halved up to _MAX_HALVINGS times.  The first call takes the whole
-    h = 1/2 grid:
-    T_1 sums its even nodes and T_1/2 adds its odd ones.  Each later
-    halving calls f on the new, odd nodes only.  The loop never stops at
-    h = 1, so the h = 1/2 nodes are always needed.  A row's error is its
-    last difference d = |T_h - T_2h|.  From the second halving on it is
-    d^2/d', with d' = |T_2h - T_4h|, where the differences shrink
-    (d < d') and the previous halving moved the sum by at most
-    _MODEL_GATE_REL of it (d' <= 1e-2 |T_h|): for an error that falls
-    like exp(-c/h) each halving roughly squares it.
+    h = 1/4 grid, the nodes j/4: T_1 sums those with j = 0 mod 4, T_1/2
+    adds j = 2 mod 4 and T_1/4 the odd j, each a strided slice of the
+    one array, so the sums are those of three separate calls to the bit.
+    Each later halving calls f on the new, odd nodes only, so f is
+    called at most _MAX_HALVINGS - 1 times.  The loop never stops at
+    h = 1, and the package's sums nearly all need h = 1/4, so a batch of
+    them takes one call; a sum that settles at h = 1/2 has had its
+    h = 1/4 nodes evaluated for nothing.  Each array f returns must stay
+    as it is through later calls: the rule holds it across three sums.
+    A row's error is its last difference d = |T_h - T_2h|.  From the
+    second halving on it is d^2/d', with d' = |T_2h - T_4h|, where the
+    differences shrink (d < d') and the previous halving moved the sum
+    by at most _MODEL_GATE_REL of it (d' <= 1e-2 |T_h|): for an error
+    that falls like exp(-c/h) each halving roughly squares it.
     The loop stops when every row has max(error, _ERROR_FLOOR_REL |T_h|)
     <= rel_tol |T_h|, so a rel_tol below the floor never converges.  The
     result holds the rows' sums and those errors as arrays, and
@@ -307,17 +313,18 @@ def integrate_trapezoid(
     Never raises on non-convergence: the result carries converged=False
     and the caller decides whether that is fatal.
     """
-    # the first call takes the h = 1/2 grid: its even nodes make T_1,
-    # which only seeds the first difference, its odd ones the first
-    # halving's new nodes
-    j0 = math.ceil(2.0 * lo)
-    grid = np.atleast_2d(f(0.5 * np.arange(j0, math.floor(2.0 * hi) + 1)))
-    total = grid[:, j0 % 2 :: 2].sum(axis=1)
+    # the first call takes the h = 1/4 grid of nodes j/4: the columns
+    # j = 0 mod 4 make T_1, which only seeds the first difference,
+    # j = 2 mod 4 are the first halving's new nodes and odd j the second's
+    j0 = math.ceil(4.0 * lo)
+    grid = np.atleast_2d(f(0.25 * np.arange(j0, math.floor(4.0 * hi) + 1)))
+    strided = (grid[:, -j0 % 4 :: 4], grid[:, (2 - j0) % 4 :: 4], grid[:, (j0 + 1) % 2 :: 2])
+    total = strided[0].sum(axis=1)
     evaluations = grid.shape[1]
     for level in range(1, _MAX_HALVINGS + 1):
         h = 2.0**-level
-        if level == 1:
-            values = grid[:, (j0 + 1) % 2 :: 2]
+        if level < len(strided):
+            values = strided[level]
         else:  # the odd multiples of h
             first = math.ceil(lo / h) | 1
             values = np.atleast_2d(f(h * np.arange(first, math.floor(hi / h) + 1, 2)))

@@ -45,19 +45,19 @@ FIG1_PLASMA = Plasma(omega_p=363494611.93541175)
 # (batches, integrand calls, kernel values) of one u_du solve at 2 T,
 # orientation averaged
 FIG2_COUNTS = {
-    ("pc", 1e-9): (2, 4, 19580),
-    ("pc", 1e-6): (2, 4, 16500),
-    ("plasma", 1e-9): (2, 4, 19580),
-    ("plasma", 1e-6): (2, 4, 16500),
-    ("drude", 1e-9): (1, 2, 9680),
-    ("drude", 1e-6): (2, 6, 32708),
-    ("drude-lorentz", 1e-9): (2, 4, 19360),
-    ("drude-lorentz", 1e-6): (2, 4, 16280),
+    ("pc", 1e-9): (1, 1, 19580),
+    ("pc", 1e-6): (1, 1, 16500),
+    ("plasma", 1e-9): (1, 1, 19580),
+    ("plasma", 1e-6): (1, 1, 16500),
+    ("drude", 1e-9): (1, 1, 19360),
+    ("drude", 1e-6): (1, 2, 32708),
+    ("drude-lorentz", 1e-9): (1, 1, 19360),
+    ("drude-lorentz", 1e-6): (1, 1, 16280),
 }
 
 
 # the same for fig1's plasma at 1 m, rel_tol 1e-8, with z-derivative rows
-FIG1_COUNTS = (2, 4, 24752)
+FIG1_COUNTS = (1, 1, 24752)
 
 
 def _counts(m, z, rel_tol, z_derivative=False):
@@ -111,8 +111,10 @@ def test_script_reports_the_fig2_ground_row_set():
     assert sys.path == path
     report = json.loads(out.getvalue())
     assert report["rows"] == 64
-    assert report["k_integral_batches"] == 1.953
-    assert report["k_integrand_calls"] == 4.219
-    assert report["kernel_values"] == 20188.734
-    assert report["max_batches_in_a_row"] == 2
+    assert report["k_integral_batches"] == 1.0
+    assert report["k_integrand_calls"] == 1.156
+    assert report["kernel_values"] == 20637.328
+    assert report["max_batches_in_a_row"] == 1
     assert len(report["csv_sha256"]) == 64
+    # printed, not pinned: it depends on the allocator
+    assert report["minor_faults_per_row"] >= 0.0

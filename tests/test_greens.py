@@ -428,6 +428,38 @@ def test_kernel_scratch_does_not_alias_its_inputs(m, z_derivative):
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("m", [PC, *MODELS], ids=["pc", "plasma", "drude", "drude-lorentz"])
+def test_k_integrand_scratch_does_not_leak(monkeypatch, m):
+    # the k-integrand's intermediates live in a scratch buffer that every
+    # call reuses, and grows for a larger batch; the arrays it returns are
+    # its own: each is unchanged after every later call, and a static
+    # entry gives the same bits before and after a large z-derivative batch
+    rule = greens.integrate_trapezoid
+    returned = []
+
+    def keeping(f, lo, hi, rel_tol):
+        def g(w):
+            out = f(w)
+            returned.append((out, np.copy(out)))
+            return out
+
+        return rule(g, lo, hi, rel_tol)
+
+    monkeypatch.setattr(greens, "integrate_trapezoid", keeping)
+    static = contracted_green_imag(m, 1e-7, 0.0, 2.0 / 3.0, 1.0 / 3.0, rel_tol=1e-9)
+    for z_derivative in (False, True):
+        for z in (1e-9, 1e-6):
+            u_du(z, FieldConfig(2.0), m, rel_tol=1e-9, z_derivative=z_derivative)
+    contracted_green_imag(
+        m, 1e-8, np.geomspace(1e10, 1e18, 400), 1.3, 0.7, rel_tol=1e-12, z_derivative=True
+    )
+    again = contracted_green_imag(m, 1e-7, 0.0, 2.0 / 3.0, 1.0 / 3.0, rel_tol=1e-9)
+    assert np.array_equal(again, static)
+    assert len(returned) > 5
+    for out, copy in returned:
+        assert np.array_equal(out, copy)
+
+
 def test_reflection_takes_scalars_and_complex_arrays():
     # _reflection serves both axes: Python scalars, real or complex, and
     # arrays of the nodes' shape give the same r_s and r_p entry by entry,
@@ -464,6 +496,14 @@ def test_reflection_takes_scalars_and_complex_arrays():
         for i in range(xi.size):
             s_i, p_i = greens._reflection(dq2[i], s2[i], dq2[i] / s2[i])(q[i], q[i] ** 2, q_m[i])
             assert np.array_equal(r_s[i], s_i) and np.array_equal(r_p[i], p_i)
+        # with out, the same bits are formed in out's first two arrays and
+        # nothing but out is written
+        out = np.full((3, *q.shape), np.nan)
+        into = column(q, q * q, q_m, out=out)
+        for a, b in zip((dq2, s2, q, q_m), kept):
+            assert np.array_equal(a, b)
+        for got, want, plane in zip(into, (r_s, r_p), out):
+            assert np.shares_memory(got, plane) and np.array_equal(got, want)
     # the imaginary axis with Python floats, and with no permittivity
     r_s, r_p = reflection_imag(GOLD_DRUDE, 1e15, 1e7)
     assert -1.0 < r_s < 0.0 < r_p < 1.0
@@ -571,7 +611,7 @@ def _k_integral_steps(monkeypatch):
 def test_u_du_k_integrals_settle_within_four_calls(monkeypatch, m, zs, rel_tol):
     # every k-integral of u_du, over fig2's and fig1's distance ranges,
     # settles by h = 1/8 in ln v: four calls of a rule that starts on the
-    # h = 1 grid, three of one that starts on h = 1/2.  Counts do not
+    # h = 1 grid, two of one that starts on h = 1/4.  Counts do not
     # depend on the machine
     steps = _k_integral_steps(monkeypatch)
     for z in zs:
@@ -583,7 +623,7 @@ def test_u_du_k_integrals_settle_within_four_calls(monkeypatch, m, zs, rel_tol):
 @pytest.mark.parametrize("m", [PC, SILICON_DL], ids=["pc", "drude-lorentz"])
 def test_u_du_k_integrals_settle_within_three_calls(monkeypatch, m, rel_tol):
     # the rule's error model stops these k-integrals at h = 1/4 over
-    # fig2's range (three calls from the h = 1 grid, two from h = 1/2);
+    # fig2's range (three calls from the h = 1 grid, one from h = 1/4);
     # Drude, both plasmas still reach h = 1/8 at some z
     steps = _k_integral_steps(monkeypatch)
     zs = np.geomspace(1e-9, 1e-6, 7)

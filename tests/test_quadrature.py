@@ -400,11 +400,11 @@ def _noise():
 def test_trapezoid_calls_f_on_the_grid_then_the_odd_nodes(lo, hi):
     f, calls = _counting(_noise())
     res = integrate_trapezoid(f, lo, hi, 1e-9)
-    assert len(calls) == quadrature._MAX_HALVINGS
-    # every h j in [lo, hi] at h = 1/2, then the odd multiples of each new h
-    j = np.arange(math.ceil(2 * lo), math.floor(2 * hi) + 1)
-    assert np.array_equal(calls[0], 0.5 * j)
-    for level, x in enumerate(calls[1:], start=2):
+    assert len(calls) == quadrature._MAX_HALVINGS - 1
+    # every h j in [lo, hi] at h = 1/4, then the odd multiples of each new h
+    j = np.arange(math.ceil(4 * lo), math.floor(4 * hi) + 1)
+    assert np.array_equal(calls[0], 0.25 * j)
+    for level, x in enumerate(calls[1:], start=3):
         h = 2.0**-level
         j = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
         assert np.array_equal(x, h * j[j % 2 == 1])
@@ -456,7 +456,7 @@ def _grid_noise(x):
     ],
 )
 def test_trapezoid_matches_a_reference_halving_loop(f, lo, hi, rel_tol, converged):
-    # the first call's h = 1/2 grid splits into the reference's first two
+    # the first call's h = 1/4 grid splits into the reference's first three
     # sums and each later call is the reference's: the result is the same
     # to the bit
     res = integrate_trapezoid(f, lo, hi, rel_tol)
@@ -464,18 +464,44 @@ def test_trapezoid_matches_a_reference_halving_loop(f, lo, hi, rel_tol, converge
     assert res.converged is ref_converged is converged
     assert np.array_equal(res.value, value)
     assert np.array_equal(res.abs_error, abs_error)
-    assert res.evaluations == evaluations
+    # the h = 1/4 grid's odd nodes are evaluated even where the reference
+    # stops at h = 1/2, having evaluated the even ones
+    j = np.arange(math.ceil(4 * lo), math.floor(4 * hi) + 1)
+    odd = np.count_nonzero(j % 2)
+    assert res.evaluations == evaluations + (odd if evaluations == j.size - odd else 0)
+
+
+@given(
+    st.floats(min_value=0.05, max_value=3.0),
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.floats(min_value=-60.0, max_value=-1.0),
+    st.floats(min_value=1.0, max_value=60.0),
+    st.floats(min_value=-13.0, max_value=-3.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_trapezoid_strided_sums_match_the_reference(b, shift, lo, hi, log_tol):
+    # bounds anywhere on or off the h = 1/4 grid, sums settling at any
+    # depth: the strided slices of the first call give the reference's
+    # value, error and verdict to the bit
+    f = lambda x: np.stack([1.0 / np.cosh((x - shift) / b), np.exp(-(((x + shift) / b) ** 2))])
+    with np.errstate(over="ignore"):
+        res = integrate_trapezoid(f, lo, hi, 10.0**log_tol)
+        value, abs_error, _, ref_converged = _reference_trapezoid(f, lo, hi, 10.0**log_tol)
+    assert res.converged is ref_converged
+    assert np.array_equal(res.value, value)
+    assert np.array_equal(res.abs_error, abs_error)
 
 
 @pytest.mark.parametrize(
     "f, lo, hi, nodes",
     [
-        (lambda x: np.exp(-((x / 3.0) ** 2)), -40.25, 39.75, 160),
-        (lambda x: 2.0 + 0.0 * x, -3.25, 3.75, 14),
+        (lambda x: np.exp(-((x / 3.0) ** 2)), -40.25, 39.75, 321),
+        (lambda x: 2.0 + 0.0 * x, -3.25, 3.75, 29),
     ],
 )
 def test_trapezoid_settles_on_its_first_call(f, lo, hi, nodes):
-    # a sum already exact on the h = 1 grid stops at h = 1/2, after one call
+    # a sum already exact on the h = 1 grid stops at h = 1/2, after the
+    # one call that took the h = 1/4 grid
     counted, calls = _counting(f)
     res = integrate_trapezoid(counted, lo, hi, 1e-9)
     assert res.converged and len(calls) == 1
@@ -487,7 +513,7 @@ def test_trapezoid_rows_share_the_nodes():
     rows = lambda x: np.stack([np.exp(-x * x), 0.5 / np.cosh(x)])
     f, calls = _counting(rows)
     res = integrate_trapezoid(f, -40.0, 40.0, 1e-12)
-    assert res.converged and len(calls) < quadrature._MAX_HALVINGS
+    assert res.converged and len(calls) < quadrature._MAX_HALVINGS - 1
     assert abs(res.value[0] - math.sqrt(math.pi)) <= 1e-12 * math.sqrt(math.pi)
     assert abs(res.value[1] - math.pi / 2.0) <= 1e-12 * math.pi / 2.0
     assert (res.abs_error <= 1e-12 * np.abs(res.value)).all()
