@@ -205,8 +205,8 @@ def contracted_green_imag(
     m: Material,
     z: float,
     xi: Union[float, np.ndarray],
-    weight_xx: Union[float, np.ndarray],
-    weight_zz: Union[float, np.ndarray],
+    weight_xx: float,
+    weight_zz: float,
     rel_tol: float = 1e-10,
     z_derivative: bool = False,
 ):
@@ -220,7 +220,8 @@ def contracted_green_imag(
     xi may be an array: its k-integrals are then one trapezoidal rule,
     one row per entry, all on the same nodes, and the result is an array
     of xi's shape.  A scalar xi is the batch of one and returns a float.
-    The weights are scalars or arrays of xi's shape, one pair per entry.
+    The weights are scalars, one pair for every entry (TypeError for an
+    array).
     Entries whose tensor is zero at double precision (underflow,
     vanishing contrast) skip the quadrature.  Raises IntegrationError,
     naming the first entry that missed rel_tol, if the rule has not
@@ -255,11 +256,8 @@ def contracted_green_imag(
     pick = slice(None) if n == flat.size else live
     xl, x = flat[pick], x[pick]
     x2 = x * x
-    # per-entry columns against the nodes of w = ln v; weights given per
-    # entry become columns too, scalars stay scalars
-    w_xx, w_zz = (
-        w if np.ndim(w) == 0 else np.ravel(w)[pick][:, None] for w in (weight_xx, weight_zz)
-    )
+    w_xx, w_zz = float(weight_xx), float(weight_zz)  # raises for arrays
+    # per-entry columns against the nodes of w = ln v
     weight_p = w_xx * x2[:, None]  # the weight of r_p in acc
     if not mirror:
         d = contrast[pick] * z * z
@@ -295,7 +293,7 @@ def contracted_green_imag(
         np.multiply(rho, rho, out=rho2)
         # t^2 = rho^2 - x^2 = v (x + rho)
         acc = np.add(rho, x, out=scratch_acc if z_derivative else None)
-        acc *= v * a_zz if np.ndim(a_zz) == 0 else np.multiply(v, a_zz, out=tmp)
+        acc *= v * a_zz
         acc += np.multiply(rho2, a_xx, out=tmp)
         if mirror:  # r_s = -1, r_p = 1
             acc += weight_p

@@ -104,8 +104,8 @@ def u_dd(
 ) -> float:
     """Static same-state piece; equal for both spin states.
 
-    Its z-derivative comes with u_du's solve (u_du(..., z_derivative=True)),
-    which carries this contraction as its first entry.
+    u_du(...) returns it too, with its z-derivative, from g(0) of its own
+    solve; this route solves the static contraction on its own.
     """
     w_xx, w_zz = _static_weights(cfg.theta)
     contraction = contracted_green_imag(m, z, 0.0, w_xx, w_zz, rel_tol=rel_tol)
@@ -139,24 +139,26 @@ def u_du(
     tolerance rel_tol/10 raised to 1e-13, but never above rel_tol nor
     below the 1e-14 floor (rel_tol itself from 1e-14 to 1e-13).  The
     first batch, every xi of the h = 1/4 grid and at the benchmark's
-    tolerances nearly always the only one, is led by two xi = 0 entries:
-    u_dd's static contraction, with the static weights, and g(0), so
-    u_dd is solved to that tolerance too.  At B = 0 both pieces come
-    from one batch of the two xi = 0 entries at rel_tol.  Raises
-    IntegrationError if a k-integral misses its tolerance (naming xi and
-    z) or the sum has not settled after the last halving (naming z and
-    B).
+    tolerances nearly always the only one, is led by one xi = 0 entry,
+    g(0), and every entry takes the cross weights.  At xi = 0 the
+    response has h_zz = 2 h_xx, so a contraction there is
+    (w_xx + 2 w_zz) h_xx(0), and u_dd and its z-derivative are g(0)'s
+    times the ratio of the static and cross weights' w_xx + 2 w_zz,
+    (1 + cos^2 theta) / (3 - cos^2 theta), solved to the batch
+    tolerance.  At B = 0 both pieces come from g(0) alone, at rel_tol.
+    Raises IntegrationError if a k-integral misses its tolerance (naming
+    xi and z) or the sum has not settled after the last halving (naming
+    z and B).
 
     z_derivative=True returns each piece as the pair (u, z du/dz) from the
     same solve: every k-integral carries its z-derivative as a partner
     row, the nodes do not depend on z, and both sums must settle.
     """
     k = CONSTANTS
-    cross_w = _cross_weights(cfg.theta)
-    # the xi = 0 entries that lead the first batch, as (w_xx, w_zz)
-    # columns: u_dd's static contraction, then g(0)
-    head_w = np.transpose([_static_weights(cfg.theta), cross_w])
-    half = 0.5 * k.mu0 * _MOMENT_SQ  # u_dd per unit contraction
+    w_xx, w_zz = _cross_weights(cfg.theta)
+    c2 = _cos2(cfg.theta)
+    half = 0.5 * k.mu0 * _MOMENT_SQ  # u_dd per unit static contraction
+    static = half * (1.0 + c2) / (3.0 - c2)  # u_dd per unit g(0)
 
     def pieces(dd: np.ndarray, du: np.ndarray):
         # one entry per sum: the value, then its z-derivative
@@ -164,34 +166,32 @@ def u_du(
 
     omega = transition_frequency(cfg)
     if omega == 0.0:
-        head = contracted_green_imag(
-            m, z, np.zeros(2), *head_w, rel_tol=rel_tol, z_derivative=z_derivative
+        g0 = contracted_green_imag(
+            m, z, 0.0, w_xx, w_zz, rel_tol=rel_tol, z_derivative=z_derivative
         )
-        head = half * np.reshape(head, (1 + z_derivative, 2))
-        return pieces(head[:, 0], head[:, 1])
+        g0 = np.ravel(g0)
+        return pieces(static * g0, half * g0)
 
     inner_tol = min(max(rel_tol / 10.0, 1e-13), max(rel_tol, 1e-14))
     s_hi = math.log(_UNDERFLOW_X * k.c / (z * omega))
     s_lo = math.log(rel_tol / 4.0 * min(1.0, k.c / (z * omega)))
-    head = None  # the xi = 0 contractions, one row per sum: values, z-derivatives
+    g0 = None  # g(0), one row per sum: value, z-derivative
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        nonlocal head
+        nonlocal g0
         # the nodes ascend, so the static ones, s < s_lo, come first
         k0 = int(np.searchsorted(s, s_lo))
         xi = omega * np.exp(s[k0:])
-        weights = cross_w
-        if head is None:  # g(0)'s weights repeat for every xi
-            weights = np.repeat(head_w, (1, 1 + xi.size), axis=1)
-            xi = np.concatenate((np.zeros(2), xi))
+        if g0 is None:  # the first batch is led by xi = 0
+            xi = np.concatenate(((0.0,), xi))
         g = contracted_green_imag(
-            m, z, xi, *weights, rel_tol=inner_tol, z_derivative=z_derivative
+            m, z, xi, w_xx, w_zz, rel_tol=inner_tol, z_derivative=z_derivative
         )
         g = np.reshape(g, (1 + z_derivative, -1))
-        if head is None:
-            head, g = g[:, :2], g[:, 2:]
+        if g0 is None:
+            g0, g = g[:, :1], g[:, 1:]
         f = np.empty((len(g), s.size))
-        f[:, :k0] = head[:, 1:]
+        f[:, :k0] = g0
         f[:, k0:] = g
         f *= 0.5 / np.cosh(s)
         return f
@@ -208,7 +208,7 @@ def u_du(
                 False,
             ),
         )
-    return pieces(half * head[:, 0], scale * res.value)
+    return pieces(static * g0[:, 0], scale * res.value)
 
 
 def u_resonant(

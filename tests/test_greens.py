@@ -47,6 +47,8 @@ GOLD_PLASMA = Plasma(omega_p=1.37e16)
 GOLD_DRUDE = Drude(omega_p=1.37e16, gamma=4.10e12)
 SILICON_DL = DrudeLorentz(omega_p=2.3e16, omega_t=7.1e16)
 MODELS = [GOLD_PLASMA, GOLD_DRUDE, SILICON_DL]
+# fig1's plasma: omega_p equal to the spin-flip frequency at 2 T
+FIG1_PLASMA = Plasma(omega_p=363494611.93541175)
 
 
 def diag_imag(m, z, xi, **kw):
@@ -240,6 +242,29 @@ def test_static_zz_is_twice_xx():
             assert h_xx > 0.0
 
 
+@pytest.mark.parametrize("z_derivative", [False, True])
+@pytest.mark.parametrize(
+    "m", [PC, *MODELS, FIG1_PLASMA], ids=["pc", "plasma", "drude", "drude-lorentz", "fig1-plasma"]
+)
+def test_static_zz_is_twice_xx_to_the_bit(m, z_derivative):
+    # u_du takes u_dd from g(0) on this identity: at xi = 0 the
+    # k-integrand has t^2 = rho^2, so h_zz(0) = 2 h_xx(0) holds bit for
+    # bit, value and z-derivative, from 1 nm to 1 km
+    for z in np.geomspace(1e-9, 1e3, 13):
+        for rel_tol in (1e-7, 1e-13):
+            h_xx, h_zz = (
+                np.ravel(contracted_green_imag(m, z, 0.0, *w, rel_tol, z_derivative))
+                for w in ((1.0, 0.0), (0.0, 1.0))
+            )
+            assert np.array_equal(h_zz, 2.0 * h_xx), (z, rel_tol, h_xx, h_zz)
+
+
+def test_weights_are_scalars():
+    xi = _first_batch()
+    with pytest.raises(TypeError):
+        contracted_green_imag(PC, 1e-8, xi, np.full(xi.shape, 4.0 / 3.0), 2.0 / 3.0)
+
+
 def test_static_response_vanishes_without_dc_conductivity():
     for m in [GOLD_DRUDE, SILICON_DL]:
         assert diag_imag(m, 1e-7, 0.0) == (0.0, 0.0)
@@ -393,27 +418,25 @@ def test_batched_contraction_matches_scalar(m):
 
 
 def _first_batch():
-    # xi and per-entry weights as u_du's first k-integral batch passes
-    # them at 2 T: two xi = 0 entries, u_dd's static weights and g(0)'s
-    # cross weights, then cross weights for every xi
+    # xi as u_du's first k-integral batch passes it at 2 T, with the
+    # averaged cross weights for every entry: one xi = 0 entry, g(0),
+    # then the grid
     omega = transition_frequency(FieldConfig(2.0))
-    xi = np.concatenate((np.zeros(2), omega * np.exp(np.arange(-6.0, 9.0))))
-    head_w = np.transpose([(2.0 / 3.0, 1.0 / 3.0), (4.0 / 3.0, 2.0 / 3.0)])
-    return xi, *np.repeat(head_w, (1, xi.size - 1), axis=1)
+    return np.append(0.0, omega * np.exp(np.arange(-6.0, 9.0)))
 
 
 @pytest.mark.parametrize("z_derivative", [False, True])
 @pytest.mark.parametrize("m", [PC, *MODELS], ids=["pc", "plasma", "drude", "drude-lorentz"])
 def test_kernel_scratch_does_not_alias_its_inputs(m, z_derivative):
     # the k-integrand works in place on arrays of its own: a second
-    # identical call returns the same bits, and the caller's xi and weight
-    # arrays are left as they were
-    xi, w_xx, w_zz = _first_batch()
+    # identical call returns the same bits, and the caller's xi array is
+    # left as it was
+    xi = _first_batch()
     cases = [
-        (xi, w_xx, w_zz),  # per-entry weights
-        (xi[2:], 4.0 / 3.0, 2.0 / 3.0),  # scalar weights
-        (xi[2:].reshape(3, -1), 4.0 / 3.0, 2.0 / 3.0),  # an xi array of any shape
-        (float(xi[5]), 4.0 / 3.0, 2.0 / 3.0),  # scalar xi
+        (xi, 4.0 / 3.0, 2.0 / 3.0),  # u_du's first batch
+        (xi[1:], 4.0 / 3.0, 2.0 / 3.0),  # a later batch, the grid alone
+        (xi[1:].reshape(3, -1), 4.0 / 3.0, 2.0 / 3.0),  # an xi array of any shape
+        (float(xi[4]), 4.0 / 3.0, 2.0 / 3.0),  # scalar xi
         (0.0, 2.0 / 3.0, 1.0 / 3.0),  # u_dd's one entry
     ]
     for args in cases:
@@ -538,7 +561,6 @@ def test_batch_names_the_xi_that_did_not_converge(monkeypatch):
 # min(1, c/(z omega))) to s_hi = ln(350 c/(z omega)), where e^(-2x) leaves
 # the double range.
 OMEGA_2T = transition_frequency(FieldConfig(2.0))
-FIG1_PLASMA = Plasma(omega_p=363494611.93541175)
 
 
 def u_du_xi_batch(z, rel_tol, nodes=30):

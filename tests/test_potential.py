@@ -400,16 +400,18 @@ def test_u_du_meets_rel_tol_of_the_tight_solve(name, u, log_tol, theta):
 
 # ------------------------------------------------------ u_dd in u_du's solve
 #
-# u_du carries u_dd's static contraction as one more xi = 0 entry of its
-# first batch, solved at the batch tolerance: rel_tol/10 raised to 1e-13,
-# but never above rel_tol (nor below the 1e-14 floor).  Its u_dd must stay
-# within rel_tol of u_dd's own solve, for the static weights' edge cases
-# (w_xx = 0 at theta = 0), with and without a field, and its z-derivative
-# within rel_tol of the static contraction's, with the static weights.
+# u_du returns u_dd as g(0), its one xi = 0 entry, times the ratio of the
+# static and cross weights' w_xx + 2 w_zz (h_zz(0) = 2 h_xx(0)); g(0) is
+# solved at the batch tolerance: rel_tol/10 raised to 1e-13, but never
+# above rel_tol (nor below the 1e-14 floor).  Its u_dd must stay within
+# rel_tol of u_dd's own solve, for the static weights' edge cases (w_xx =
+# 0 at theta = 0, w_zz near 0 at pi/2) and between them, with and without
+# a field, and its z-derivative within rel_tol of the static
+# contraction's, with the static weights.
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
-@pytest.mark.parametrize("theta", [0.0, math.pi / 2, None], ids=["0", "pi/2", "avg"])
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2, 1.0, None], ids=["0", "pi/2", "1", "avg"])
 @pytest.mark.parametrize("b_ext", [0.0, 2.0])
 @pytest.mark.parametrize("z_derivative", [False, True])
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-14])
@@ -436,20 +438,18 @@ def test_folded_u_dd_meets_rel_tol(name, theta, b_ext, z_derivative, rel_tol):
 @pytest.mark.parametrize("b_ext", [0.0, 2.0])
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-13, 1e-14])
 def test_folded_u_dd_is_solved_to_rel_tol(monkeypatch, b_ext, rel_tol):
-    # at theta = 0 the static contraction is h_zz(0) alone, the only
-    # xi = 0 entry with w_zz = 1 (g(0) has w_zz = 0).  Its k-integral must
-    # be asked for rel_tol or less, also below 1e-13, where the batch
-    # tolerance is rel_tol itself
+    # u_dd is taken from g(0), the solve's one xi = 0 entry, so its
+    # k-integral must be asked for rel_tol or less, also below 1e-13,
+    # where the batch tolerance is rel_tol itself
     asked = []
 
     def spy(m, z, xi, w_xx, w_zz, rel_tol, z_derivative=False):
-        static = (np.ravel(xi) == 0.0) & (np.ravel(w_zz + 0.0 * np.asarray(xi)) == 1.0)
-        asked.extend([rel_tol] * np.count_nonzero(static))
+        asked.extend([rel_tol] * np.count_nonzero(np.ravel(xi) == 0.0))
         return greens.contracted_green_imag(m, z, xi, w_xx, w_zz, rel_tol, z_derivative)
 
     monkeypatch.setattr(potential, "contracted_green_imag", spy)
     u_du(1e-8, FieldConfig(b_ext, 0.0), PC, rel_tol=rel_tol)
-    assert asked and min(asked) <= rel_tol
+    assert len(asked) == 1 and asked[0] <= rel_tol
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
