@@ -7,8 +7,10 @@ Answers each row of the workload's seeded row set
 benchmark, while ``greens.integrate_trapezoid`` is wrapped to count its
 work.  It prints one JSON object: the rows, the per-row means of the
 k-integral batches (calls of the rule), the k-integrand calls and the
-kernel values (entries of the integrand's output), the most batches one
-row took, and the sha256 of the row CSVs in order.  Then it answers the
+kernel values (entries of the integrand's output), the mean number of
+k-integrals per batch (rows of the integrand's output: one per live xi
+entry, two where the row asks for the z-derivative), the most batches
+one row took, and the sha256 of the row CSVs in order.  Then it answers the
 row set once more, uncounted, and prints the minor page faults of its
 own process per row of that pass (``ru_minflt``), with the first pass as
 the warm-up: a count of fresh memory the rows touch.
@@ -46,13 +48,20 @@ from neutroncp import greens  # noqa: E402
 
 @contextlib.contextmanager
 def counting() -> Iterator[Counter]:
-    """Count greens.integrate_trapezoid's batches, integrand calls and values."""
+    """Count greens.integrate_trapezoid's batches, integrand calls, values
+    and k-integrals (the rows of a batch)."""
     counts: Counter = Counter()
     rule = greens.integrate_trapezoid
 
     def counted(f, lo, hi, rel_tol):
+        first = True
+
         def g(w):
+            nonlocal first
             out = f(w)
+            if first:  # every call of a batch returns the same rows
+                counts["k_integrals"] += np.atleast_2d(out).shape[0]
+                first = False
             counts["integrand_calls"] += 1
             counts["kernel_values"] += np.size(out)
             return out
@@ -108,6 +117,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 "k_integral_batches": round(total["batches"] / n, 3),
                 "k_integrand_calls": round(total["integrand_calls"] / n, 3),
                 "kernel_values": round(total["kernel_values"] / n, 3),
+                "k_integrals_per_batch": round(total["k_integrals"] / max(total["batches"], 1), 3),
                 "max_batches_in_a_row": most,
                 "csv_sha256": digest.hexdigest(),
                 "minor_faults_per_row": round(faults / n, 3),

@@ -109,6 +109,7 @@ from .constants import CONSTANTS
 from .materials import (
     Material,
     PerfectConductor,
+    Plasma,
     UnsupportedModelError,
     wavevector_contrast_imag,
     wavevector_contrast_real,
@@ -201,6 +202,27 @@ def _reflection(contrast, s2, eps_m1, weight_p=1.0):
     return reflect
 
 
+def static_edge(m: Material, z: float) -> float:
+    """The x = xi z/c below which g(xi) equals g(0) to double precision.
+
+    g is any weighted contraction of contracted_green_imag, or its
+    z-derivative.  For the ideal mirror and for a medium whose
+    wavevector contrast does not depend on xi (the plasma), g depends on
+    xi only through xi^2: measured, |g(x)/g(0) - 1| < 12 x^2/min(d, 1),
+    d = contrast z^2 (infinite for the mirror).  The edge is where
+    x^2 = 2^-64 min(d, 1), the bound below which contracted_green_imag
+    drops r_p, so that g(x) and g(0) differ only by the rounding of their
+    sums, a few ulp.  A Drude or Drude-Lorentz contrast goes like xi or
+    xi^2, so g has no such flat start, and the edge is 0.
+    """
+    if isinstance(m, PerfectConductor):
+        return 2.0**-32
+    if isinstance(m, Plasma):
+        # d as contracted_green_imag forms it from the plasma's contrast
+        return 2.0**-32 * math.sqrt(min((m.omega_p / CONSTANTS.c) ** 2 * z * z, 1.0))
+    return 0.0
+
+
 def contracted_green_imag(
     m: Material,
     z: float,
@@ -266,7 +288,9 @@ def contracted_green_imag(
         # integrates to at most x^2/2, while for x this small the r_s part
         # is above min(d, 1)/600, so below x^2 = 2^-64 min(d, 1) the term
         # is under half an ulp.  That covers xi = 0, and xi so far below
-        # the plasma frequency that (eps q + q_m)^2 overflows
+        # the plasma frequency that (eps q + q_m)^2 overflows.  For a
+        # contrast that does not depend on xi this is also static_edge:
+        # the entry then equals the xi = 0 one to a few ulp
         s2 = (xl / c) ** 2
         keep_rp = (s2 > 0.0) & (x2 > 2.0**-64 * np.minimum(d, 1.0))
         eps_m1 = np.where(keep_rp, contrast[pick] / np.where(keep_rp, s2, 1.0), 0.0)

@@ -27,6 +27,7 @@ then still bind; Drude-type media do not.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -34,7 +35,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constants import CONSTANTS, NEUTRON
-from .greens import _UNDERFLOW_X, IntegrationError, contracted_green_imag, contracted_green_real
+from .greens import (
+    _UNDERFLOW_X,
+    IntegrationError,
+    contracted_green_imag,
+    contracted_green_real,
+    static_edge,
+)
 from .materials import (
     Drude,
     DrudeLorentz,
@@ -112,6 +119,24 @@ def u_dd(
     return 0.5 * CONSTANTS.mu0 * _MOMENT_SQ * contraction
 
 
+@functools.lru_cache(maxsize=None)
+def _cutoff_x(rel_tol: float) -> float:
+    """X, the end of u_du's outer sum in x = xi z/c, for a rel_tol.
+
+    The smallest multiple of 1/4 at which the ideal mirror's
+    g(x)/g(0) = (1 + 2x + 4x^2) e^(-2x) falls below rel_tol * 1e-6
+    (18.75 at rel_tol 1e-7, 20 at 1e-8, 27.25 at 1e-14), at most
+    _UNDERFLOW_X.  Since |r_s|, |r_p| <= 1 on the imaginary axis, every
+    model's |g(x)| is below the mirror's g(0) times that bound.
+    """
+    x = 0.25
+    while x < _UNDERFLOW_X:
+        if (1.0 + 2.0 * x + 4.0 * x * x) * math.exp(-2.0 * x) < 1e-6 * rel_tol:
+            break
+        x += 0.25
+    return x
+
+
 def u_du(
     z: float,
     cfg: FieldConfig,
@@ -131,9 +156,18 @@ def u_du(
     until the rule's error estimate is at most rel_tol: the last
     difference of the sums, or, once they converge, d^2/d' from the last
     two; the rule's roundoff floor of 1e-14 makes a rel_tol below it
-    fail.  No node lies above ln(_UNDERFLOW_X c/(z omega)), where g is
-    exactly 0.  Below s_lo = ln(rel_tol/4 min(1, c/(z omega))) g is its
-    static value g(0), taken down to s_lo - 40 without a k-integral.  The
+    fail.  The sum ends at s_hi = ln(X c/(z omega)), at x = xi z/c =
+    X(rel_tol) (_cutoff_x: 18.75 at rel_tol 1e-7, 27.25 at 1e-14), past
+    which every model's |g| is below 1e-6 rel_tol of the ideal mirror's
+    g(0).  Measured against the sum up to x = _UNDERFLOW_X, that moves
+    u_du by 1e-5 rel_tol or less at rel_tol 1e-7 (the z-derivative, whose
+    tail carries a further factor of about 2x, leads) and by rounding at
+    1e-14.  Below s_lo = ln(rel_tol/4 min(1, c/(z omega))), and below the
+    static edge ln(x_static c/(z omega)) where that is higher
+    (greens.static_edge: the mirror and the plasma, where g(x) equals
+    g(0) to a few ulp), g is its static value g(0), taken down to
+    s_lo - 40 without a k-integral.  Neither end moves a node: those
+    that remain are the nodes of the full sum.  The
     k-integrals of one call of the rule are one batch of
     contracted_green_imag, itself a trapezoidal rule in ln v, at
     tolerance rel_tol/10 raised to 1e-13, but never above rel_tol nor
@@ -173,14 +207,18 @@ def u_du(
         return pieces(static * g0, half * g0)
 
     inner_tol = min(max(rel_tol / 10.0, 1e-13), max(rel_tol, 1e-14))
-    s_hi = math.log(_UNDERFLOW_X * k.c / (z * omega))
-    s_lo = math.log(rel_tol / 4.0 * min(1.0, k.c / (z * omega)))
+    ratio = k.c / (z * omega)  # xi/omega at x = 1
+    s_hi = math.log(_cutoff_x(rel_tol) * ratio)
+    s_lo = math.log(rel_tol / 4.0 * min(1.0, ratio))
+    # the static edge is at most x = 2^-32, far below X, so below s_hi
+    x_static = static_edge(m, z)
+    s_static = max(s_lo, math.log(x_static * ratio)) if x_static else s_lo
     g0 = None  # g(0), one row per sum: value, z-derivative
 
     def integrand(s: np.ndarray) -> np.ndarray:
         nonlocal g0
-        # the nodes ascend, so the static ones, s < s_lo, come first
-        k0 = int(np.searchsorted(s, s_lo))
+        # the nodes ascend, so the static ones, s < s_static, come first
+        k0 = int(np.searchsorted(s, s_static))
         xi = omega * np.exp(s[k0:])
         if g0 is None:  # the first batch is led by xi = 0
             xi = np.concatenate(((0.0,), xi))

@@ -398,6 +398,53 @@ def test_u_du_meets_rel_tol_of_the_tight_solve(name, u, log_tol, theta):
         assert abs(got[1][0] - single) <= rel_tol * single
 
 
+# --------------------------------------------- the ends of the outer sum
+#
+# u_du's sum in s = ln(xi/omega) stops at x = xi z/c = X(rel_tol), where the
+# mirror bound (1 + 2x + 4x^2) e^(-2x) falls below 1e-6 rel_tol, and takes
+# g(0) for g(xi) below the static edge.  The ideal mirror must stay within
+# 0.05 rel_tol of its closed form at rel_tol 1e-14, where the margin is
+# thinnest: a fixed X = 20 reads 0.167 at 820 m and 0.100 at 100 m.  The
+# bound is a few ulp, so it is checked at the decades and 820 m only: a
+# 121-point scan of the same range reaches 0.053 between them, and the
+# sum up to x = 350 reaches 0.057.  Against that sum up to x = 350, the
+# underflow cut-off, the cut-off must spend at most a tenth of rel_tol on
+# every model, value and z-derivative (measured: 1e-5 rel_tol at 1e-7,
+# where the z-derivative's tail leads, and rounding, 0.05, at 1e-14).
+
+
+def test_cutoff_from_rel_tol():
+    assert [potential._cutoff_x(t) for t in (1e-7, 1e-8, 1e-14)] == [18.75, 20.0, 27.25]
+    # the mirror bound just below rel_tol 1e-6 at X, not yet a step before
+    for rel_tol in (1e-7, 1e-10, 1e-14):
+        x = potential._cutoff_x(rel_tol)
+        bound = [(1 + 2 * y + 4 * y * y) * math.exp(-2 * y) for y in (x - 0.25, x)]
+        assert bound[0] >= 1e-6 * rel_tol > bound[1]
+    assert potential._cutoff_x(1e-320) == greens._UNDERFLOW_X
+
+
+@pytest.mark.parametrize("z", [10.0**e for e in range(-9, 3)] + [820.0])
+def test_mirror_u_du_meets_its_closed_form_at_the_cutoff(z):
+    rel_tol = 1e-14
+    cfg = FieldConfig(2.0)
+    got = u_du(z, cfg, PC, rel_tol=rel_tol)[1]
+    ref = u_du_mirror_single_integral(z, cfg)
+    assert abs(got - ref) <= 0.05 * rel_tol * ref
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+@pytest.mark.parametrize("rel_tol", [1e-7, 1e-14])
+def test_cutoff_spends_a_tenth_of_rel_tol(monkeypatch, name, rel_tol):
+    m = ORACLE_MODELS[name][0]
+    cfg = FieldConfig(2.0)
+    for z in np.geomspace(1e-12, 1e3, 6):
+        got = np.ravel(u_du(z, cfg, m, rel_tol=rel_tol, z_derivative=True))
+        with monkeypatch.context() as patch:
+            patch.setattr(potential, "_cutoff_x", lambda rel_tol: greens._UNDERFLOW_X)
+            full = np.ravel(u_du(z, cfg, m, rel_tol=rel_tol, z_derivative=True))
+        assert (np.abs(got - full) <= 0.1 * rel_tol * np.abs(full)).all()
+
+
 # ------------------------------------------------------ u_dd in u_du's solve
 #
 # u_du returns u_dd as g(0), its one xi = 0 entry, times the ratio of the
