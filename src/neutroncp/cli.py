@@ -24,7 +24,7 @@ import contextlib
 import math
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence, TextIO
 
 from .constants import CONSTANTS
@@ -66,6 +66,8 @@ _QUADRATURE_OUTPUTS = frozenset(
     ("u_dd", "u_du", "u_resonant", "u_ground", "u_excited", "exponent")
 )
 _MODEL_ORDER = ("pc", "plasma", "drude", "drude-lorentz")
+# what makes a row an error row rather than a traceback
+_ROW_FAILURES = (IntegrationError, ValueError)
 _UNIT_FACTORS = {"J": 1.0, "eV": CONSTANTS.e, "neV": CONSTANTS.e * 1e-9}
 # distances in m; beyond them z^3 or z^4 of a closed-form column under- or
 # overflows a double
@@ -93,17 +95,16 @@ class SweepRequest:
     energy_unit: str = "J"
 
 
-def _material(req: SweepRequest, model: Optional[str] = None) -> Material:
-    name = req.model if model is None else model
-    if name == "pc":
+def _material(req: SweepRequest) -> Material:
+    if req.model == "pc":
         return PerfectConductor()
-    if name == "plasma":
+    if req.model == "plasma":
         return Plasma(omega_p=req.omega_p)
-    if name == "drude":
+    if req.model == "drude":
         return Drude(omega_p=req.omega_p, gamma=req.gamma)
-    if name == "drude-lorentz":
+    if req.model == "drude-lorentz":
         return DrudeLorentz(omega_p=req.omega_p, omega_t=req.omega_t)
-    raise ValueError(f"unknown model {name!r}")
+    raise ValueError(f"unknown model {req.model!r}")
 
 
 def _grid(req: SweepRequest) -> list[float]:
@@ -121,7 +122,9 @@ def _sweep_point(payload: tuple[SweepRequest, float]) -> dict[str, object]:
     """Evaluate one grid point.  Top level so it pickles for worker pools.
 
     A failed row has status "error" and carries the reason under "error",
-    a key that no output column reads.
+    a key that no output column reads.  Every piece fails the same way:
+    an IntegrationError or a ValueError (an unsupported model, or a field
+    too weak for the sum) makes the row an error row, never a traceback.
     """
     req, z = payload
     m = _material(req)
@@ -143,11 +146,11 @@ def _sweep_point(payload: tuple[SweepRequest, float]) -> dict[str, object]:
             dd, du = u_du(z, cfg, m, rel_tol=req.rel_tol)
         elif "u_dd" in want:
             dd = u_dd(z, cfg, m, rel_tol=req.rel_tol)
-    except IntegrationError as exc:
+    except _ROW_FAILURES as exc:
         status, reason = "error", str(exc)
         if both and "u_dd" in want:
             # an error row still carries a u_dd that settles on its own
-            with contextlib.suppress(IntegrationError):
+            with contextlib.suppress(*_ROW_FAILURES):
                 dd = u_dd(z, cfg, m, rel_tol=req.rel_tol)
 
     # without a field there is no resonant channel: nan, not a failure
@@ -155,7 +158,7 @@ def _sweep_point(payload: tuple[SweepRequest, float]) -> dict[str, object]:
     if want & {"u_resonant", "u_excited"} and status == "ok" and req.b_ext > 0.0:
         try:
             resonant = u_resonant(z, cfg, m, rel_tol=req.rel_tol)
-        except (IntegrationError, ValueError) as exc:
+        except _ROW_FAILURES as exc:
             status, reason = "error", str(exc)
 
     row["u_dd"] = dd
@@ -210,19 +213,10 @@ def run_sweep(req: SweepRequest, jobs: int = 1) -> list[dict[str, object]]:
 
 
 def run_table1(req: SweepRequest) -> list[dict[str, object]]:
-    """Closed-form small-distance coefficient for all four models at z_min."""
-    cfg = FieldConfig(b_ext=req.b_ext, theta=req.theta)
-    rows: list[dict[str, object]] = []
-    for name in _MODEL_ORDER:
-        m = _material(req, model=name)
-        row: dict[str, object] = {"model": name, "z": req.z_min}
-        try:
-            row["table1"] = nonretarded_leading(m, cfg, z=req.z_min)
-        except ValueError:
-            row["table1"] = math.nan  # leading form undefined at these parameters
-        row["status"] = "ok"
-        rows.append(row)
-    return rows
+    """Closed-form small-distance coefficient for all four models at z_min:
+    one _sweep_point row per model."""
+    per_model = (replace(req, model=name, outputs=("table1",)) for name in _MODEL_ORDER)
+    return [{"model": r.model, **_sweep_point((r, req.z_min))} for r in per_model]
 
 
 def _convert_units(
@@ -454,11 +448,8 @@ def _validate_request(req: SweepRequest, is_sweep: bool) -> None:
             raise UsageError(f"{name} must be finite")
     try:
         FieldConfig(b_ext=req.b_ext, theta=req.theta)
-        if is_sweep:
-            _material(req)
-        else:
-            for name in _MODEL_ORDER:
-                _material(req, model=name)
+        for name in (req.model,) if is_sweep else _MODEL_ORDER:
+            _material(replace(req, model=name))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -167,30 +167,27 @@ def _reflection(contrast, s2, eps_m1, weight_p=1.0):
     contrast, s2 and eps_m1 are the arguments of "Numerical form" above:
     scalars or columns with one entry per medium, real or complex.
     eps_m1 is eps - 1, which the caller takes as contrast / s2 (exact
-    per model); eps_m1 = 0 gives r_p = 0 exactly, and eps_m1 = None skips
-    r_p, for callers without a finite permittivity.  The per-entry
-    products are formed here once; the returned function
+    per model); eps_m1 = 0, for an entry without a finite permittivity,
+    gives r_p = 0 exactly.  The per-entry products are formed here once;
+    the returned function
 
         reflect(q, q2, q_m, out=None) -> (r_s, weight_p r_p)
 
-    does the work per node, with q2 = q^2 from the caller (r_p is None
-    when skipped).  It writes to none of its arguments.  out, if given,
-    is three arrays of the result's shape: r_s and r_p are formed in the
-    first two, the third is work space, and nothing else is allocated.
+    does the work per node, with q2 = q^2 from the caller.  It writes to
+    none of its arguments.  out, if given, is three arrays of the
+    result's shape: r_s and r_p are formed in the first two, the third
+    is work space, and nothing else is allocated.
     """
     minus = -contrast
-    if eps_m1 is not None:
-        # r_p weight_p = (a q^2 - b) / (eps q + q_m)^2
-        scale = weight_p * eps_m1
-        eps, a, b = 1.0 + eps_m1, scale * (2.0 + eps_m1), scale * s2
+    # r_p weight_p = (a q^2 - b) / (eps q + q_m)^2
+    scale = weight_p * eps_m1
+    eps, a, b = 1.0 + eps_m1, scale * (2.0 + eps_m1), scale * s2
 
     def reflect(q, q2, q_m, out=None):
         r_s, r_p, work = (None, None, None) if out is None else out
         den = np.add(q, q_m, out=work)
         den *= den
         r_s = np.divide(minus, den, out=r_s)
-        if eps_m1 is None:
-            return r_s, None
         r_p = np.multiply(q2, a, out=r_p)
         r_p -= b
         den = np.multiply(eps, q, out=work)
@@ -211,9 +208,9 @@ def static_edge(m: Material, z: float) -> float:
     xi only through xi^2: measured, |g(x)/g(0) - 1| < 12 x^2/min(d, 1),
     d = contrast z^2 (infinite for the mirror).  The edge is where
     x^2 = 2^-64 min(d, 1), the bound below which contracted_green_imag
-    drops r_p, so that g(x) and g(0) differ only by the rounding of their
-    sums, a few ulp.  A Drude or Drude-Lorentz contrast goes like xi or
-    xi^2, so g has no such flat start, and the edge is 0.
+    sets r_p to zero, so that g(x) and g(0) differ only by the rounding
+    of their sums, a few ulp.  A Drude or Drude-Lorentz contrast goes
+    like xi or xi^2, so g has no such flat start, and the edge is 0.
     """
     if isinstance(m, PerfectConductor):
         return 2.0**-32
@@ -283,7 +280,7 @@ def contracted_green_imag(
     weight_p = w_xx * x2[:, None]  # the weight of r_p in acc
     if not mirror:
         d = contrast[pick] * z * z
-        # eps - 1 = contrast / s2.  It is set to 0, which drops r_p, where
+        # eps - 1 = contrast / s2.  It is set to 0, which zeroes r_p, where
         # r_p x^2 cannot reach the value: with |r_p| <= 1 that term
         # integrates to at most x^2/2, while for x this small the r_s part
         # is above min(d, 1)/600, so below x^2 = 2^-64 min(d, 1) the term
@@ -294,12 +291,8 @@ def contracted_green_imag(
         s2 = (xl / c) ** 2
         keep_rp = (s2 > 0.0) & (x2 > 2.0**-64 * np.minimum(d, 1.0))
         eps_m1 = np.where(keep_rp, contrast[pick] / np.where(keep_rp, s2, 1.0), 0.0)
-        # r_p is skipped when no entry has a permittivity; otherwise
-        # eps - 1 = 0 makes it exactly zero for an entry without one
         d = d[:, None]
-        reflect = _reflection(
-            d, x2[:, None], eps_m1[:, None] if np.count_nonzero(eps_m1) else None, weight_p
-        )
+        reflect = _reflection(d, x2[:, None], eps_m1[:, None], weight_p)
     x = x[:, None]
     # acc = weight_p r_p - r_s (w_xx rho^2 + 2 w_zz t^2); the bracket is
     # formed with the sign of -r_s's factor: + for the mirror's r_s = -1,
@@ -326,8 +319,7 @@ def contracted_green_imag(
             np.sqrt(q_m, out=q_m)
             r_s, r_p = reflect(rho, rho2, q_m, out=work)
             acc *= r_s
-            if r_p is not None:
-                acc += r_p
+            acc += r_p
         decay = np.exp(-2.0 * v) * v
         if not z_derivative:
             acc *= decay

@@ -27,9 +27,12 @@ class UnsupportedModelError(ValueError):
 
 
 def _require_finite(model: object) -> None:
+    # the models square every frequency
     for name, value in vars(model).items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
+        if not math.isfinite(value * value):
+            raise ValueError(f"{name} must be below 1e154 rad/s, or its square overflows")
 
 
 @dataclass(frozen=True)

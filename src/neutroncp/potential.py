@@ -182,7 +182,8 @@ def u_du(
     tolerance.  At B = 0 both pieces come from g(0) alone, at rel_tol.
     Raises IntegrationError if a k-integral misses its tolerance (naming
     xi and z) or the sum has not settled after the last halving (naming
-    z and B).
+    z and B), and ValueError, before any k-integral, where B > 0 is so
+    weak that c/(z omega) overflows.
 
     z_derivative=True returns each piece as the pair (u, z du/dz) from the
     same solve: every k-integral carries its z-derivative as a partner
@@ -207,8 +208,15 @@ def u_du(
         return pieces(static * g0, half * g0)
 
     inner_tol = min(max(rel_tol / 10.0, 1e-13), max(rel_tol, 1e-14))
-    ratio = k.c / (z * omega)  # xi/omega at x = 1
+    ratio = k.c / (z * omega) if z * omega > 0.0 else math.inf  # xi/omega at x = 1
     s_hi = math.log(_cutoff_x(rel_tol) * ratio)
+    if math.isinf(s_hi):
+        # not the B = 0 branch: for Drude-type media g(0) = 0 is not the
+        # limit of so weak a field
+        raise ValueError(
+            f"c/(z omega) overflows at z={z:.3e}, B={cfg.b_ext:.3e}: "
+            "the field is too weak for the imaginary-frequency sum"
+        )
     s_lo = math.log(rel_tol / 4.0 * min(1.0, ratio))
     # the static edge is at most x = 2^-32, far below X, so below s_hi
     x_static = static_edge(m, z)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -31,3 +33,11 @@ def test_tree_against_itself_writes_the_same_rows():
     # printed, not pinned: CPU times depend on the machine
     assert report["a_us_per_row"] > 0.0 and report["b_us_per_row"] > 0.0
     assert report["ratio_b_over_a"] > 0.0
+    # each load order is reported, and the top-level ratio is their
+    # geometric mean
+    orders = report["orders"]
+    assert sorted(orders) == ["a_first", "b_first"]
+    for order in orders.values():
+        assert order["ratio_b_over_a"] > 0.0 and 0 <= order["b_won"] <= 2
+    mean = (orders["a_first"]["ratio_b_over_a"] * orders["b_first"]["ratio_b_over_a"]) ** 0.5
+    assert report["ratio_b_over_a"] == pytest.approx(mean, abs=2e-4)

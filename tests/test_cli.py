@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import neutroncp
@@ -480,6 +480,82 @@ def test_cli_error_rows_say_why(tmp_path, capsys, monkeypatch):
         "error: z=1.00000000000e-09: outer integral did not converge: "
         "value=1.5, abs_error=5.000e-01, evaluations=30"
     )
+
+
+def test_cli_too_weak_a_field_gives_an_error_row(tmp_path, capsys):
+    # at 1e-300 T, c/(z omega) overflows a double, so u_du cannot place
+    # its sum; the row is an error row whose u_dd comes from its own solve
+    out = tmp_path / "r.csv"
+    argv = [
+        "sweep", "--model", "pc", "--b-ext", "1e-300", "--z-min", "1e-9",
+        "--z-max", "1e-9", "--points", "1", "--outputs", "u_dd,u_du", "--out", str(out),
+    ]
+    assert main(argv) == 1
+    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert data[1:] == ["1.00000000000e-09,7.65327024707e-34,nan,error"]
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: z=1.00000000000e-09: c/(z omega) overflows")
+
+
+def test_table1_drude_outside_its_leading_form_is_nan_not_error(tmp_path):
+    # omega/gamma >= 1: the Drude leading form is undefined, which the
+    # table's _sweep_point row gives as nan under status ok
+    out = tmp_path / "t.csv"
+    argv = ["table1", "--omega-p", "1.37e16", "--gamma", "1e11", "--omega-t", "1e16"]
+    assert main([*argv, "--b-ext", "1000", "--out", str(out)]) == 0
+    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert data[3].startswith("drude,") and data[3].endswith(",nan,ok")
+    assert all(l.endswith(",ok") and "nan" not in l for l in data[1:3] + data[4:])
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+QUADRATURE_COLUMNS = ("u_dd", "u_du", "u_resonant", "u_ground", "u_excited", "exponent")
+# any finite model parameter: zero, or log-uniform over the positive doubles
+PARAMETER = st.just(0.0) | log_uniform(5e-324, 1.7e308)
+
+
+@st.composite
+def one_point_requests(draw):
+    outputs = draw(st.sets(st.sampled_from(QUADRATURE_COLUMNS), min_size=1))
+    lo, hi = (1e-12, 1.0) if outputs & {"u_resonant", "u_excited"} else cli._Z_LIMITS
+    z = draw(log_uniform(lo, hi))
+    return SweepRequest(
+        model=draw(st.sampled_from(cli._MODEL_ORDER)),
+        omega_p=draw(PARAMETER),
+        gamma=draw(PARAMETER),
+        omega_t=draw(PARAMETER),
+        b_ext=draw(st.just(0.0) | log_uniform(1e-310, 1e3)),
+        theta=draw(st.none() | st.floats(0.0, math.pi)),
+        z_min=z,
+        z_max=z,
+        points=1,
+        outputs=tuple(o for o in QUADRATURE_COLUMNS if o in outputs),
+        rel_tol=draw(log_uniform(1e-14, 1e-2)),
+    )
+
+
+WEAK_FIELD = SweepRequest(
+    b_ext=1e-300, z_min=1e-9, z_max=1e-9, points=1, outputs=("u_dd", "u_du")
+)
+
+
+@given(one_point_requests())
+@example(WEAK_FIELD)  # c/(z omega) overflows
+@example(dataclasses.replace(WEAK_FIELD, z_min=1e-40, z_max=1e-40))  # z omega underflows to 0
+@settings(max_examples=150, deadline=None)
+def test_no_accepted_request_makes_a_row_raise(req):
+    # whatever fails in a row the CLI accepts makes it an error row with
+    # its reason, never a traceback
+    try:
+        cli._validate_request(req, True)
+    except cli.UsageError:
+        assume(False)
+    row = cli._sweep_point((req, req.z_min))
+    assert row["status"] in ("ok", "error")
+    assert row["status"] == "ok" or row["error"]
 
 
 FIG1 = ROOT / "configs" / "fig1.cfg"

@@ -527,11 +527,11 @@ def test_reflection_takes_scalars_and_complex_arrays():
             assert np.array_equal(a, b)
         for got, want, plane in zip(into, (r_s, r_p), out):
             assert np.shares_memory(got, plane) and np.array_equal(got, want)
-    # the imaginary axis with Python floats, and with no permittivity
+    # the imaginary axis with Python floats, and with eps - 1 = 0
     r_s, r_p = reflection_imag(GOLD_DRUDE, 1e15, 1e7)
     assert -1.0 < r_s < 0.0 < r_p < 1.0
-    r_s, r_p = greens._reflection(4.0, 1.0, None)(2.0, 4.0, math.sqrt(8.0))
-    assert r_p is None and r_s == pytest.approx(-4.0 / (2.0 + math.sqrt(8.0)) ** 2, rel=1e-15)
+    r_s, r_p = greens._reflection(4.0, 1.0, 0.0)(2.0, 4.0, math.sqrt(8.0))
+    assert r_p == 0.0 and r_s == pytest.approx(-4.0 / (2.0 + math.sqrt(8.0)) ** 2, rel=1e-15)
 
 
 def test_batch_names_the_xi_that_did_not_converge(monkeypatch):

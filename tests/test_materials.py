@@ -111,6 +111,20 @@ def test_validation_rejects_non_finite(bad):
         DrudeLorentz(omega_p=1e16, omega_t=bad)
 
 
+def test_validation_rejects_frequencies_whose_square_overflows():
+    # the models square every frequency; a Python float square past the
+    # double range raises OverflowError where it is formed
+    for make in (
+        lambda f: Plasma(omega_p=f),
+        lambda f: Drude(omega_p=1e16, gamma=f),
+        lambda f: DrudeLorentz(omega_p=f, omega_t=7.1e16),
+        lambda f: DrudeLorentz(omega_p=2.3e16, omega_t=f),
+    ):
+        make(1e154)
+        with pytest.raises(ValueError, match="square overflows"):
+            make(1.4e154)
+
+
 def test_vacuum_degenerate_case():
     m = Plasma(omega_p=0.0)
     assert permittivity_imag(m, 1e15) == 1.0
