@@ -24,6 +24,10 @@ of the two orders' ratios was below 1, and the indices of the rows
 whose bytes differ between the two sides.  A tree measured against
 itself shows the noise of the method: its ratios should be near 1 and
 no row should differ.
+
+The method resolves about 1%, no better: a tree timed against itself
+has read from 0.991 to 1.001, with b winning 16 of 16 rounds at 0.993.
+So a ratio within about 1% of 1 is no result, whatever ``b_won`` reads.
 """
 
 from __future__ import annotations

@@ -130,7 +130,7 @@ def _sweep_point(payload: tuple[SweepRequest, float]) -> dict[str, object]:
     m = _material(req)
     cfg = FieldConfig(b_ext=req.b_ext, theta=req.theta)
     want = set(req.outputs)
-    row: dict[str, object] = {"z": z}
+    row: dict[str, object] = {}
     status = "ok"
     reason = ""
 
@@ -189,16 +189,20 @@ def _sweep_point(payload: tuple[SweepRequest, float]) -> dict[str, object]:
         ok = ground != 0.0 and math.isfinite(ground)
         row["exponent"] = (zdd + zdu) / ground if ok else math.nan
 
-    row["status"] = status
-    keep = ["z", *(o for o in ALL_OUTPUTS if o in want), "status"]
-    out = {k: row[k] for k in keep}
+    # the energies in the request's unit; the exponent has none
+    factor = _UNIT_FACTORS[req.energy_unit]
+    out: dict[str, object] = {"z": z}
+    for o in ALL_OUTPUTS:
+        if o in want:
+            out[o] = row[o] / factor if o in _ENERGY_COLUMNS else row[o]
+    out["status"] = status
     if reason:
         out["error"] = reason
     return out
 
 
 def run_sweep(req: SweepRequest, jobs: int = 1) -> list[dict[str, object]]:
-    """Rows in grid order, energies in joules; caller converts units."""
+    """Rows in grid order, energies in req.energy_unit."""
     payloads = [(req, z) for z in _grid(req)]
     # a fork-started pool forks all its workers at the first submit, so
     # never ask for more than there are points
@@ -213,24 +217,10 @@ def run_sweep(req: SweepRequest, jobs: int = 1) -> list[dict[str, object]]:
 
 
 def run_table1(req: SweepRequest) -> list[dict[str, object]]:
-    """Closed-form small-distance coefficient for all four models at z_min:
-    one _sweep_point row per model."""
+    """Closed-form small-distance coefficient for all four models at z_min,
+    in req.energy_unit: one _sweep_point row per model."""
     per_model = (replace(req, model=name, outputs=("table1",)) for name in _MODEL_ORDER)
     return [{"model": r.model, **_sweep_point((r, req.z_min))} for r in per_model]
-
-
-def _convert_units(
-    rows: list[dict[str, object]], columns: Sequence[str], unit: str
-) -> list[dict[str, object]]:
-    factor = _UNIT_FACTORS[unit]
-    out = []
-    for row in rows:
-        new = dict(row)
-        for col in columns:
-            if col in _ENERGY_COLUMNS and isinstance(new.get(col), float):
-                new[col] = new[col] / factor
-        out.append(new)
-    return out
 
 
 def _format_cell(value: object) -> str:
@@ -474,7 +464,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             rows = run_table1(req)
             columns = ["model", "z", "table1", "status"]
-        rows = _convert_units(rows, columns, req.energy_unit)
         header = _sweep_header(req, args.command)
         writer = _WRITERS[args.format]
         if args.out == "-":

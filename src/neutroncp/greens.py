@@ -343,11 +343,8 @@ def contracted_green_imag(
         raise IntegrationError(
             f"{what}transverse-wavevector integral did not converge "
             f"(xi={xl[j % n]:.3e}, z={z:.3e})",
-            QuadratureResult(
-                float(res.value[j] * scale),
-                float(res.abs_error[j] * scale),
-                res.evaluations,
-                False,
+            replace(
+                res, value=float(res.value[j] * scale), abs_error=float(res.abs_error[j] * scale)
             ),
         )
     # one row of values, then one of z-derivatives if asked for

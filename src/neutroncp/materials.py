@@ -105,8 +105,8 @@ def permittivity_real(m: Material, omega: float) -> complex:
         # diverges as -i omega_p^2/(gamma omega) toward omega -> 0+
         return 1.0 - m.omega_p**2 / (omega * (omega + 1j * m.gamma))
     if isinstance(m, DrudeLorentz):
-        if omega == m.omega_t:
-            raise ValueError("permittivity is singular at omega = omega_t")
+        if omega**2 == m.omega_t**2:  # also where both squares underflow
+            raise ValueError("permittivity is singular at omega^2 = omega_t^2")
         return complex(1.0 + m.omega_p**2 / (m.omega_t**2 - omega**2))
     raise UnsupportedModelError(
         "permittivity is not defined for a perfect conductor"
@@ -144,7 +144,13 @@ def wavevector_contrast_imag(
     elif isinstance(m, Drude):
         contrast = m.omega_p**2 * xi / ((xi + m.gamma) * c**2)
     elif isinstance(m, DrudeLorentz):
-        contrast = m.omega_p**2 * xi**2 / ((xi**2 + m.omega_t**2) * c**2)
+        # omega_t > 0, so an xi whose square underflows is the xi = 0 limit,
+        # 0, also where omega_t^2 underflows too (there 0/0)
+        xi2 = xi**2
+        contrast = np.divide(
+            m.omega_p**2 * xi2, (xi2 + m.omega_t**2) * c**2,
+            out=np.zeros(xi.shape), where=xi2 > 0.0,
+        )
     else:
         raise UnsupportedModelError(
             "wavevector contrast is not defined for a perfect conductor"
@@ -162,8 +168,8 @@ def wavevector_contrast_real(m: Material, omega: float) -> complex:
     if isinstance(m, Drude):
         return -m.omega_p**2 * omega / ((omega + 1j * m.gamma) * c**2)
     if isinstance(m, DrudeLorentz):
-        if omega == m.omega_t:
-            raise ValueError("permittivity is singular at omega = omega_t")
+        if omega**2 == m.omega_t**2:  # also where both squares underflow
+            raise ValueError("permittivity is singular at omega^2 = omega_t^2")
         return complex(m.omega_p**2 * omega**2 / ((m.omega_t**2 - omega**2) * c**2))
     raise UnsupportedModelError(
         "wavevector contrast is not defined for a perfect conductor"

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,7 +50,7 @@ from .materials import (
     Plasma,
     longitudinal_frequency,
 )
-from .quadrature import QuadratureResult, integrate_trapezoid
+from .quadrature import integrate_trapezoid
 
 _DEFAULT_REL_TOL = 1e-9
 # (hbar gamma_n / 2)^2, the neutron's squared magnetic moment in J^2/T^2
@@ -71,6 +71,10 @@ class FieldConfig:
     def __post_init__(self) -> None:
         if self.b_ext < 0.0 or not math.isfinite(self.b_ext):
             raise ValueError("b_ext must be >= 0 and finite")
+        # the models square the spin-flip frequency, as they do their own
+        omega = NEUTRON.spin_flip_frequency(self.b_ext)
+        if not math.isfinite(omega * omega):
+            raise ValueError("b_ext must be below 7e145 T, or its frequency's square overflows")
         if self.theta is not None and not 0.0 <= self.theta <= math.pi:
             raise ValueError("theta must lie in [0, pi]")
 
@@ -93,11 +97,6 @@ def _cos2(theta: Optional[float]) -> float:
     return 1.0 / 3.0 if theta is None else math.cos(theta) ** 2
 
 
-def _static_weights(theta: Optional[float]) -> tuple[float, float]:
-    c2 = _cos2(theta)
-    return 1.0 - c2, c2
-
-
 def _cross_weights(theta: Optional[float]) -> tuple[float, float]:
     c2 = _cos2(theta)
     return 1.0 + c2, 1.0 - c2
@@ -111,12 +110,11 @@ def u_dd(
 ) -> float:
     """Static same-state piece; equal for both spin states.
 
-    u_du(...) returns it too, with its z-derivative, from g(0) of its own
-    solve; this route solves the static contraction on its own.
+    It does not depend on the field strength, so this is u_du's B = 0
+    solve: g(0) alone, at rel_tol.  With a field, u_du(...) returns it
+    too, with its z-derivative, from the g(0) entry of its own batch.
     """
-    w_xx, w_zz = _static_weights(cfg.theta)
-    contraction = contracted_green_imag(m, z, 0.0, w_xx, w_zz, rel_tol=rel_tol)
-    return 0.5 * CONSTANTS.mu0 * _MOMENT_SQ * contraction
+    return u_du(z, FieldConfig(0.0, cfg.theta), m, rel_tol=rel_tol)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,7 +177,8 @@ def u_du(
     (w_xx + 2 w_zz) h_xx(0), and u_dd and its z-derivative are g(0)'s
     times the ratio of the static and cross weights' w_xx + 2 w_zz,
     (1 + cos^2 theta) / (3 - cos^2 theta), solved to the batch
-    tolerance.  At B = 0 both pieces come from g(0) alone, at rel_tol.
+    tolerance.  At B = 0 both pieces come from g(0) alone, at rel_tol;
+    u_dd() is that solve's static piece.
     Raises IntegrationError if a k-integral misses its tolerance (naming
     xi and z) or the sum has not settled after the last halving (naming
     z and B), and ValueError, before any k-integral, where B > 0 is so
@@ -247,11 +246,10 @@ def u_du(
     if not res.converged:
         raise IntegrationError(
             f"imaginary-frequency integral did not converge (z={z:.3e}, B={cfg.b_ext:.3e})",
-            QuadratureResult(
-                float(scale * res.value[0]),
-                float(scale * res.abs_error.max()),
-                res.evaluations,
-                False,
+            replace(
+                res,
+                value=float(scale * res.value[0]),
+                abs_error=float(scale * res.abs_error.max()),
             ),
         )
     return pieces(static * g0[:, 0], scale * res.value)
@@ -393,7 +391,8 @@ def nonretarded_leading(m: Material, cfg: FieldConfig, z: float = 1e-9) -> float
     law in x = omega/gamma, valid only for x well below 1 (raises at
     x >= 1, returns the x -> 0 limit 0 at B = 0).  Drude-Lorentz:
     linear in the field; the angle-resolved coefficient reduces to the
-    standard orientation-averaged form at theta=None.
+    standard orientation-averaged form at theta=None (raises where
+    omega_t^2 + omega_p^2/2 underflows to 0).
     """
     if z <= 0.0:
         raise ValueError("z must be > 0")
@@ -419,6 +418,8 @@ def nonretarded_leading(m: Material, cfg: FieldConfig, z: float = 1e-9) -> float
     if isinstance(m, DrudeLorentz):
         c2 = _cos2(cfg.theta)
         w_l = longitudinal_frequency(m.omega_t, m.omega_p)
+        if w_l == 0.0:
+            raise ValueError("omega_t^2 + omega_p^2/2 underflows: no leading Drude-Lorentz form")
         angular = (1.0 + c2) * (1.0 / w_l + 0.5 / m.omega_t) + (1.0 - c2) / m.omega_t
         return base * m.omega_p**2 * omega / (256.0 * math.pi * k.c**2 * z) * angular
     raise TypeError(f"unknown material {m!r}")

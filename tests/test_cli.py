@@ -235,6 +235,22 @@ def test_cli_energy_unit_conversion(tmp_path):
     in_j = json.loads(a.read_text())["rows"][0]["u_ground"]
     in_nev = json.loads(b.read_text())["rows"][0]["u_ground"]
     assert in_nev == pytest.approx(in_j / (CONSTANTS.e * 1e-9), rel=1e-12)
+    # run_sweep and run_table1 return rows in the request's unit: the J
+    # rows' energies divided by the unit, exactly, and the rest as they are
+    factor = CONSTANTS.e * 1e-9
+    req = SweepRequest(
+        omega_p=1.37e16, gamma=4.1e12, omega_t=7.1e16, z_min=1e-8, z_max=1e-7, points=2,
+        outputs=("u_dd", "u_du", "u_ground", "nonret_asymptote", "gravity_earth", "exponent"),
+        **FAST,
+    )
+    for run in (run_sweep, run_table1):
+        in_j = run(req)
+        in_nev = run(dataclasses.replace(req, energy_unit="neV"))
+        assert [r.keys() for r in in_nev] == [r.keys() for r in in_j]
+        for row_j, row_nev in zip(in_j, in_nev):
+            for key, value in row_j.items():
+                energy = key in cli._ENERGY_COLUMNS
+                assert row_nev[key] == (value / factor if energy else value), (run, key)
 
 
 def test_cli_json_mirror(tmp_path):
@@ -508,6 +524,73 @@ def test_table1_drude_outside_its_leading_form_is_nan_not_error(tmp_path):
     assert all(l.endswith(",ok") and "nan" not in l for l in data[1:3] + data[4:])
 
 
+def test_cli_too_strong_a_field_is_a_usage_error(capsys):
+    # above about 7.4e145 T the square of the spin-flip frequency overflows:
+    # one error line and exit 2, not an OverflowError from a resonant row
+    argv = [
+        "sweep", "--model", "drude", "--omega-p", "1.37e16", "--gamma", "4.1e12",
+        "--b-ext", "1e200", "--points", "1", "--outputs", "u_resonant",
+    ]
+    assert main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: b_ext must be below") and "overflows" in line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--gamma", "1e13", "--omega-p", "0", "--omega-t", "1e-170"],
+        [
+            "sweep", "--model", "drude-lorentz", "--omega-p", "0", "--omega-t", "5e-324",
+            "--points", "1", "--outputs", "table1",
+        ],
+    ],
+    ids=["table1", "sweep"],
+)
+def test_drude_lorentz_leading_form_with_underflowing_frequency_is_nan(tmp_path, argv):
+    # omega_t^2 + omega_p^2/2 underflows to 0: the leading form is
+    # undefined, a nan cell under status ok, not a ZeroDivisionError
+    out = tmp_path / "t.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert data[-1].endswith(",nan,ok")
+    if argv[0] == "table1":
+        assert data[-1].startswith("drude-lorentz,")
+
+
+@pytest.mark.parametrize("omega_p", ["0", "1e16"])
+def test_drude_lorentz_with_underflowing_frequency_gives_quadrature_rows(tmp_path, omega_p):
+    # omega_t^2 underflows to 0, so the xi = 0 contrast was 0/0: g(0) and
+    # the rows' u_dd and u_du were nan error rows; g(0) is 0, as for any
+    # omega_t > 0
+    out = tmp_path / "s.csv"
+    argv = [
+        "sweep", "--model", "drude-lorentz", "--omega-p", omega_p, "--omega-t", "1e-170",
+        "--points", "1", "--outputs", "u_dd,u_du", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    z, dd, du, status = data[-1].split(",")
+    assert float(dd) == 0.0 and math.isfinite(float(du)) and status == "ok"
+    assert (float(du) == 0.0) == (omega_p == "0")
+
+
+def test_resonant_piece_with_underflowing_pole_gives_an_error_row(tmp_path, capsys):
+    # omega_t^2 - omega^2 underflows to 0 on the real axis: an error row
+    # naming the pole, not a ZeroDivisionError
+    out = tmp_path / "r.csv"
+    argv = [
+        "sweep", "--model", "drude-lorentz", "--omega-p", "0", "--omega-t", "1e-162",
+        "--b-ext", "1e-171", "--z-min", "1", "--z-max", "1", "--points", "1",
+        "--outputs", "u_resonant", "--out", str(out),
+    ]
+    assert main(argv) == 1
+    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert data[-1].endswith(",nan,error")
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "singular at omega^2 = omega_t^2" in line
+
+
 def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
@@ -703,7 +786,6 @@ def test_committed_outputs_reproduce(name):
     text = path.read_bytes().decode("utf-8")
     command, req, columns = committed_request(text, path.suffix)
     rows = run_sweep(req) if command == "sweep" else run_table1(req)
-    rows = cli._convert_units(rows, columns, req.energy_unit)
     buf = io.StringIO()
     writer = cli.write_json if path.suffix == ".json" else cli.write_csv
     writer(rows, columns, cli._sweep_header(req, command), buf)

@@ -196,6 +196,26 @@ def test_static_contrast_limits():
     )
 
 
+@pytest.mark.parametrize("omega_p", [0.0, 1e16])
+@pytest.mark.parametrize("omega_t", [1e-170, 5e-324])
+def test_drude_lorentz_contrast_where_omega_t_squared_underflows(omega_p, omega_t):
+    # xi^2 + omega_t^2 underflows to 0 at xi = 0 and for an xi whose square
+    # underflows: that is the xi -> 0 limit, 0, not the nan of 0/0
+    m = DrudeLorentz(omega_p=omega_p, omega_t=omega_t)
+    with np.errstate(divide="raise", invalid="raise"):
+        assert wavevector_contrast_imag(m, 0.0) == 0.0
+        contrast = wavevector_contrast_imag(m, np.array([0.0, 1e-170, 1e-150]))
+    assert contrast[0] == contrast[1] == 0.0
+    # far above omega_t the contrast is the plasma's omega_p^2/c^2
+    assert contrast[2] == pytest.approx(omega_p**2 / C**2, rel=1e-15)
+    # on the real axis omega_t^2 - omega^2 is then 0, the pole's own value
+    for omega in (omega_t, 1e-170, 1e-163):
+        with pytest.raises(ValueError, match="singular"):
+            permittivity_real(m, omega)
+        with pytest.raises(ValueError, match="singular"):
+            wavevector_contrast_real(m, omega)
+
+
 @given(st.floats(min_value=1e-3, max_value=1e3))
 @settings(max_examples=50, deadline=None)
 def test_drude_approaches_plasma_for_weak_damping(xi_scaled):

@@ -155,6 +155,12 @@ def test_zero_field_collapses_to_half_static():
         c2 = 1.0 / 3.0 if theta is None else math.cos(theta) ** 2
         expected = BASE * (3.0 - c2) / (256.0 * math.pi * z**3)
         assert got == pytest.approx(expected, rel=1e-9)
+    # u_dd is the static piece of that B = 0 solve, to the bit, at any field
+    for m in (PC, GOLD_PLASMA, GOLD_DRUDE, SILICON_DL):
+        for theta in (0.0, math.pi / 2, None):
+            zero = u_du(z, FieldConfig(0.0, theta), m)[0]
+            assert u_dd(z, FieldConfig(0.0, theta), m) == zero
+            assert u_dd(z, FieldConfig(2.0, theta), m) == zero
 
 
 def test_zero_field_continuity():
@@ -322,6 +328,11 @@ def test_field_config_validation():
         FieldConfig(-1.0, 0.3)
     with pytest.raises(ValueError):
         FieldConfig(2.0, 3.5)
+    # the models square the spin-flip frequency |gamma_n| B, which must stay finite
+    FieldConfig(7e145)
+    for b_ext in (1e146, 1e200):
+        with pytest.raises(ValueError, match="square overflows"):
+            FieldConfig(b_ext)
 
 
 # ---------------------------------------------------------- frozen values
@@ -450,11 +461,10 @@ def test_cutoff_spends_a_tenth_of_rel_tol(monkeypatch, name, rel_tol):
 # u_du returns u_dd as g(0), its one xi = 0 entry, times the ratio of the
 # static and cross weights' w_xx + 2 w_zz (h_zz(0) = 2 h_xx(0)); g(0) is
 # solved at the batch tolerance: rel_tol/10 raised to 1e-13, but never
-# above rel_tol (nor below the 1e-14 floor).  Its u_dd must stay within
-# rel_tol of u_dd's own solve, for the static weights' edge cases (w_xx =
-# 0 at theta = 0, w_zz near 0 at pi/2) and between them, with and without
-# a field, and its z-derivative within rel_tol of the static
-# contraction's, with the static weights.
+# above rel_tol (nor below the 1e-14 floor).  Its u_dd and z-derivative
+# must stay within rel_tol of the static contraction's, solved with the
+# static weights, for their edge cases (w_xx = 0 at theta = 0, w_zz near
+# 0 at pi/2) and between them, with and without a field.
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
@@ -470,14 +480,12 @@ def test_folded_u_dd_meets_rel_tol(name, theta, b_ext, z_derivative, rel_tol):
     for z in (z_lo, math.sqrt(z_lo * z_hi), z_hi):
         folded, _ = u_du(z, cfg, m, rel_tol=rel_tol, z_derivative=z_derivative)
         got = np.ravel(folded)
-        if z_derivative:
-            # the static contraction and its z-derivative, weights (sin^2, cos^2)
-            pair = greens.contracted_green_imag(
-                m, z, 0.0, 1.0 - c2, c2, rel_tol, z_derivative=True
+        # the static contraction (and its z-derivative), weights (sin^2, cos^2)
+        ref = half * np.ravel(
+            greens.contracted_green_imag(
+                m, z, 0.0, 1.0 - c2, c2, rel_tol, z_derivative=z_derivative
             )
-            ref = half * np.ravel(pair)
-        else:
-            ref = np.ravel(u_dd(z, cfg, m, rel_tol=rel_tol))
+        )
         assert got.shape == ref.shape
         assert (np.abs(got - ref) <= rel_tol * np.abs(ref)).all(), (z, got, ref)
 
