@@ -1,19 +1,20 @@
 """Count the imaginary-axis k-integral work of a benchmark row set.
 
-    python3 scripts/count_evaluations.py --workload fig2_ground --seed 1
+    python3 scripts/count_evaluations.py --workload fig2_ground --seed 1 2 3 97
 
-Answers each row of the workload's seeded row set
-(``perfbench/workloads.py``) once, through the same entry points as the
-benchmark, while ``greens.integrate_trapezoid`` is wrapped to count its
-work.  It prints one JSON object: the rows, the per-row means of the
+For each seed (default 1), in the order given, it answers each row of
+the workload's seeded row set (``perfbench/workloads.py``) once, through
+the same entry points as the benchmark, while
+``greens.integrate_trapezoid`` is wrapped to count its work, and prints
+one JSON object on a line of its own: the rows, the per-row means of the
 k-integral batches (calls of the rule), the k-integrand calls and the
 kernel values (entries of the integrand's output), the mean number of
 k-integrals per batch (rows of the integrand's output: one per live xi
 entry, two where the row asks for the z-derivative), the most batches
-one row took, and the sha256 of the row CSVs in order.  Then it answers the
-row set once more, uncounted, and prints the minor page faults of its
-own process per row of that pass (``ru_minflt``), with the first pass as
-the warm-up: a count of fresh memory the rows touch.
+one row took, and the sha256 of the row CSVs in order.  Then it answers
+the row set once more, uncounted, and prints the minor page faults of
+its own process per row of that pass (``ru_minflt``), with the first
+pass as the warm-up: a count of fresh memory the rows touch.
 
 The counts do not depend on the speed of the machine, so on one NumPy
 build and CPU two commits that should place the same nodes must print
@@ -91,39 +92,36 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, nargs="+", default=[1])
     args = parser.parse_args(argv)
-
-    rows = row_set(args.workload, args.seed)
-    digest = hashlib.sha256()
-    total: Counter = Counter()
-    most = 0
-    for req in rows:
-        with counting() as counts:
-            digest.update(answer(req).encode())
-        total.update(counts)
-        most = max(most, counts["batches"])
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for req in rows:
-        answer(req)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    n = len(rows)
-    print(
-        json.dumps(
-            {
-                "workload": args.workload,
-                "seed": args.seed,
-                "rows": n,
-                "k_integral_batches": round(total["batches"] / n, 3),
-                "k_integrand_calls": round(total["integrand_calls"] / n, 3),
-                "kernel_values": round(total["kernel_values"] / n, 3),
-                "k_integrals_per_batch": round(total["k_integrals"] / max(total["batches"], 1), 3),
-                "max_batches_in_a_row": most,
-                "csv_sha256": digest.hexdigest(),
-                "minor_faults_per_row": round(faults / n, 3),
-            }
-        )
-    )
+    for seed in args.seed:
+        rows = row_set(args.workload, seed)
+        digest = hashlib.sha256()
+        total: Counter = Counter()
+        most = 0
+        for req in rows:
+            with counting() as counts:
+                digest.update(answer(req).encode())
+            total.update(counts)
+            most = max(most, counts["batches"])
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for req in rows:
+            answer(req)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        n = len(rows)
+        report = {
+            "workload": args.workload,
+            "seed": seed,
+            "rows": n,
+            "k_integral_batches": round(total["batches"] / n, 3),
+            "k_integrand_calls": round(total["integrand_calls"] / n, 3),
+            "kernel_values": round(total["kernel_values"] / n, 3),
+            "k_integrals_per_batch": round(total["k_integrals"] / max(total["batches"], 1), 3),
+            "max_batches_in_a_row": most,
+            "csv_sha256": digest.hexdigest(),
+            "minor_faults_per_row": round(faults / n, 3),
+        }
+        print(json.dumps(report))
     return 0
 
 

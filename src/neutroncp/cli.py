@@ -62,9 +62,15 @@ ALL_OUTPUTS = (
     "exponent",
 )
 _ENERGY_COLUMNS = frozenset(ALL_OUTPUTS) - {"exponent"}
-_QUADRATURE_OUTPUTS = frozenset(
-    ("u_dd", "u_du", "u_resonant", "u_ground", "u_excited", "exponent")
-)
+# the closed-form columns, each a function of (m, cfg, z)
+_CLOSED_FORMS = {
+    "nonret_asymptote": lambda m, cfg, z: nonretarded_mirror_u_du(z, cfg),
+    "ret_asymptote": lambda m, cfg, z: retarded_mirror_u_du(z, cfg),
+    "table1": lambda m, cfg, z: nonretarded_leading(m, cfg, z=z),
+    "gravity_earth": lambda m, cfg, z: earth_potential(z),
+    "gravity_sphere": lambda m, cfg, z: sphere_potential(z),
+}
+_QUADRATURE_OUTPUTS = frozenset(ALL_OUTPUTS) - _CLOSED_FORMS.keys()
 _MODEL_ORDER = ("pc", "plasma", "drude", "drude-lorentz")
 # what makes a row an error row rather than a traceback
 _ROW_FAILURES = (IntegrationError, ValueError)
@@ -122,23 +128,24 @@ def _sweep_point(payload: tuple[SweepRequest, float]) -> dict[str, object]:
     """Evaluate one grid point.  Top level so it pickles for worker pools.
 
     A failed row has status "error" and carries the reason under "error",
-    a key that no output column reads.  Every piece fails the same way:
-    an IntegrationError or a ValueError (an unsupported model, or a field
-    too weak for the sum) makes the row an error row, never a traceback.
+    a key that no output column reads.  Every quadrature piece fails the
+    same way: an IntegrationError or a ValueError (an unsupported model,
+    or a field too weak for the sum) makes the row an error row, never a
+    traceback.  A closed-form cell is nan, with status ok, where its form
+    does not apply (a ValueError of its function).
     """
     req, z = payload
     m = _material(req)
     cfg = FieldConfig(b_ext=req.b_ext, theta=req.theta)
     want = set(req.outputs)
-    row: dict[str, object] = {}
+    row: dict[str, object] = {"z": z}
     status = "ok"
-    reason = ""
 
     # u_du solves u_dd with it, and the exponent z u'/u takes u and z u'
     # from that solve too
     slope = "exponent" in want
     both = slope or want & {"u_du", "u_ground", "u_excited"}
-    dd = du = zdd = zdu = math.nan
+    dd = du = zdd = zdu = resonant = math.nan
     try:
         if slope:
             (dd, zdd), (du, zdu) = u_du(z, cfg, m, rel_tol=req.rel_tol, z_derivative=True)
@@ -146,59 +153,45 @@ def _sweep_point(payload: tuple[SweepRequest, float]) -> dict[str, object]:
             dd, du = u_du(z, cfg, m, rel_tol=req.rel_tol)
         elif "u_dd" in want:
             dd = u_dd(z, cfg, m, rel_tol=req.rel_tol)
+        # without a field there is no resonant channel: nan, not a failure
+        if want & {"u_resonant", "u_excited"} and req.b_ext > 0.0:
+            resonant = u_resonant(z, cfg, m, rel_tol=req.rel_tol)
     except _ROW_FAILURES as exc:
         status, reason = "error", str(exc)
-        if both and "u_dd" in want:
+        if both and "u_dd" in want and math.isnan(dd):
             # an error row still carries a u_dd that settles on its own
             with contextlib.suppress(*_ROW_FAILURES):
                 dd = u_dd(z, cfg, m, rel_tol=req.rel_tol)
 
-    # without a field there is no resonant channel: nan, not a failure
-    resonant = math.nan
-    if want & {"u_resonant", "u_excited"} and status == "ok" and req.b_ext > 0.0:
-        try:
-            resonant = u_resonant(z, cfg, m, rel_tol=req.rel_tol)
-        except _ROW_FAILURES as exc:
-            status, reason = "error", str(exc)
-
-    row["u_dd"] = dd
-    row["u_du"] = du
-    row["u_resonant"] = resonant
-    row["u_ground"] = dd + du
-    row["u_excited"] = dd - du + resonant
-
-    if "nonret_asymptote" in want:
-        row["nonret_asymptote"] = nonretarded_mirror_u_du(z, cfg)
-    if "ret_asymptote" in want:
-        try:
-            row["ret_asymptote"] = retarded_mirror_u_du(z, cfg)
-        except ValueError:
-            row["ret_asymptote"] = math.nan
-    if "table1" in want:
-        try:
-            row["table1"] = nonretarded_leading(m, cfg, z=z)
-        except ValueError:
-            row["table1"] = math.nan
-    if "gravity_earth" in want:
-        row["gravity_earth"] = earth_potential(z)
-    if "gravity_sphere" in want:
-        row["gravity_sphere"] = sphere_potential(z)
-    if slope:
+    ground = dd + du
+    pieces = {
+        "u_dd": dd,
+        "u_du": du,
+        "u_resonant": resonant,
+        "u_ground": ground,
+        "u_excited": dd - du + resonant,
         # undefined, not a failure, where the potential vanishes
-        ground = dd + du
-        ok = ground != 0.0 and math.isfinite(ground)
-        row["exponent"] = (zdd + zdu) / ground if ok else math.nan
-
+        "exponent": (
+            (zdd + zdu) / ground if ground != 0.0 and math.isfinite(ground) else math.nan
+        ),
+    }
     # the energies in the request's unit; the exponent has none
     factor = _UNIT_FACTORS[req.energy_unit]
-    out: dict[str, object] = {"z": z}
     for o in ALL_OUTPUTS:
-        if o in want:
-            out[o] = row[o] / factor if o in _ENERGY_COLUMNS else row[o]
-    out["status"] = status
-    if reason:
-        out["error"] = reason
-    return out
+        if o not in want:
+            continue
+        if o in pieces:
+            value = pieces[o]
+        else:
+            try:
+                value = _CLOSED_FORMS[o](m, cfg, z)
+            except ValueError:
+                value = math.nan
+        row[o] = value / factor if o in _ENERGY_COLUMNS else value
+    row["status"] = status
+    if status == "error":
+        row["error"] = reason
+    return row
 
 
 def run_sweep(req: SweepRequest, jobs: int = 1) -> list[dict[str, object]]:

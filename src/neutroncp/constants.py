@@ -58,7 +58,7 @@ class NeutronSpec:
     """
 
     g_factor: float = -3.8
-    mass: float = 1.67492749804e-27  # kg; equals PhysicalConstants.m_n
+    mass: float = PhysicalConstants.m_n  # kg
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self) -> None:

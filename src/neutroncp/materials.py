@@ -80,7 +80,11 @@ Material = Union[PerfectConductor, Plasma, Drude, DrudeLorentz]
 
 
 def permittivity_imag(m: Material, xi: float) -> float:
-    """eps(i xi) for xi > 0.  Real and >= 1 for every supported model."""
+    """eps(i xi) for xi > 0.  Real and >= 1 for every supported model.
+
+    Raises ValueError where the Drude-Lorentz xi^2 + omega_t^2 underflows
+    to 0, as permittivity_real does at its pole.
+    """
     if xi <= 0.0:
         raise ValueError("xi must be > 0")
     if isinstance(m, Plasma):
@@ -88,7 +92,10 @@ def permittivity_imag(m: Material, xi: float) -> float:
     if isinstance(m, Drude):
         return 1.0 + m.omega_p**2 / (xi * (xi + m.gamma))
     if isinstance(m, DrudeLorentz):
-        return 1.0 + m.omega_p**2 / (xi**2 + m.omega_t**2)
+        den = xi**2 + m.omega_t**2
+        if den == 0.0:
+            raise ValueError("xi^2 + omega_t^2 underflows to 0: no Drude-Lorentz permittivity")
+        return 1.0 + m.omega_p**2 / den
     raise UnsupportedModelError(
         "permittivity is not defined for a perfect conductor; "
         "it is resolved at the reflection-coefficient level"

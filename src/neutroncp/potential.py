@@ -55,6 +55,8 @@ from .quadrature import integrate_trapezoid
 _DEFAULT_REL_TOL = 1e-9
 # (hbar gamma_n / 2)^2, the neutron's squared magnetic moment in J^2/T^2
 _MOMENT_SQ = (CONSTANTS.hbar * NEUTRON.gamma_n / 2.0) ** 2
+# hbar^2 gamma_n^2 mu0, the coupling of the closed forms, in J m^3
+_COUPLING = CONSTANTS.hbar**2 * NEUTRON.gamma_n**2 * CONSTANTS.mu0
 
 
 @dataclass(frozen=True)
@@ -352,13 +354,12 @@ def u_du_mirror_single_integral(
     never raises; rel_tol has no effect and is kept so that existing
     callers run unchanged.
     """
-    k = CONSTANTS
     c2t = 2.0 * _cos2(cfg.theta) - 1.0  # cos(2 theta)
-    pref = k.hbar**2 * NEUTRON.gamma_n**2 * k.mu0 / (256.0 * math.pi**2 * z**3)
+    pref = _COUPLING / (256.0 * math.pi**2 * z**3)
     omega = transition_frequency(cfg)
     if omega == 0.0:
         return pref * (math.pi / 2.0) * (5.0 - c2t)
-    b = omega * z / k.c
+    b = omega * z / CONSTANTS.c
     a = 2.0 * b
     f, g, tail = (_si_ci_series if a < 2.0 else _si_ci_continued_fraction)(a)
     moments = (5.0 - c2t) * f + (10.0 - 2.0 * c2t) * b * g + (12.0 + 4.0 * c2t) * b * b * tail
@@ -367,9 +368,8 @@ def u_du_mirror_single_integral(
 
 def nonretarded_mirror_u_du(z: float, cfg: FieldConfig) -> float:
     """Small-distance limit of the ideal-mirror cross piece."""
-    k = CONSTANTS
     c2t = 2.0 * _cos2(cfg.theta) - 1.0
-    return k.hbar**2 * NEUTRON.gamma_n**2 * k.mu0 * (5.0 - c2t) / (512.0 * math.pi * z**3)
+    return _COUPLING * (5.0 - c2t) / (512.0 * math.pi * z**3)
 
 
 def retarded_mirror_u_du(z: float, cfg: FieldConfig) -> float:
@@ -377,10 +377,7 @@ def retarded_mirror_u_du(z: float, cfg: FieldConfig) -> float:
     omega = transition_frequency(cfg)
     if omega == 0.0:
         raise ValueError("the retarded asymptote requires b_ext > 0")
-    k = CONSTANTS
-    return k.hbar**2 * NEUTRON.gamma_n**2 * k.mu0 * k.c / (
-        32.0 * math.pi**2 * omega * z**4
-    )
+    return _COUPLING * CONSTANTS.c / (32.0 * math.pi**2 * omega * z**4)
 
 
 def nonretarded_leading(m: Material, cfg: FieldConfig, z: float = 1e-9) -> float:
@@ -397,11 +394,10 @@ def nonretarded_leading(m: Material, cfg: FieldConfig, z: float = 1e-9) -> float
     if z <= 0.0:
         raise ValueError("z must be > 0")
     k = CONSTANTS
-    base = k.hbar**2 * NEUTRON.gamma_n**2 * k.mu0
     if isinstance(m, PerfectConductor):
-        return base / (64.0 * math.pi * z**3)
+        return _COUPLING / (64.0 * math.pi * z**3)
     if isinstance(m, Plasma):
-        return base * m.omega_p**2 / (128.0 * math.pi * k.c**2 * z)
+        return _COUPLING * m.omega_p**2 / (128.0 * math.pi * k.c**2 * z)
     omega = transition_frequency(cfg)
     if isinstance(m, Drude):
         x = omega / m.gamma
@@ -411,7 +407,7 @@ def nonretarded_leading(m: Material, cfg: FieldConfig, z: float = 1e-9) -> float
             raise ValueError("leading-order Drude form requires omega/gamma < 1")
         sin2 = 1.0 - _cos2(cfg.theta)
         return (
-            -base * m.omega_p**2 * (2.0 + sin2)
+            -_COUPLING * m.omega_p**2 * (2.0 + sin2)
             / (256.0 * math.pi**2 * k.c**2 * z)
             * x * math.log(x)
         )
@@ -421,14 +417,13 @@ def nonretarded_leading(m: Material, cfg: FieldConfig, z: float = 1e-9) -> float
         if w_l == 0.0:
             raise ValueError("omega_t^2 + omega_p^2/2 underflows: no leading Drude-Lorentz form")
         angular = (1.0 + c2) * (1.0 / w_l + 0.5 / m.omega_t) + (1.0 - c2) / m.omega_t
-        return base * m.omega_p**2 * omega / (256.0 * math.pi * k.c**2 * z) * angular
+        return _COUPLING * m.omega_p**2 * omega / (256.0 * math.pi * k.c**2 * z) * angular
     raise TypeError(f"unknown material {m!r}")
 
 
 def neutron_c3() -> float:
     """Coefficient of the 1/z^3 small-distance ground-state potential."""
-    k = CONSTANTS
-    return k.hbar**2 * NEUTRON.gamma_n**2 * k.mu0 / (64.0 * math.pi)
+    return _COUPLING / (64.0 * math.pi)
 
 
 def atomic_c3(d_squared: float) -> float:

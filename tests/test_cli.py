@@ -21,6 +21,7 @@ from neutroncp import (
     CONSTANTS,
     Drude,
     FieldConfig,
+    Plasma,
     neutron_c3,
     u_dd,
     u_du,
@@ -734,6 +735,59 @@ def test_ground_row_is_one_solve(monkeypatch, case):
         (row,) = run_sweep(dataclasses.replace(req, z_min=float(z), points=1))
         assert row["status"] == "ok" and row["u_ground"] > 0.0, row
         assert 1 <= len(batches) <= 2, z
+
+
+@pytest.mark.parametrize(
+    "column, function",
+    [
+        ("nonret_asymptote", "nonretarded_mirror_u_du"),
+        ("ret_asymptote", "retarded_mirror_u_du"),
+        ("table1", "nonretarded_leading"),
+        ("gravity_earth", "earth_potential"),
+        ("gravity_sphere", "sphere_potential"),
+    ],
+)
+def test_closed_form_that_does_not_apply_is_nan_not_error(monkeypatch, column, function):
+    # a ValueError of a closed-form column's function makes its cell nan
+    # under status ok; the row's other cells keep their values
+    closed = ("nonret_asymptote", "ret_asymptote", "table1", "gravity_earth", "gravity_sphere")
+    req = SweepRequest(
+        model="pc", z_min=1e-8, z_max=1e-8, points=1, outputs=("u_dd", *closed), rel_tol=1e-6
+    )
+    (before,) = run_sweep(req)
+
+    def does_not_apply(*a, **k):
+        raise ValueError("the form does not apply here")
+
+    monkeypatch.setattr(cli, function, does_not_apply)
+    (row,) = run_sweep(req)
+    assert row["status"] == "ok" and "error" not in row
+    assert math.isnan(row[column])
+    assert all(math.isfinite(before[o]) for o in req.outputs)
+    assert {k: v for k, v in row.items() if k != column} == {
+        k: v for k, v in before.items() if k != column
+    }
+
+
+def test_resonant_failure_keeps_the_ground_pieces(monkeypatch):
+    # the fig2 plasma's resonant piece fails at its surface-mode pole: the
+    # row is an error row that keeps the finite u_dd and u_du of its one
+    # ground solve, and solves u_dd no second time
+    req = SweepRequest(
+        model="plasma", omega_p=1.37e16, z_min=1e-8, z_max=1e-8, points=1,
+        outputs=("u_dd", "u_du", "u_resonant"), rel_tol=1e-6,
+    )
+
+    def no_u_dd(*args, **kwargs):
+        raise AssertionError("the error row solved u_dd again")
+
+    monkeypatch.setattr(cli, "u_dd", no_u_dd)
+    (row,) = run_sweep(req)
+    assert row["status"] == "error" and "surface-mode pole" in row["error"]
+    dd, du = u_du(1e-8, FieldConfig(b_ext=2.0), Plasma(omega_p=1.37e16), rel_tol=1e-6)
+    assert math.isfinite(dd) and math.isfinite(du)
+    assert (row["u_dd"], row["u_du"]) == (dd, du)
+    assert math.isnan(row["u_resonant"])
 
 
 def test_cli_subprocess_determinism(tmp_path):

@@ -120,3 +120,14 @@ def test_script_reports_the_fig2_ground_row_set():
     assert len(report["csv_sha256"]) == 64
     # printed, not pinned: it depends on the allocator
     assert report["minor_faults_per_row"] >= 0.0
+    # several seeds: one line each, in the order given, the first as the
+    # one-seed run printed it
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert count_evaluations.main(["--workload", "fig2_ground", "--seed", "1", "2"]) == 0
+    first, second = map(json.loads, out.getvalue().splitlines())
+    del first["minor_faults_per_row"], report["minor_faults_per_row"]
+    assert first == report
+    assert (second["seed"], second["rows"]) == (2, 64)
+    assert second["kernel_values"] == 15895.844
+    assert second["csv_sha256"] != report["csv_sha256"]

@@ -208,6 +208,11 @@ def test_drude_lorentz_contrast_where_omega_t_squared_underflows(omega_p, omega_
     assert contrast[0] == contrast[1] == 0.0
     # far above omega_t the contrast is the plasma's omega_p^2/c^2
     assert contrast[2] == pytest.approx(omega_p**2 / C**2, rel=1e-15)
+    # eps(i xi) itself is 0/0 or omega_p^2/0 there: a ValueError naming the
+    # underflow, not a ZeroDivisionError
+    for xi in (omega_t, 1e-170):
+        with pytest.raises(ValueError, match="underflows"):
+            permittivity_imag(m, xi)
     # on the real axis omega_t^2 - omega^2 is then 0, the pole's own value
     for omega in (omega_t, 1e-170, 1e-163):
         with pytest.raises(ValueError, match="singular"):
