@@ -82,15 +82,18 @@ Material = Union[PerfectConductor, Plasma, Drude, DrudeLorentz]
 def permittivity_imag(m: Material, xi: float) -> float:
     """eps(i xi) for xi > 0.  Real and >= 1 for every supported model.
 
-    Raises ValueError where the Drude-Lorentz xi^2 + omega_t^2 underflows
-    to 0, as permittivity_real does at its pole.
+    Raises ValueError where the Drude xi (xi + gamma) or the Drude-Lorentz
+    xi^2 + omega_t^2 underflows to 0, as permittivity_real does at its pole.
     """
     if xi <= 0.0:
         raise ValueError("xi must be > 0")
     if isinstance(m, Plasma):
         return 1.0 + (m.omega_p / xi) ** 2
     if isinstance(m, Drude):
-        return 1.0 + m.omega_p**2 / (xi * (xi + m.gamma))
+        den = xi * (xi + m.gamma)
+        if den == 0.0:
+            raise ValueError("xi (xi + gamma) underflows to 0: no Drude permittivity")
+        return 1.0 + m.omega_p**2 / den
     if isinstance(m, DrudeLorentz):
         den = xi**2 + m.omega_t**2
         if den == 0.0:
@@ -103,14 +106,21 @@ def permittivity_imag(m: Material, xi: float) -> float:
 
 
 def permittivity_real(m: Material, omega: float) -> complex:
-    """eps(omega) on the real axis; complex in general (Drude is lossy)."""
+    """eps(omega) on the real axis; complex in general (Drude is lossy).
+
+    Raises ValueError where the Drude omega (omega + i gamma) underflows
+    to 0, or at the Drude-Lorentz pole.
+    """
     if omega <= 0.0:
         raise ValueError("omega must be > 0")
     if isinstance(m, Plasma):
         return complex(1.0 - (m.omega_p / omega) ** 2)
     if isinstance(m, Drude):
         # diverges as -i omega_p^2/(gamma omega) toward omega -> 0+
-        return 1.0 - m.omega_p**2 / (omega * (omega + 1j * m.gamma))
+        den = omega * (omega + 1j * m.gamma)
+        if den == 0.0:
+            raise ValueError("omega (omega + i gamma) underflows to 0: no Drude permittivity")
+        return 1.0 - m.omega_p**2 / den
     if isinstance(m, DrudeLorentz):
         if omega**2 == m.omega_t**2:  # also where both squares underflow
             raise ValueError("permittivity is singular at omega^2 = omega_t^2")

@@ -3,7 +3,9 @@
 Counts of batches, integrand calls and kernel values pin the nodes the
 imaginary axis places: a change that should leave every node where it
 was must leave these numbers exactly as they are.  They are counted by
-scripts/count_evaluations.py, which wraps greens.integrate_trapezoid.
+``counting`` of scripts/ab_rows.py, which wraps greens.integrate_trapezoid
+and the other quadrature rules and prints the same counts for the
+benchmark row sets of two trees.
 
 The counts are reproducible on one NumPy build and CPU.  The rules' stop
 and gate decisions compare error estimates built from np.exp and
@@ -15,23 +17,18 @@ threshold by 1e-6 leaves each count as it is.
 """
 
 import importlib.util
-import io
-import json
-import sys
-from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from neutroncp import DrudeLorentz, Drude, FieldConfig, PerfectConductor, Plasma, u_du
+import neutroncp
+from neutroncp import DrudeLorentz, Drude, FieldConfig, PerfectConductor, Plasma, u_du, u_resonant
 from neutroncp import greens, potential, quadrature
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location(
-    "count_evaluations", ROOT / "scripts" / "count_evaluations.py"
-)
-count_evaluations = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(count_evaluations)
+_spec = importlib.util.spec_from_file_location("ab_rows", ROOT / "scripts" / "ab_rows.py")
+ab_rows = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_rows)
 
 FIG2 = {
     "pc": PerfectConductor(),
@@ -61,7 +58,7 @@ FIG1_COUNTS = (1, 1, 21896)
 
 
 def _counts(m, z, rel_tol, z_derivative=False):
-    with count_evaluations.counting() as counts:
+    with ab_rows.counting(neutroncp) as counts:
         u_du(z, FieldConfig(b_ext=2.0), m, rel_tol=rel_tol, z_derivative=z_derivative)
     return counts["batches"], counts["integrand_calls"], counts["kernel_values"]
 
@@ -96,38 +93,28 @@ def test_pinned_counts_sit_clear_of_the_thresholds(monkeypatch, scale):
 
 
 def test_counting_restores_the_rule():
-    rule = count_evaluations.greens.integrate_trapezoid
-    with count_evaluations.counting():
-        assert count_evaluations.greens.integrate_trapezoid is not rule
-    assert count_evaluations.greens.integrate_trapezoid is rule
+    names = [
+        (greens, "integrate_trapezoid"),
+        (potential, "integrate_trapezoid"),
+        (greens, "integrate_finite_oscillatory"),
+        (greens, "integrate_semi_infinite"),
+    ]
+    rules = [getattr(module, name) for module, name in names]
+    with ab_rows.counting(neutroncp):
+        for (module, name), rule in zip(names, rules):
+            assert getattr(module, name) is not rule
+    for (module, name), rule in zip(names, rules):
+        assert getattr(module, name) is rule
 
 
-def test_script_reports_the_fig2_ground_row_set():
-    # per-row means over the 64 rows of fig2_ground's seed-1 row set
-    out = io.StringIO()
-    path = list(sys.path)
-    with redirect_stdout(out):
-        assert count_evaluations.main(["--workload", "fig2_ground", "--seed", "1"]) == 0
-    assert sys.path == path
-    report = json.loads(out.getvalue())
-    assert report["rows"] == 64
-    assert report["k_integral_batches"] == 1.0
-    assert report["k_integrand_calls"] == 1.156
-    assert report["kernel_values"] == 16120.938
-    # the xi entries of a batch, fig2_ground having no z-derivative rows
-    assert report["k_integrals_per_batch"] == 126.688
-    assert report["max_batches_in_a_row"] == 1
-    assert len(report["csv_sha256"]) == 64
-    # printed, not pinned: it depends on the allocator
-    assert report["minor_faults_per_row"] >= 0.0
-    # several seeds: one line each, in the order given, the first as the
-    # one-seed run printed it
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert count_evaluations.main(["--workload", "fig2_ground", "--seed", "1", "2"]) == 0
-    first, second = map(json.loads, out.getvalue().splitlines())
-    del first["minor_faults_per_row"], report["minor_faults_per_row"]
-    assert first == report
-    assert (second["seed"], second["rows"]) == (2, 64)
-    assert second["kernel_values"] == 15895.844
-    assert second["csv_sha256"] != report["csv_sha256"]
+def test_counting_sees_the_real_axis():
+    # a resonant piece is two real-axis segments and no k-batch; a ground
+    # solve is one k-batch under the outer xi sum and no real-axis work
+    with ab_rows.counting(neutroncp) as counts:
+        u_resonant(1e-7, FieldConfig(b_ext=2.0), FIG2["drude"], rel_tol=1e-7)
+    assert counts["propagating_evaluations"] > 0 and counts["evanescent_evaluations"] > 0
+    assert counts["batches"] == counts["xi_nodes"] == 0
+    with ab_rows.counting(neutroncp) as counts:
+        u_du(1e-7, FieldConfig(b_ext=2.0), FIG2["drude"], rel_tol=1e-7)
+    assert counts["propagating_evaluations"] == counts["evanescent_evaluations"] == 0
+    assert counts["batches"] == 1 and counts["xi_nodes"] > 0

@@ -221,6 +221,16 @@ def test_drude_lorentz_contrast_where_omega_t_squared_underflows(omega_p, omega_
             wavevector_contrast_real(m, omega)
 
 
+@pytest.mark.parametrize("permittivity", [permittivity_imag, permittivity_real])
+def test_drude_permittivity_where_the_denominator_underflows(permittivity):
+    # xi (xi + gamma), or omega (omega + i gamma), is 0 in floating point:
+    # a ValueError naming the underflow, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="underflows"):
+        permittivity(Drude(omega_p=1.0, gamma=1e-170), 1e-170)
+    # just above it the division is finite
+    assert math.isfinite(abs(permittivity(Drude(omega_p=1.0, gamma=1e-150), 1e-150)))
+
+
 @given(st.floats(min_value=1e-3, max_value=1e3))
 @settings(max_examples=50, deadline=None)
 def test_drude_approaches_plasma_for_weak_damping(xi_scaled):
