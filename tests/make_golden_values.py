@@ -6,24 +6,25 @@ quadrature rule and no kernel code with the package.  Only the physical
 constants are read from it.  The tests read the JSON file and do not
 need mpmath.
 
-    PYTHONPATH=src python tests/make_golden_values.py
+    PYTHONPATH=src python tests/make_golden_values.py [--only NAME ...]
 
-runs in two worker processes and takes about an hour on two
-cores.  ``--inner`` rewrites only the inner k-integrals (h_xx, h_zz and
-their z-derivatives) and the static contractions of fig1's plasma, a
-few seconds, and keeps every other entry of the file byte for byte.
-``--small-xi`` rewrites only the small-xi entries of the Drude-type
-models, a few minutes, and keeps every other entry byte for byte.
-``--mirror`` rewrites only the ideal mirror's u_du, from its closed form
-in the sine and cosine integrals, in seconds, and keeps every other
-entry byte for byte.
-``--real`` rewrites only the real-axis contractions, about 15 s on one
-core, and keeps every other entry byte for byte.
-``--contour`` rewrites only the real-axis contractions beyond the
-original path's reach, from the vertical line k_z z = w + iu, about
-20 s on one core, and keeps every other entry byte for byte.  It
-first checks that the line reproduces every ``--real`` entry to 1e-20
-and stops if one is further off.
+writes every block of BLOCKS in this order, the u_du and h entries in
+two worker processes; the whole run takes about 75 minutes on two cores:
+
+- inner: h_xx, h_zz and z dh/dz at imaginary xi, fig2's models; seconds
+- u_du: fig2's orientation-averaged u_du, 1 nm to 1 um; about 40 min
+- static: h_xx and h_zz of fig1's plasma at xi = 0; seconds
+- small_xi: h_xx and h_zz of the Drude-type models at small xi; 15 s
+- mirror: the ideal mirror's u_du from its closed form; seconds
+- real: the real-axis contractions; about 15 s
+- contour: the same past the original path's reach, on the line k_z z =
+  w + iu; about 10 s.  It stops unless the line first reproduces every
+  ``real`` entry to 1e-20
+- u_du_slope: u_du and z du_du/dz of fig2's plasma near d = 1, and at
+  theta = 0 and pi/2; about 35 min
+
+``--only NAME [NAME ...]`` rereads the file and rewrites only the named
+blocks, in the order above, and keeps every other entry byte for byte.
 ``--check`` recomputes the first u_du value at 36 digits with every xi
 interval split in two and prints both values and their relative
 difference.
@@ -31,10 +32,13 @@ difference.
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
 import multiprocessing
-import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import mpmath as mp
@@ -51,12 +55,12 @@ MODELS = {
     "drude-lorentz": {"omega_p": 2.3e16, "omega_t": 7.1e16},
 }
 B_EXT = 2.0
-U_DU_HEIGHTS = (1e-9, 3e-8, 1e-6)
+U_DU = [{"model": m, "z": z} for m in MODELS for z in (1e-9, 3e-8, 1e-6)]
 # fig1's plasma (plasma frequency = spin-flip frequency at 2 T): its static
 # medium decay constant kappa_m z = omega_p z / c is 1.2e-12 to 1.2e-6 at
 # these heights, a feature at v = 0 far narrower than any default panel
 FIG1_PLASMA = {"omega_p": 363494611.93541175}
-STATIC_HEIGHTS = (1e-12, 1e-9, 1e-6)
+STATIC = [{"model": "plasma", **FIG1_PLASMA, "z": z} for z in (1e-12, 1e-9, 1e-6)]
 # (z, xi) of the inner k-integrals; xi = 0 only where the static
 # contraction survives (plasma).  The points after the first row of each
 # model have x = xi z / c from 33 to 334, where the rounding of x in
@@ -75,11 +79,16 @@ INNER_POINTS = {
         (1e-7, 2e17),
     ),
 }
+INNER = [{"model": m, "z": z, "xi": xi} for m in MODELS for z, xi in INNER_POINTS[m]]
 # xi -> 0 for the Drude-type models, where their contrast vanishes.  At
 # these xi the medium decay constant kappa_m z = sqrt(x^2 + d) lies from
 # 1e-21 (Drude-Lorentz, where d ~ x^2) to 1e-9 (Drude, d ~ xi) at 1 nm
-SMALL_XI = (1e-3, 1.0, 1e3, 1e6)
-SMALL_XI_HEIGHTS = (1e-9, 1e-6)
+SMALL_XI = [
+    {"model": m, "z": z, "xi": xi}
+    for m in ("drude", "drude-lorentz")
+    for z in (1e-9, 1e-6)
+    for xi in (1e-3, 1.0, 1e3, 1e6)
+]
 # the ideal mirror's u_du at B_EXT, 1 nm to 1 km, at these field angles
 # (None is the orientation average)
 MIRROR_HEIGHTS = tuple(10.0**p for p in range(-9, 4))
@@ -170,15 +179,24 @@ def contraction(model: str, p: dict, z, xi, w_xx, w_zz, z_derivative=False):
     return value * mp.exp(-2 * x) / (8 * mp.pi * z**3)
 
 
-def u_du_reference(model: str, z: float, per_decade: int = 1, digits: int = DIGITS):
-    """u_du at B_EXT, orientation averaged: tanh-sinh over xi, decade by decade."""
+def surface(entry: dict) -> dict:
+    """The surface parameters an entry names, else its model's fig2 ones."""
+    named = {k: entry[k] for k in ("omega_p", "gamma", "omega_t") if k in entry}
+    return named or MODELS[entry["model"]]
+
+
+def u_du_reference(model, p, z, theta="avg", z_derivative=False, per_decade=1, digits=DIGITS):
+    """u_du at B_EXT, or z du_du/dz: tanh-sinh over xi, decade by decade."""
     mp.mp.dps = digits
-    p = MODELS[model]
     omega = mp.mpf(transition_frequency(FieldConfig(B_EXT)))
-    w_xx, w_zz = mp.mpf(4) / 3, mp.mpf(2) / 3  # (1 + cos^2, sin^2), averaged
+    if theta == "avg":
+        w_xx, w_zz = mp.mpf(4) / 3, mp.mpf(2) / 3  # (1 + cos^2, sin^2), averaged
+    else:
+        c2 = mp.cos(mp.mpf(theta)) ** 2
+        w_xx, w_zz = 1 + c2, 1 - c2
 
     def integrand(xi):
-        g = contraction(model, p, z, xi, w_xx, w_zz)
+        g = contraction(model, p, z, xi, w_xx, w_zz, z_derivative)
         return g * omega / (xi**2 + omega**2)
 
     # from 1e-4 omega to where e^(-2 xi z/c) < 1e-300
@@ -190,41 +208,29 @@ def u_du_reference(model: str, z: float, per_decade: int = 1, digits: int = DIGI
     return mp.mpf(CONSTANTS.mu0) / mp.pi * moment_sq * value
 
 
-def inner_reference(model: str, z: float, xi: float) -> dict:
-    mp.mp.dps = DIGITS
-    p = MODELS[model]
-    entry = {"model": model, "z": z, "xi": xi}
-    for prefix, z_derivative in (("h", False), ("zdh", True)):
-        for key, w in (("xx", (1, 0)), ("zz", (0, 1))):
-            value = contraction(model, p, z, xi, *w, z_derivative=z_derivative)
-            entry[f"{prefix}_{key}"] = mp.nstr(value, 25)
-    return entry
+def u_du_entries(pool, leads: list, z_derivative: bool = False) -> list:
+    """Each lead with its u_du, and its z du_du/dz (zdu_du), one job per value."""
+    keys = {"u_du": False, "zdu_du": True} if z_derivative else {"u_du": False}
+    args = [(e["model"], surface(e), e["z"], e.get("theta", "avg")) for e in leads]
+    jobs = [{k: pool.submit(u_du_reference, *a, d) for k, d in keys.items()} for a in args]
+    return [
+        {**e, **{k: mp.nstr(f.result(), 25) for k, f in futures.items()}}
+        for e, futures in zip(leads, jobs)
+    ]
 
 
-def static_reference(z: float) -> dict:
-    """h_xx and h_zz at xi = 0 for fig1's plasma (unit weights).
+def h_entry(digits: int, lead: dict, z_derivative: bool = False) -> dict:
+    """The lead (model, z, xi or 0) with h_xx, h_zz, and z dh/dz (zdh_*) if asked.
 
     r_s = (t - t_m)/(t + t_m) loses about log10(t^2/d) digits, up to 24
-    at these heights, so the working precision is DIGITS + 30.
+    for fig1's plasma at xi = 0 and 45 for Drude-Lorentz at xi = 1e-3
+    rad/s and 1 nm, so such entries take digits above DIGITS.
     """
-    mp.mp.dps = DIGITS + 30
-    entry = {"model": "plasma", **FIG1_PLASMA, "z": z}
-    for key, w in (("h_xx", (1, 0)), ("h_zz", (0, 1))):
-        entry[key] = mp.nstr(contraction("plasma", FIG1_PLASMA, z, 0, *w), 25)
-    return entry
-
-
-def small_xi_reference(model: str, z: float, xi: float) -> dict:
-    """h_xx and h_zz of a Drude-type model at small xi (unit weights).
-
-    r_s = (t - t_m)/(t + t_m) loses about log10(t^2/d) digits, up to 45
-    for Drude-Lorentz at xi = 1e-3 rad/s and 1 nm, so the working
-    precision is DIGITS + 60.
-    """
-    mp.mp.dps = DIGITS + 60
-    entry = {"model": model, "z": z, "xi": xi}
-    for key, w in (("h_xx", (1, 0)), ("h_zz", (0, 1))):
-        entry[key] = mp.nstr(contraction(model, MODELS[model], z, xi, *w), 25)
+    mp.mp.dps = digits
+    entry, at = dict(lead), (lead["model"], surface(lead), lead["z"], lead.get("xi", 0))
+    for prefix, derivative in (("h", False), ("zdh", True))[: 1 + z_derivative]:
+        for key, w in (("xx", (1, 0)), ("zz", (0, 1))):
+            entry[f"{prefix}_{key}"] = mp.nstr(contraction(*at, *w, derivative), 25)
     return entry
 
 
@@ -314,12 +320,8 @@ REAL_ABOUT = (
     f"(4/3) h_xx + (2/3) h_zz at the transition frequency for b_ext = {B_EXT} T "
     f"(the orientation-averaged resonant contraction), real and imaginary parts "
     f"in 1/m^3, by mpmath {mp.__version__} tanh-sinh quadrature on the real "
-    f"k-axis at {DIGITS} digits or more (tests/make_golden_values.py --real)"
+    f"k-axis at {DIGITS} digits or more (tests/make_golden_values.py --only real)"
 )
-
-
-def real_block() -> dict:
-    return {"about": REAL_ABOUT, "entries": [real_reference(*pt) for pt in REAL_POINTS]}
 
 
 OMEGA_2T = transition_frequency(FieldConfig(B_EXT))
@@ -400,15 +402,14 @@ CONTOUR_ABOUT = (
     f"contraction), real and imaginary parts in 1/m^3, by mpmath {mp.__version__} "
     f"tanh-sinh quadrature on the vertical line k_z z = w + iu at {DIGITS} digits "
     f"or more, which reproduces every real-axis entry to {mp.nstr(CONTOUR_CHECK, 1)} "
-    f"(tests/make_golden_values.py --contour)"
+    f"(tests/make_golden_values.py --only contour)"
 )
 
 
 def contour_block(real_entries: list) -> dict:
     """The contour entries, after checking the line against real_entries."""
     for e in real_entries:
-        p = {k: e[k] for k in ("omega_p", "gamma", "omega_t") if k in e}
-        got = contour_value(e["model"], p, e["z"], OMEGA_2T)
+        got = contour_value(e["model"], surface(e), e["z"], OMEGA_2T)
         ref = mp.mpc(e["re"], e["im"])
         diff = abs(got - ref) / abs(ref)
         print(f"{e['model']} z={e['z']:g}: contour vs real axis {mp.nstr(diff, 3)}")
@@ -449,19 +450,9 @@ def mirror_reference(z: float, theta) -> dict:
 MIRROR_ABOUT = (
     f"u_du of the ideal mirror at b_ext = {B_EXT} T from its closed form in "
     f"the sine and cosine integrals, by mpmath {mp.__version__} at "
-    f"{MIRROR_DIGITS} digits (tests/make_golden_values.py --mirror); "
+    f"{MIRROR_DIGITS} digits (tests/make_golden_values.py --only mirror); "
     f"the far entries check the closed-form reference alone"
 )
-
-
-def mirror_block() -> dict:
-    entries = [mirror_reference(z, t) for t in MIRROR_THETAS for z in MIRROR_HEIGHTS]
-    far = [mirror_reference(z, t) for t in MIRROR_THETAS for z in MIRROR_FAR_HEIGHTS]
-    return {"about": MIRROR_ABOUT, "entries": entries, "far": far}
-
-
-def u_du_entry(model: str, z: float) -> dict:
-    return {"model": model, "z": z, "u_du": mp.nstr(u_du_reference(model, z), 25)}
 
 
 ABOUT = (
@@ -474,56 +465,64 @@ ABOUT = (
 )
 
 
+# u_du and z du_du/dz of fig2's plasma where its static decay constant
+# omega_p z / c passes 1 (22 nm), orientation averaged, and at 30 nm with
+# the field along the normal and in the surface
+SLOPE = [
+    *({"model": "plasma", "z": z, "theta": "avg"} for z in (1e-8, 2.2e-8, 5e-8)),
+    *({"model": "plasma", "z": 3e-8, "theta": t} for t in (0.0, math.pi / 2)),
+]
+SLOPE_ABOUT = (
+    f"u_du and z du_du/dz (zdu_du) of fig2's plasma at b_ext = {B_EXT} T, orientation "
+    f"averaged or at the field angle theta, by mpmath {mp.__version__} tanh-sinh "
+    f"quadrature at {DIGITS} digits (tests/make_golden_values.py --only u_du_slope)"
+)
+
+# block name -> builder(pool, payload), in the file's order; a builder may read those before it
+BLOCKS = {
+    "inner": lambda pool, payload: list(
+        pool.map(partial(h_entry, DIGITS, z_derivative=True), INNER)
+    ),
+    "u_du": lambda pool, payload: u_du_entries(pool, U_DU),
+    "static": lambda pool, payload: list(pool.map(partial(h_entry, DIGITS + 30), STATIC)),
+    "small_xi": lambda pool, payload: list(pool.map(partial(h_entry, DIGITS + 60), SMALL_XI)),
+    "mirror": lambda pool, payload: {
+        "about": MIRROR_ABOUT,
+        "entries": [mirror_reference(z, t) for t in MIRROR_THETAS for z in MIRROR_HEIGHTS],
+        "far": [mirror_reference(z, t) for t in MIRROR_THETAS for z in MIRROR_FAR_HEIGHTS],
+    },
+    "real": lambda pool, payload: {
+        "about": REAL_ABOUT,
+        "entries": [real_reference(*pt) for pt in REAL_POINTS],
+    },
+    "contour": lambda pool, payload: contour_block(payload["real"]["entries"]),
+    "u_du_slope": lambda pool, payload: {
+        "about": SLOPE_ABOUT,
+        "entries": u_du_entries(pool, SLOPE, z_derivative=True),
+    },
+}
+
+
 def main() -> None:
-    if "--check" in sys.argv:
-        model, z = next(iter(MODELS)), U_DU_HEIGHTS[0]
-        a = u_du_reference(model, z)
-        b = u_du_reference(model, z, per_decade=2, digits=DIGITS + 6)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0], allow_abbrev=False)
+    parser.add_argument("--only", nargs="+", choices=BLOCKS, metavar="NAME", help="these blocks")
+    parser.add_argument("--check", action="store_true", help="recheck u_du at 36 digits")
+    args = parser.parse_args()
+    if args.check:
+        model, z = U_DU[0]["model"], U_DU[0]["z"]
+        a = u_du_reference(model, MODELS[model], z)
+        b = u_du_reference(model, MODELS[model], z, per_decade=2, digits=DIGITS + 6)
         print(mp.nstr(a, 25), mp.nstr(b, 25), mp.nstr(abs(a / b - 1), 3))
         return
-    if {"--mirror", "--real", "--contour"} & set(sys.argv):
+    payload = {"about": ABOUT, "models": MODELS}
+    if args.only:
         payload = json.loads(OUT.read_text(encoding="utf-8"))
-        if "--mirror" in sys.argv:
-            payload["mirror"] = mirror_block()
-        if "--real" in sys.argv:
-            payload["real"] = real_block()
-        if "--contour" in sys.argv:
-            payload["contour"] = contour_block(payload["real"]["entries"])
-        OUT.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-        return
-    inner_only = "--inner" in sys.argv
-    small_xi_only = "--small-xi" in sys.argv
-    ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
-        small_xi = [
-            pool.submit(small_xi_reference, model, z, xi)
-            for model in ("drude", "drude-lorentz")
-            for z in SMALL_XI_HEIGHTS
-            for xi in SMALL_XI
-        ]
-        if small_xi_only:
-            payload = json.loads(OUT.read_text(encoding="utf-8"))
-        else:
-            inner = [
-                pool.submit(inner_reference, model, z, xi)
-                for model in MODELS
-                for z, xi in INNER_POINTS[model]
-            ]
-            static = [pool.submit(static_reference, z) for z in STATIC_HEIGHTS]
-            if inner_only:
-                payload = json.loads(OUT.read_text(encoding="utf-8"))
-            else:
-                u_du = [pool.submit(u_du_entry, model, z) for model in MODELS for z in U_DU_HEIGHTS]
-                u_du = [f.result() for f in u_du]
-                payload = {"about": "", "models": MODELS, "inner": [], "u_du": u_du}
-            payload["inner"] = [f.result() for f in inner]
-            payload["static"] = [f.result() for f in static]
-        payload["about"] = ABOUT
-        payload["small_xi"] = [f.result() for f in small_xi]
-    if not (inner_only or small_xi_only):
-        payload["mirror"] = mirror_block()
-        payload["real"] = real_block()
-        payload["contour"] = contour_block(payload["real"]["entries"])
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        for name, build in BLOCKS.items():
+            if args.only is None or name in args.only:
+                start = time.perf_counter()
+                payload[name] = build(pool, payload)
+                print(f"{name}: {time.perf_counter() - start:.0f} s", flush=True)
     OUT.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
 

@@ -10,12 +10,16 @@ plasma (xi = 0, z = 1e-12 to 1e-6 m) and the Drude-type models at small
 xi (1e-3 to 1e6 rad/s) check that a medium decay constant decades below
 v = 1 is still resolved.  The ideal mirror's u_du, from 1 nm to 1 km,
 comes from its closed form in the sine and cosine integrals, at 40
-digits, and from 10 to 100 km for the reference alone.  The real-axis
-contractions of the resonant piece come from the k-integral over the
-propagating segment, cut into periods, and the evanescent tail, at 30
-digits or more; those the original path cannot reach (large w = omega z
-/ c, eps - 1 up to 2e17) come from the same integral on the vertical
-line k_z z = w + iu, which reproduces the former to 1e-20.
+digits, and from 10 to 100 km for the reference alone.  fig2's plasma
+has u_du and its z-derivative z du_du/dz from 10 to 50 nm, where its
+static decay constant omega_p z / c passes 1 (22 nm), orientation
+averaged, and at 30 nm with the field along the normal and in the
+surface.  The real-axis contractions of the resonant piece come from
+the k-integral over the propagating segment, cut into periods, and the
+evanescent tail, at 30 digits or more; those the original path cannot
+reach (large w = omega z / c, eps - 1 up to 2e17) come from the same
+integral on the vertical line k_z z = w + iu, which reproduces the
+former to 1e-20.
 """
 
 import cmath
@@ -132,7 +136,7 @@ def test_drude_small_xi_golden(entry, rel_tol):
 MIRROR = GOLDEN["mirror"]["entries"]
 
 
-def mirror_field(entry):
+def entry_field(entry):
     return FieldConfig(2.0, None if entry["theta"] == "avg" else entry["theta"])
 
 
@@ -146,7 +150,7 @@ def test_mirror_reference_golden(entry, rel_tol):
     # entries (a = 2 omega z / c = 2.4e4 and 2.4e5) are where 1/a - f(a),
     # about 2/a^3, would lose 8 to 10 digits if taken as a difference
     ref = float(entry["u_du"])
-    got = u_du_mirror_single_integral(entry["z"], mirror_field(entry), rel_tol=rel_tol)
+    got = u_du_mirror_single_integral(entry["z"], entry_field(entry), rel_tol=rel_tol)
     assert abs(got - ref) <= rel_tol * abs(ref)
 
 
@@ -156,8 +160,23 @@ def test_mirror_u_du_golden(entry, rel_tol):
     # the general double integral for the ideal mirror, against a value
     # that shares no quadrature with it
     ref = float(entry["u_du"])
-    got = u_du(entry["z"], mirror_field(entry), PerfectConductor(), rel_tol=rel_tol)[1]
+    got = u_du(entry["z"], entry_field(entry), PerfectConductor(), rel_tol=rel_tol)[1]
     assert abs(got - ref) <= rel_tol * abs(ref)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-7, 1e-9, 1e-12])
+@pytest.mark.parametrize(
+    "entry", GOLDEN["u_du_slope"]["entries"], ids=lambda e: f"{e['theta']:.4}-{e['z']:g}"
+)
+def test_u_du_slope_golden(entry, rel_tol):
+    # value and z-derivative from one solve, near d = 1, where the static
+    # edge's bound peaks, and at the field's extreme angles; the
+    # z-derivative is the exponent column's only independent check
+    m = material(entry["model"])
+    pair = u_du(entry["z"], entry_field(entry), m, rel_tol=rel_tol, z_derivative=True)[1]
+    for got, key in zip(pair, ("u_du", "zdu_du")):
+        ref = float(entry[key])
+        assert abs(got - ref) <= rel_tol * abs(ref), key
 
 
 OMEGA_2T = transition_frequency(FieldConfig(2.0))

@@ -626,6 +626,29 @@ def test_static_edge_is_zero_where_the_contrast_depends_on_xi(m, z):
     assert greens.static_edge(m, z) == 0.0
 
 
+@pytest.mark.parametrize(
+    "log_d", [None, *range(-12, 7)], ids=lambda k: "mirror" if k is None else f"d=1e{k}"
+)
+def test_static_edge_bound_holds_over_decades_of_d(log_d):
+    # static_edge's docstring bounds |g(x)/g(0) - 1| by 13 x^2/min(d, 1)
+    # for the mirror and the plasma.  Measured with these solves: 12.78
+    # at d = 1 exactly for h_xx alone (the cross weights at theta = 0,
+    # the static ones at pi/2), 3.11 for the orientation average and 7.04
+    # for a z-derivative; the mirror stays at 2.02
+    z = 1e-6
+    m = PC if log_d is None else Plasma(C * math.sqrt(10.0**log_d) / z)
+    d = math.inf if m is PC else (m.omega_p / C) ** 2 * z * z
+    assert log_d != 0 or d == 1.0
+    x = np.geomspace(1e-7, 1e-2, 11)
+    xis = np.append(0.0, x * C / z)
+    bound = 13.0 * x * x / min(d, 1.0)
+    for c2 in (1.0, 0.0, 1.0 / 3.0):  # theta = 0, pi/2 and the average
+        for weights in ((1.0 + c2, 1.0 - c2), (1.0 - c2, c2)):  # cross, static
+            rows = contracted_green_imag(m, z, xis, *weights, rel_tol=1e-13, z_derivative=True)
+            for g in rows:  # value and z-derivative
+                assert (np.abs(g[1:] / g[0] - 1.0) <= bound).all(), (c2, weights)
+
+
 def _k_integral_steps(monkeypatch):
     """The finest step h of each k-integral the rule takes, in call order.
 
