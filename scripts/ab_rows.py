@@ -2,62 +2,60 @@
 
     python3 scripts/ab_rows.py PARENT_TREE CHANGED_TREE --workload fig2_ground --seed 1 2 3 97
 
-Copies ``src/neutroncp`` of each tree into a temporary directory, as the
-packages ``neutroncp_a`` (the first tree) and ``neutroncp_b``, and
-answers the workload's seeded row set (``perfbench/workloads.py`` of
-this repository) through each copy's ``cli.run_sweep`` (jobs=1) and
-``cli.write_csv``, as the benchmark does.  A first pass of each side is
-the warm-up: it answers each row once under ``counting()`` and gives the
-row bytes.  Then every round answers each row in the order a, b, b, a,
-timed by ``time.process_time``, so a drift in the machine's speed falls
-on both sides alike.  Which copy a process loads first can move the
-ratio by several percent, so the rounds run twice, in two fresh
-interpreters: one loads a's copy first, the other b's.
+For each seed, starts one worker interpreter per tree.  A worker imports
+that tree's own ``neutroncp``: it runs with ``PYTHONPATH=<tree>/src:<this
+repository>`` in a temporary working directory, and checks that the
+package it imported lies under ``<tree>/src``.  It answers the
+workload's seeded row set (``perfbench/workloads.py`` of this
+repository) through ``cli.run_sweep`` (jobs=1) and ``cli.write_csv``, as
+the benchmark does.  Its first pass, the warm-up, answers each row once
+under ``counting()`` and gives the row bytes.  Then it answers the rows
+it is sent, timed by ``time.process_time``.  Every round sends each row
+in the order a, b, b, a, so a drift in the machine's speed falls on both
+sides alike, and each side keeps its own heap and allocator.
 
 For each seed (default 1), in the order given, it prints one JSON line:
 
-- for each order (``orders``), the median over rounds of the ratios b/a
-  and the rounds b won (ratio below 1);
-- the median CPU time per row of each side in microseconds, the
-  geometric mean of the two orders' ratios, the rounds in which the
-  geometric mean of the two orders' ratios was below 1, and the rows
-  whose bytes differ between the two sides;
-- under ``a`` and ``b``, each side's work as the interpreter that loads
-  a first counted it: per-row means of the k-integral batches (calls of
-  ``greens.integrate_trapezoid``), k-integrand calls and kernel values
-  (entries of the integrand's output); the k-integrals per batch (one
-  per live xi entry, two with the z-derivative); the most batches in a
-  row; per-row means of the outer xi sums' nodes and of the real-axis
-  rules' evaluations on each segment; the sha256 of the row CSVs in
-  order; and the minor page faults (``ru_minflt``) per answer of the
-  timed rounds, a count of fresh memory the rows touch.
+- the median CPU time per row of each side in microseconds, the median
+  over rounds of the ratio b/a, the rounds b won (ratio below 1), and
+  the rows whose bytes differ between the two sides;
+- under ``a`` and ``b``, each side's work: per-row means of the
+  k-integral batches (calls of ``greens.integrate_trapezoid``),
+  k-integrand calls and kernel values (entries of the integrand's
+  output); the k-integrals per batch (one per live xi entry, two with
+  the z-derivative); the most batches in a row; per-row means of the
+  outer xi sums' nodes and of the real-axis rules' evaluations on each
+  segment; the sha256 of the row CSVs in order; the minor page faults
+  (``ru_minflt``) per answer of the timed rounds, a count of fresh
+  memory the rows touch; and the worker's peak resident size in MB.
 
 The counts do not depend on the speed of the machine, so on one NumPy
 build and CPU two trees that should place the same nodes must print the
 same counts, and two that should write the same bytes the same digest.
 (NumPy picks np.exp and np.sqrt per CPU, and a last-bit difference
 there could flip a stop decision that sits on its threshold.)  The page
-faults are printed only: they depend on the allocator and on what the
-process did before.
+faults and the peak size are printed only: they depend on the allocator.
 
-The timing resolves about 1%, no better: a tree timed against itself
-has read from 0.991 to 1.001, with b winning 16 of 16 rounds at 0.993.
-So a ratio within about 1% of 1 is no result, whatever ``b_won`` reads;
-there the counts are the signal.
+The timing resolves about 2%, no better, and leans toward b: a tree
+against itself read 0.991 and 0.983 over 8 rounds (fig2_ground and
+crossover_exponent, seed 1), and 0.986 to 1.004 over 16 rounds (seeds
+1, 2 and 3, each three times), b winning 6 to 16 of 16.  So a ratio
+within about 2% of 1 is no result, whatever ``b_won`` reads; there the
+counts are the signal.  A tree that allocates where the other reuses a
+buffer shows in its faults and its ratio: with fresh arrays in place of
+greens' scratch buffer, b read 1.34 and 1.37, at 113 and 160 faults per
+row against a's 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
-import importlib
 import io
 import json
-import math
+import os
 import resource
-import shutil
 import statistics
 import subprocess
 import sys
@@ -70,21 +68,14 @@ from typing import Iterator, Optional
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
 
-# a child interpreter: time_rounds of this file with JSON arguments,
-# its result as the last line of standard output
-CHILD = (
-    "import json, runpy, sys; "
-    "time_rounds = runpy.run_path(sys.argv[1])['time_rounds']; "
-    "print(json.dumps(time_rounds(**json.loads(sys.argv[2]))))"
-)
+# a worker interpreter: serve() of this file for one tree
+WORKER = "import runpy, sys; runpy.run_path(sys.argv[1])['serve'](*sys.argv[2:])"
 
 
 @contextlib.contextmanager
 def counting(package) -> Iterator[Counter]:
-    """Count the quadrature work of ``package`` (neutroncp or a copy).
+    """Count the quadrature work of ``package`` (neutroncp).
 
     greens.integrate_trapezoid: its batches, integrand calls, values and
     k-integrals (the rows of a batch).  The evaluations of
@@ -140,50 +131,89 @@ def counting(package) -> Iterator[Counter]:
             setattr(module, name, rule)
 
 
-def perfbench():
-    """perfbench.run and perfbench.workloads, imported from the repository
-    root, which leaves sys.path as it was."""
-    added = str(ROOT) not in sys.path
-    if added:
-        sys.path.insert(0, str(ROOT))
-    try:
-        from perfbench import run, workloads
-    finally:
-        if added:
-            sys.path.remove(str(ROOT))
-    return run, workloads
+def serve(tree: str, workload: str, seed: str) -> None:
+    """A worker: tree's neutroncp answers the row set once under
+    counting() and then each row index read from stdin, timed."""
+    import neutroncp
+    from neutroncp import cli
+    from perfbench import run, workloads
 
-
-def load_copy(tree: Path, name: str, into: Path):
-    """tree's src/neutroncp, imported as package ``name`` with its cli."""
-    shutil.copytree(
-        tree / "src" / "neutroncp", into / name, ignore=shutil.ignore_patterns("__pycache__")
-    )
-    importlib.import_module(f"{name}.cli")
-    return sys.modules[name]
-
-
-def answerer(cli, rows, columns, header):
-    """answer(i): row i through cli's public entry points, as CSV text."""
-    # each request is rebuilt once, outside the timing, as the copy's own
-    # SweepRequest
-    own = [
-        cli.SweepRequest(
-            **{f.name: getattr(req, f.name) for f in dataclasses.fields(cli.SweepRequest)}
-        )
-        for req in rows
-    ]
+    src = Path(tree) / "src"
+    if src not in Path(neutroncp.__file__).resolve().parents:
+        raise ImportError(f"neutroncp was imported from {neutroncp.__file__}, not from {src}")
+    rows = workloads.row_set(workload, int(seed))
 
     def answer(i: int) -> str:
-        buf = io.StringIO()
-        cli.write_csv(cli.run_sweep(own[i], jobs=1), columns(rows[i]), header(rows[i]), buf)
+        req, buf = rows[i], io.StringIO()
+        cli.write_csv(cli.run_sweep(req, jobs=1), run.columns(req), run.header(req), buf)
         return buf.getvalue()
 
-    return answer
+    texts, counted = [], []
+    for i in range(len(rows)):
+        with counting(neutroncp) as counts:
+            texts.append(answer(i))
+        counted.append(counts)
+    warm_up = {
+        "counts": counted,
+        "row_sha256": [hashlib.sha256(text.encode()).hexdigest() for text in texts],
+        "csv_sha256": hashlib.sha256("".join(texts).encode()).hexdigest(),
+    }
+    print(json.dumps(warm_up), flush=True)
+    for line in sys.stdin:
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.process_time()
+        answer(int(line))
+        dt = time.process_time() - t0
+        print(dt, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0, flush=True)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, flush=True)
 
 
-def work(per_row: list[Counter], texts: list[str], faults: float) -> dict:
-    """One side's report from its per-row counts and row CSVs."""
+class Worker:
+    """One tree's worker process and the line protocol of serve()."""
+
+    def __init__(self, tree: Path, workload: str, seed: int, cwd: str):
+        self.tree = tree
+        env = {**os.environ, "PYTHONPATH": f"{tree / 'src'}{os.pathsep}{ROOT}"}
+        # the worker's stderr is this process's, so a failure shows its traceback
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", WORKER, __file__, str(tree), workload, str(seed)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+            cwd=cwd,
+            env=env,
+        )
+
+    def line(self) -> str:
+        out = self.proc.stdout.readline()
+        if not out:
+            raise RuntimeError(
+                f"the worker for {self.tree} exited with code {self.proc.wait()}; "
+                "its stderr is above"
+            )
+        return out
+
+    def timed(self, i: int) -> tuple[float, int]:
+        """CPU seconds and minor faults of one answer of row i."""
+        try:
+            self.proc.stdin.write(f"{i}\n")
+            self.proc.stdin.flush()
+        except BrokenPipeError:
+            pass  # line() reports the exit
+        dt, faults = self.line().split()
+        return float(dt), int(faults)
+
+    def finish(self) -> float:
+        """End of input: the worker's peak resident size in MB."""
+        self.proc.stdin.close()
+        peak = float(self.line())
+        self.proc.wait()
+        return peak
+
+
+def work(warm_up: dict, faults: float, max_rss_mb: float) -> dict:
+    """One side's report from its warm-up's per-row counts and digest."""
+    per_row = [Counter(counts) for counts in warm_up["counts"]]
     total: Counter = sum(per_row, Counter())
 
     def mean(key: str) -> float:
@@ -198,122 +228,84 @@ def work(per_row: list[Counter], texts: list[str], faults: float) -> dict:
         "xi_nodes": mean("xi_nodes"),
         "propagating_evaluations": mean("propagating_evaluations"),
         "evanescent_evaluations": mean("evanescent_evaluations"),
-        "csv_sha256": hashlib.sha256("".join(texts).encode()).hexdigest(),
+        "csv_sha256": warm_up["csv_sha256"],
         "minor_faults_per_row": round(faults, 3),
+        "max_rss_mb": round(max_rss_mb, 1),
     }
 
 
-def time_rounds(a: str, b: str, workload: str, seed: int, rounds: int, b_first: bool) -> dict:
-    """In this process: load both copies, b's first if b_first, count
-    each side's work in the warm-up pass, and time the rounds.  The CPU
-    seconds per row of each side and round, each side's work, and the
-    rows whose bytes differ."""
-    run, workloads = perfbench()
-    rows = workloads.row_set(workload, seed)
-    n = len(rows)
-    order = [("a", Path(a)), ("b", Path(b))]
-    with tempfile.TemporaryDirectory() as tmp:
-        sys.path.insert(0, tmp)
-        package = {
-            key: load_copy(tree.resolve(), f"neutroncp_{key}", Path(tmp))
-            for key, tree in (order[::-1] if b_first else order)
-        }
-        side = {
-            key: answerer(pkg.cli, rows, run.columns, run.header) for key, pkg in package.items()
-        }
-        texts, counted = {}, {}
-        for key in side:
-            texts[key], counted[key] = [], []
-            for i in range(n):
-                with counting(package[key]) as counts:
-                    texts[key].append(side[key](i))
-                counted[key].append(counts)
-        differ = [i for i in range(n) if texts["a"][i] != texts["b"][i]]
+def report(trees: dict[str, Path], workload: str, seed: int, rounds: int) -> dict:
+    """One seed: both trees' workers, warm-up and timed rounds, as one
+    JSON object."""
+    with tempfile.TemporaryDirectory() as cwd, contextlib.ExitStack() as stack:
+        side = {}
+        for key, tree in trees.items():
+            side[key] = Worker(tree, workload, seed, cwd)
+            stack.enter_context(side[key].proc)  # closes its pipes and waits
+            stack.callback(side[key].proc.kill)
+        warm = {key: json.loads(worker.line()) for key, worker in side.items()}
+        n = len(warm["a"]["row_sha256"])
         per_row = {"a": [], "b": []}
         faults = {"a": 0, "b": 0}
         for _ in range(rounds):
             spent = {"a": 0.0, "b": 0.0}
             for i in range(n):
                 for key in ("a", "b", "b", "a"):
-                    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                    t0 = time.process_time()
-                    side[key](i)
-                    spent[key] += time.process_time() - t0
-                    faults[key] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+                    dt, df = side[key].timed(i)
+                    spent[key] += dt
+                    faults[key] += df
             for key in per_row:
                 per_row[key].append(spent[key] / (2 * n))
+        max_rss = {key: worker.finish() for key, worker in side.items()}
+
+    ratios = [tb / ta for ta, tb in zip(per_row["a"], per_row["b"])]
     return {
-        **per_row,
+        "workload": workload,
+        "seed": seed,
         "rows": n,
-        "differing_rows": differ,
-        "work": {
-            key: work(counted[key], texts[key], faults[key] / (2 * n * rounds)) for key in side
-        },
+        "rounds": rounds,
+        "a_us_per_row": round(1e6 * statistics.median(per_row["a"]), 1),
+        "b_us_per_row": round(1e6 * statistics.median(per_row["b"]), 1),
+        "ratio_b_over_a": round(statistics.median(ratios), 4),
+        "b_won": sum(r < 1.0 for r in ratios),
+        "differing_rows": [
+            i
+            for i, (x, y) in enumerate(zip(warm["a"]["row_sha256"], warm["b"]["row_sha256"]))
+            if x != y
+        ],
+        **{key: work(warm[key], faults[key] / (2 * n * rounds), max_rss[key]) for key in side},
     }
 
 
-def report(spec: dict) -> dict:
-    """One seed: both load orders in fresh interpreters, as one JSON object."""
-    runs = {}
-    for order, b_first in (("a_first", False), ("b_first", True)):
-        child = [sys.executable, "-c", CHILD, __file__, json.dumps(dict(spec, b_first=b_first))]
-        # the child's stderr is this process's, so a failure shows its traceback
-        out = subprocess.run(child, stdout=subprocess.PIPE, text=True, check=True)
-        runs[order] = json.loads(out.stdout.splitlines()[-1])
-
-    ratios = {
-        order: [tb / ta for ta, tb in zip(run["a"], run["b"])] for order, run in runs.items()
-    }
-    # the two orders' ratios of each round, combined
-    paired = [math.sqrt(ra * rb) for ra, rb in zip(*ratios.values())]
-    return {
-        "workload": spec["workload"],
-        "seed": spec["seed"],
-        "rows": runs["a_first"]["rows"],
-        "rounds": spec["rounds"],
-        "a_us_per_row": round(
-            1e6 * statistics.median(t for run in runs.values() for t in run["a"]), 1
-        ),
-        "b_us_per_row": round(
-            1e6 * statistics.median(t for run in runs.values() for t in run["b"]), 1
-        ),
-        "ratio_b_over_a": round(
-            math.sqrt(math.prod(statistics.median(r) for r in ratios.values())), 4
-        ),
-        "b_won": sum(r < 1.0 for r in paired),
-        "orders": {
-            order: {
-                "ratio_b_over_a": round(statistics.median(r), 4),
-                "b_won": sum(x < 1.0 for x in r),
-            }
-            for order, r in ratios.items()
-        },
-        "differing_rows": sorted(set().union(*(run["differing_rows"] for run in runs.values()))),
-        **runs["a_first"]["work"],
-    }
+def workload_names() -> tuple[str, ...]:
+    """perfbench's workloads, imported from this repository with
+    sys.path left as it was."""
+    saved = list(sys.path)
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+    try:
+        from perfbench.workloads import WORKLOADS
+    finally:
+        sys.path[:] = saved
+    return WORKLOADS
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    _, workloads = perfbench()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", type=Path, help="the first source tree (the parent)")
     parser.add_argument("b", type=Path, help="the second source tree (the change)")
-    parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
+    parser.add_argument("--workload", required=True, choices=workload_names())
     parser.add_argument("--seed", type=int, nargs="+", default=[1])
     parser.add_argument("--rounds", type=int, default=16)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    trees = {"a": args.a.resolve(), "b": args.b.resolve()}
+    for tree in trees.values():
+        if not (tree / "src" / "neutroncp" / "__init__.py").is_file():
+            parser.error(f"{tree} is not a source tree: it has no src/neutroncp/__init__.py")
 
     for seed in args.seed:
-        spec = {
-            "a": str(args.a.resolve()),
-            "b": str(args.b.resolve()),
-            "workload": args.workload,
-            "seed": seed,
-            "rounds": args.rounds,
-        }
-        print(json.dumps(report(spec)), flush=True)
+        print(json.dumps(report(trees, args.workload, seed, args.rounds)), flush=True)
     return 0
 
 

@@ -133,7 +133,9 @@ _UNDERFLOW_X = 350.0
 # its (entry, node) arrays a call allocates only the one it returns.
 # Nothing in it outlives one integrand call, and contracted_green_imag
 # is never re-entered from its own integrand; the CLI's --jobs workers
-# are processes, each with its own.
+# are processes, each with its own.  Without it, each call's freed
+# planes go back to the OS and fault back in: about 100-160 minor page
+# faults per row, in a process of its own.
 _scratch = np.empty(0)
 
 

@@ -525,6 +525,29 @@ def test_trapezoid_noise_does_not_converge():
     assert res.abs_error[0] > 1e-6 * abs(res.value[0])
 
 
+def test_trapezoid_non_finite_rows_never_converge():
+    # inf - inf in a row's difference gives a nan error, which never
+    # meets rel_tol; the finite row beside it keeps its own sum and error
+    settles = lambda w: np.exp(-w * w)
+
+    def rows(w):
+        return np.stack(
+            [
+                settles(w),
+                np.where(w > 1.0, math.inf, settles(w)),
+                np.full_like(w, math.nan),
+                np.where(w < 0.0, -math.inf, math.inf),
+            ]
+        )
+
+    with np.errstate(invalid="ignore"):
+        res = integrate_trapezoid(rows, -8.0, 8.0, 1e-9)
+    assert not res.converged
+    assert res.value[1] == math.inf and np.isnan(res.value[2:]).all()
+    one = integrate_trapezoid(settles, -8.0, 8.0, 1e-9)
+    assert res.value[0] == one.value[0] and res.abs_error[0] == one.abs_error[0]
+
+
 @pytest.mark.parametrize("rel_tol", [1e-15, 5e-324])
 def test_trapezoid_below_the_roundoff_floor_does_not_converge(rel_tol):
     # the sum is exact to double precision by h = 1/4, but no relative
