@@ -11,8 +11,11 @@ repository) through ``cli.run_sweep`` (jobs=1) and ``cli.write_csv``, as
 the benchmark does.  Its first pass, the warm-up, answers each row once
 under ``counting()`` and gives the row bytes.  Then it answers the rows
 it is sent, timed by ``time.process_time``.  Every round sends each row
-in the order a, b, b, a, so a drift in the machine's speed falls on both
-sides alike, and each side keeps its own heap and allocator.
+in the order a, b, b, a where the round and row numbers add up to an
+even number and b, a, a, b where they add up to an odd one.  So a drift
+in the machine's speed falls on both sides alike, each side goes first
+and answers a row twice in a row equally often, and each side keeps its
+own heap and allocator.
 
 For each seed (default 1), in the order given, it prints one JSON line:
 
@@ -36,15 +39,16 @@ same counts, and two that should write the same bytes the same digest.
 there could flip a stop decision that sits on its threshold.)  The page
 faults and the peak size are printed only: they depend on the allocator.
 
-The timing resolves about 2%, no better, and leans toward b: a tree
-against itself read 0.991 and 0.983 over 8 rounds (fig2_ground and
-crossover_exponent, seed 1), and 0.986 to 1.004 over 16 rounds (seeds
-1, 2 and 3, each three times), b winning 6 to 16 of 16.  So a ratio
-within about 2% of 1 is no result, whatever ``b_won`` reads; there the
-counts are the signal.  A tree that allocates where the other reuses a
-buffer shows in its faults and its ratio: with fresh arrays in place of
-greens' scratch buffer, b read 1.34 and 1.37, at 113 and 160 faults per
-row against a's 0.
+The timing resolves about 2%, no better.  A tree against itself, over
+16 rounds (fig2_ground and crossover_exponent, seeds 1, 2 and 3, twice
+over), read a mean ratio of 0.998 (0.989 to 1.009), b winning 8.7 of 16
+on average.  With a, b, b, a on every row, only b answered a row twice
+in a row, and the same runs leaned toward b: 0.994 (0.982 to 1.003), b
+winning 11 of 16.  So a ratio within about 2% of 1 is no result,
+whatever ``b_won`` reads; there the counts are the signal.  A tree that
+allocates where the other reuses a buffer shows in its faults and its
+ratio: with fresh arrays in place of greens' scratch buffer, b read 1.34
+and 1.37, at 113 and 160 faults per row against a's 0.
 """
 
 from __future__ import annotations
@@ -247,10 +251,10 @@ def report(trees: dict[str, Path], workload: str, seed: int, rounds: int) -> dic
         n = len(warm["a"]["row_sha256"])
         per_row = {"a": [], "b": []}
         faults = {"a": 0, "b": 0}
-        for _ in range(rounds):
+        for r in range(rounds):
             spent = {"a": 0.0, "b": 0.0}
             for i in range(n):
-                for key in ("a", "b", "b", "a"):
+                for key in ("a", "b", "b", "a") if (r + i) % 2 == 0 else ("b", "a", "a", "b"):
                     dt, df = side[key].timed(i)
                     spent[key] += dt
                     faults[key] += df

@@ -217,12 +217,21 @@ def static_edge(m: Material, z: float) -> float:
     sets r_p to zero, so that g(x) and g(0) differ only by the rounding
     of their sums, a few ulp.  A Drude or Drude-Lorentz contrast goes
     like xi or xi^2, so g has no such flat start, and the edge is 0.
+    The bound's min(d, 1) is static_min_d's, which potential.u_du also
+    reads for its row edge.
     """
+    return 2.0**-32 * math.sqrt(static_min_d(m, z))
+
+
+def static_min_d(m: Material, z: float) -> float:
+    """min(d, 1) of static_edge's bound: 1 for the ideal mirror, from the
+    plasma's contrast for the plasma, and 0 for a medium without a flat
+    static start (Drude, Drude-Lorentz)."""
     if isinstance(m, PerfectConductor):
-        return 2.0**-32
+        return 1.0
     if isinstance(m, Plasma):
         # d as contracted_green_imag forms it from the plasma's contrast
-        return 2.0**-32 * math.sqrt(min((m.omega_p / CONSTANTS.c) ** 2 * z * z, 1.0))
+        return min((m.omega_p / CONSTANTS.c) ** 2 * z * z, 1.0)
     return 0.0
 
 

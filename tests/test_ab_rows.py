@@ -51,16 +51,44 @@ def test_script_reports_the_fig2_ground_row_set(reports):
     for work in (first["a"], first["b"]):
         assert work["k_integral_batches"] == 1.0
         assert work["k_integrand_calls"] == 1.156
-        assert work["kernel_values"] == 16120.938
+        assert work["kernel_values"] == 11807.906
         # the xi entries of a batch, fig2_ground having no z-derivative rows
-        assert work["k_integrals_per_batch"] == 126.688
+        assert work["k_integrals_per_batch"] == 91.641
         assert work["max_batches_in_a_row"] == 1
         assert len(work["csv_sha256"]) == 64
         # printed, not pinned: they depend on the allocator
         assert work["minor_faults_per_row"] >= 0.0 and work["max_rss_mb"] > 0.0
     assert (second["seed"], second["rows"]) == (2, 64)
-    assert second["a"]["kernel_values"] == second["b"]["kernel_values"] == 15895.844
+    assert second["a"]["kernel_values"] == second["b"]["kernel_values"] == 11671.516
     assert second["a"]["csv_sha256"] != first["a"]["csv_sha256"]
+
+
+def test_each_side_goes_first_in_half_the_timed_answers(monkeypatch):
+    # every (round, row) is a, b, b, a or b, a, a, b, and each row is
+    # led by a in one of two rounds and by b in the other
+    workers, calls = [], []
+    start = ab_rows.Worker.__init__
+
+    def recorded(self, *args, **kwargs):
+        start(self, *args, **kwargs)
+        workers.append(self)  # a first, then b
+
+    def timed(self, i):
+        calls.append(("ab"[workers.index(self)], i))
+        return 1e-3, 0
+
+    monkeypatch.setattr(ab_rows.Worker, "__init__", recorded)
+    monkeypatch.setattr(ab_rows.Worker, "timed", timed)
+    argv = [str(ROOT), str(ROOT), "--workload", "fig2_ground", "--rounds", "2"]
+    with redirect_stdout(io.StringIO()):
+        assert ab_rows.main(argv) == 0
+    assert len(calls) == 2 * 64 * 4
+    firsts = {"a": [], "b": []}
+    for k in range(0, len(calls), 4):
+        (x, i), (y, j), (y2, j2), (x2, i2) = calls[k : k + 4]
+        assert x == x2 != y == y2 and i == j == j2 == i2
+        firsts[x].append(i)
+    assert sorted(firsts["a"]) == sorted(firsts["b"]) == list(range(64))
 
 
 def test_a_tree_without_src_is_refused_before_any_worker(tmp_path, monkeypatch):

@@ -42,10 +42,10 @@ FIG1_PLASMA = Plasma(omega_p=363494611.93541175)
 # (batches, integrand calls, kernel values) of one u_du solve at 2 T,
 # orientation averaged
 FIG2_COUNTS = {
-    ("pc", 1e-9): (1, 1, 11110),
-    ("pc", 1e-6): (1, 1, 11220),
-    ("plasma", 1e-9): (1, 1, 12430),
-    ("plasma", 1e-6): (1, 1, 11220),
+    ("pc", 1e-9): (1, 1, 1650),
+    ("pc", 1e-6): (1, 1, 4730),
+    ("plasma", 1e-9): (1, 1, 4400),
+    ("plasma", 1e-6): (1, 1, 4730),
     ("drude", 1e-9): (1, 1, 18040),
     ("drude", 1e-6): (1, 2, 30277),
     ("drude-lorentz", 1e-9): (1, 1, 18040),

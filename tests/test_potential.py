@@ -456,6 +456,37 @@ def test_cutoff_spends_a_tenth_of_rel_tol(monkeypatch, name, rel_tol):
         assert (np.abs(got - full) <= 0.1 * rel_tol * np.abs(full)).all()
 
 
+# For the mirror and the plasma, where c/(z omega) > 1, u_du also takes
+# g(0) below the row edge x_a = (pi/2) 0.05 rel_tol (c/(z omega))
+# min(d, 1)/13, which by static_edge's bound spends 0.05 rel_tol.  Against
+# the same solve without it, every value and z-derivative must move by
+# at most a tenth of rel_tol, at d = contrast z^2 from 1e-8 to 1e6 (the
+# mirror at the plasmas' heights), fields from 1 mT to 50 T, and theta 0,
+# pi/2 and the average.  Measured: 0.0524 rel_tol for fig2's plasma at
+# d = 1, theta = 0, 2 T and rel_tol 1e-9; 0.0087 for the mirror.
+
+
+@pytest.mark.parametrize(
+    "m, plasma",
+    [(PC, GOLD_PLASMA), (GOLD_PLASMA, GOLD_PLASMA), (PC, FIG1_PLASMA), (FIG1_PLASMA, FIG1_PLASMA)],
+    ids=["pc-at-plasma-heights", "plasma", "pc-at-fig1-plasma-heights", "fig1-plasma"],
+)
+@pytest.mark.parametrize("rel_tol", [1e-7, 1e-9, 1e-12])
+def test_row_edge_spends_a_tenth_of_rel_tol(monkeypatch, m, plasma, rel_tol):
+    for log_d in range(-8, 7):
+        z = K.c * math.sqrt(10.0**log_d) / plasma.omega_p
+        for b_ext in (1e-3, 2.0, 50.0):
+            for theta in (0.0, math.pi / 2, None):
+                cfg = FieldConfig(b_ext, theta)
+                got = np.ravel(u_du(z, cfg, m, rel_tol=rel_tol, z_derivative=True))
+                with monkeypatch.context() as patch:
+                    patch.setattr(potential, "_ROW_EDGE_SHARE", 0.0)
+                    full = np.ravel(u_du(z, cfg, m, rel_tol=rel_tol, z_derivative=True))
+                assert (np.abs(got - full) <= 0.1 * rel_tol * np.abs(full)).all(), (
+                    log_d, b_ext, theta
+                )
+
+
 # ------------------------------------------------------ u_dd in u_du's solve
 #
 # u_du returns u_dd as g(0), its one xi = 0 entry, times the ratio of the
