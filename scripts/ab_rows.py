@@ -15,7 +15,10 @@ in the order a, b, b, a where the round and row numbers add up to an
 even number and b, a, a, b where they add up to an odd one.  So a drift
 in the machine's speed falls on both sides alike, each side goes first
 and answers a row twice in a row equally often, and each side keeps its
-own heap and allocator.
+own heap and allocator.  ``--rounds`` defaults to 1024 // rows, at
+least 2 and at most 16: 16 for fig2_ground (64 rows) and
+crossover_exponent (32), 2 for resonant (6144), whose four seeds then
+take minutes rather than half an hour.
 
 For each seed (default 1), in the order given, it prints one JSON line:
 
@@ -281,26 +284,31 @@ def report(trees: dict[str, Path], workload: str, seed: int, rounds: int) -> dic
     }
 
 
-def workload_names() -> tuple[str, ...]:
-    """perfbench's workloads, imported from this repository with
-    sys.path left as it was."""
+def workload_rows() -> dict[str, int]:
+    """perfbench's workloads and the rows of each one's row set, imported
+    from this repository with sys.path left as it was."""
     saved = list(sys.path)
     sys.path[:0] = [str(ROOT), str(ROOT / "src")]
     try:
-        from perfbench.workloads import WORKLOADS
+        from perfbench.workloads import ROWS, WORKLOADS
     finally:
         sys.path[:] = saved
-    return WORKLOADS
+    return {name: ROWS[name] for name in WORKLOADS}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", type=Path, help="the first source tree (the parent)")
     parser.add_argument("b", type=Path, help="the second source tree (the change)")
-    parser.add_argument("--workload", required=True, choices=workload_names())
+    rows = workload_rows()
+    parser.add_argument("--workload", required=True, choices=list(rows))
     parser.add_argument("--seed", type=int, nargs="+", default=[1])
-    parser.add_argument("--rounds", type=int, default=16)
+    parser.add_argument(
+        "--rounds", type=int, help="timed rounds (default 1024 // rows, from 2 to 16)"
+    )
     args = parser.parse_args(argv)
+    if args.rounds is None:  # about 1024 timed answers per side
+        args.rounds = max(2, min(16, 1024 // rows[args.workload]))
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     trees = {"a": args.a.resolve(), "b": args.b.resolve()}

@@ -51,15 +51,15 @@ def test_script_reports_the_fig2_ground_row_set(reports):
     for work in (first["a"], first["b"]):
         assert work["k_integral_batches"] == 1.0
         assert work["k_integrand_calls"] == 1.156
-        assert work["kernel_values"] == 11807.906
+        assert work["kernel_values"] == 9072.547
         # the xi entries of a batch, fig2_ground having no z-derivative rows
-        assert work["k_integrals_per_batch"] == 91.641
+        assert work["k_integrals_per_batch"] == 69.344
         assert work["max_batches_in_a_row"] == 1
         assert len(work["csv_sha256"]) == 64
         # printed, not pinned: they depend on the allocator
         assert work["minor_faults_per_row"] >= 0.0 and work["max_rss_mb"] > 0.0
     assert (second["seed"], second["rows"]) == (2, 64)
-    assert second["a"]["kernel_values"] == second["b"]["kernel_values"] == 11671.516
+    assert second["a"]["kernel_values"] == second["b"]["kernel_values"] == 8956.859
     assert second["a"]["csv_sha256"] != first["a"]["csv_sha256"]
 
 
@@ -89,6 +89,19 @@ def test_each_side_goes_first_in_half_the_timed_answers(monkeypatch):
         assert x == x2 != y == y2 and i == j == j2 == i2
         firsts[x].append(i)
     assert sorted(firsts["a"]) == sorted(firsts["b"]) == list(range(64))
+
+
+@pytest.mark.parametrize(
+    "workload, rounds", [("fig2_ground", 16), ("crossover_exponent", 16), ("resonant", 2)]
+)
+def test_default_rounds_follow_the_row_count(monkeypatch, workload, rounds):
+    # about 1024 row answers per side, from 2 to 16 rounds; --rounds wins
+    asked = []
+    monkeypatch.setattr(ab_rows, "report", lambda trees, w, seed, r: asked.append(r) or {})
+    with redirect_stdout(io.StringIO()):
+        assert ab_rows.main([str(ROOT), str(ROOT), "--workload", workload]) == 0
+        assert ab_rows.main([str(ROOT), str(ROOT), "--workload", workload, "--rounds", "3"]) == 0
+    assert asked == [rounds, 3]
 
 
 def test_a_tree_without_src_is_refused_before_any_worker(tmp_path, monkeypatch):

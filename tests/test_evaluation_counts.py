@@ -46,10 +46,10 @@ FIG2_COUNTS = {
     ("pc", 1e-6): (1, 1, 4730),
     ("plasma", 1e-9): (1, 1, 4400),
     ("plasma", 1e-6): (1, 1, 4730),
-    ("drude", 1e-9): (1, 1, 18040),
-    ("drude", 1e-6): (1, 2, 30277),
-    ("drude-lorentz", 1e-9): (1, 1, 18040),
-    ("drude-lorentz", 1e-6): (1, 1, 15070),
+    ("drude", 1e-9): (1, 1, 14630),
+    ("drude", 1e-6): (1, 2, 25194),
+    ("drude-lorentz", 1e-9): (1, 1, 11000),
+    ("drude-lorentz", 1e-6): (1, 1, 9020),
 }
 
 
@@ -78,7 +78,10 @@ def test_pinned_counts_sit_clear_of_the_thresholds(monkeypatch, scale):
     # both rules, the inner k-integral's and the outer xi one's, stop at
     # error <= rel_tol |T| and trust their error model below
     # d' <= _MODEL_GATE_REL |T|; scaling every such threshold, with the
-    # nodes left where they are, must not move a decision
+    # nodes left where they are, must not move a decision.  u_du's lower
+    # edges (the mirror's and the plasma's row edge, the Drude-type
+    # contrast edge) are set by _ROW_EDGE_SHARE, so scaling it the same
+    # way must not move an edge across a node
     for module in (greens, potential):
         rule = module.integrate_trapezoid
         monkeypatch.setattr(
@@ -87,6 +90,7 @@ def test_pinned_counts_sit_clear_of_the_thresholds(monkeypatch, scale):
             lambda f, lo, hi, rel_tol, rule=rule: rule(f, lo, hi, rel_tol * scale),
         )
     monkeypatch.setattr(quadrature, "_MODEL_GATE_REL", quadrature._MODEL_GATE_REL * scale)
+    monkeypatch.setattr(potential, "_ROW_EDGE_SHARE", potential._ROW_EDGE_SHARE * scale)
     for (model, z), counts in FIG2_COUNTS.items():
         assert _counts(FIG2[model], z, 1e-7) == counts
     assert _counts(FIG1_PLASMA, 1.0, 1e-8, z_derivative=True) == FIG1_COUNTS
