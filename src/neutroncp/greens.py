@@ -99,6 +99,7 @@ flips the sign of Im h there.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import replace
 from typing import Union
@@ -201,32 +202,23 @@ def _reflection(contrast, s2, eps_m1, weight_p=1.0):
     return reflect
 
 
-def static_edge(m: Material, z: float) -> float:
-    """The x = xi z/c below which g(xi) equals g(0) to double precision.
+def static_min_d(m: Material, z: float) -> float:
+    """min(d, 1), d = contrast z^2, of the flat start of g: 1 for the ideal
+    mirror, from the plasma's contrast for the plasma, and 0 for a medium
+    without one (Drude, Drude-Lorentz).
 
     g is any weighted contraction of contracted_green_imag, or its
     z-derivative.  For the ideal mirror and for a medium whose
     wavevector contrast does not depend on xi (the plasma), g depends on
-    xi only through xi^2: measured, |g(x)/g(0) - 1| < 13 x^2/min(d, 1),
-    d = contrast z^2 (infinite for the mirror).  The bound peaks, at
+    xi only through xi^2: measured, |g(x)/g(0) - 1| < 13 x^2/min(d, 1)
+    at x = xi z/c (d infinite for the mirror).  The bound peaks, at
     12.78, for h_xx alone (the cross weights at theta = 0) on a plasma
-    with d = 1; it stays below 3.2 for the orientation average and below
-    7.1 for any z-derivative (x from 1e-7 to 1e-2, d from 1e-12 to 1e6,
-    rel_tol 1e-13 solves; tests/test_greens.py).  The edge is where
-    x^2 = 2^-64 min(d, 1), the bound below which contracted_green_imag
-    sets r_p to zero, so that g(x) and g(0) differ only by the rounding
-    of their sums, a few ulp.  A Drude or Drude-Lorentz contrast goes
-    like xi or xi^2, so g has no such flat start, and the edge is 0.
-    The bound's min(d, 1) is static_min_d's, which potential.u_du also
-    reads for its row edge.
+    with d = 1 at small x; it stays below 3.2 for the orientation
+    average and below 7.1 for any z-derivative (x from 1e-7 to 27.25,
+    d from 1e-12 to 1e6, rel_tol 1e-13 solves; tests/test_greens.py).
+    potential.u_du's row edge rests on it.  A Drude or Drude-Lorentz
+    contrast goes like xi or xi^2, so g has no such flat start.
     """
-    return 2.0**-32 * math.sqrt(static_min_d(m, z))
-
-
-def static_min_d(m: Material, z: float) -> float:
-    """min(d, 1) of static_edge's bound: 1 for the ideal mirror, from the
-    plasma's contrast for the plasma, and 0 for a medium without a flat
-    static start (Drude, Drude-Lorentz)."""
     if isinstance(m, PerfectConductor):
         return 1.0
     if isinstance(m, Plasma):
@@ -301,8 +293,8 @@ def contracted_green_imag(
         # is above min(d, 1)/600, so below x^2 = 2^-64 min(d, 1) the term
         # is under half an ulp.  That covers xi = 0, and xi so far below
         # the plasma frequency that (eps q + q_m)^2 overflows.  For a
-        # contrast that does not depend on xi this is also static_edge:
-        # the entry then equals the xi = 0 one to a few ulp
+        # contrast that does not depend on xi the entry then equals the
+        # xi = 0 one to a few ulp
         s2 = (xl / c) ** 2
         keep_rp = (s2 > 0.0) & (x2 > 2.0**-64 * np.minimum(d, 1.0))
         eps_m1 = np.where(keep_rp, contrast[pick] / np.where(keep_rp, s2, 1.0), 0.0)
@@ -389,9 +381,9 @@ def contracted_green_real(
     parts share that absolute error, so a part much smaller than the
     modulus is known to fewer digits.  Raises UnsupportedModelError for a
     lossless medium with eps(omega) <= -1 (surface-mode pole), ValueError
-    for a medium at an omega so small that (omega/c)^2 underflows, and
-    IntegrationError, with the segment's value in 1/m^3, if a segment
-    misses rel_tol.
+    for a medium at an omega so small that (omega/c)^2 underflows or
+    (eps - 1)(eps + 1) overflows, and IntegrationError, with the
+    segment's value in 1/m^3, if a segment misses rel_tol.
     """
     _require_height(z)
     if omega <= 0.0:
@@ -425,6 +417,8 @@ def contracted_green_real(
                 "the surface-mode pole lies on the evanescent integration path and the "
                 "real-frequency response is undefined without dissipation"
             )
+        if not cmath.isfinite(eps_m1 * (2.0 + eps_m1)):  # in r_p; a product does not raise
+            raise ValueError(f"omega = {omega:.3e} rad/s is too small: (eps - 1)(eps + 1) overflows")
 
         reflect = _reflection(-dq2z2, -w2, eps_m1)
 

@@ -40,7 +40,6 @@ from .greens import (
     IntegrationError,
     contracted_green_imag,
     contracted_green_real,
-    static_edge,
     static_min_d,
 )
 from .materials import (
@@ -221,24 +220,29 @@ def u_du(
     g(0).  Measured against the sum up to x = _UNDERFLOW_X, that moves
     u_du by 1e-5 rel_tol or less at rel_tol 1e-7 (the z-derivative, whose
     tail carries a further factor of about 2x, leads) and by rounding at
-    1e-14.  Below s_lo = ln(rel_tol/4 min(1, c/(z omega))), and below the
-    static edge ln(x_static c/(z omega)) where that is higher
-    (greens.static_edge: the mirror and the plasma, where g(x) equals
-    g(0) to a few ulp), g is its static value g(0), taken down to
-    s_lo - 40 without a k-integral.  For those two media, where
-    ratio = c/(z omega) > 1, g(0) also stands in below the row edge
-    x_a = (pi/2) 0.05 rel_tol ratio min(d, 1)/13, capped at X, where
-    that is higher still (0.05 is _ROW_EDGE_SHARE; min(d, 1) is
-    greens.static_min_d's).  Its basis: sech(s)/2 <= e^(-s), and
-    |g/g(0) - 1| < 13 x^2/min(d, 1) (static_edge's bound), so with
-    x = e^s/ratio the nodes below x_a move the sum by at most
-    13 x_a g(0)/(ratio min(d, 1)); against |u| ~ g(0) pi/2, which holds
-    where ratio > 1, that is 0.05 rel_tol.  The edge drops nodes of a sum
-    that grows like e^s, not a piece of the integral, so on the h = 1/4
-    grid the share is at most h/(1 - e^(-h)) = 1.13 times that.
-    Measured against the same solve without it, u_du and its
-    z-derivative move by at most 0.0524 rel_tol (fig2's plasma at d = 1,
-    theta = 0), the mirror's by 0.0087.
+    1e-14.  Below s_lo = ln(rel_tol/4 min(1, c/(z omega))), g is its
+    static value g(0), taken down to s_lo - 40 without a k-integral.
+    For the ideal mirror and the plasma, g(0) also stands in below the
+    row edge s_a, capped at s_hi, where that is above s_lo.  Its basis:
+    |g/g(0) - 1| < 13 x^2/min(d, 1) (greens.static_min_d, which forms
+    min(d, 1)), x = e^s/ratio with ratio = c/(z omega), and
+    sech(s)/2 <= min(e^s, e^(-s)).  With e^(-s) the nodes below s_a move
+    the sum by at most 13 e^(s_a) g(0)/(ratio^2 min(d, 1)), a sum that
+    grows like e^s, whose h = 1/4 factor h/(1 - e^(-h)) = 1.13 is left
+    out; with e^s by at most h/(1 - e^(-3h)) = 0.47 times
+    13 e^(3 s_a) g(0)/(ratio^2 min(d, 1)), the cubic series (a finer
+    grid's factors are smaller).  s_a is the higher of the two edges at
+    which that is 0.05 rel_tol (_ROW_EDGE_SHARE) of |u| ~ (pi/2)
+    min(1, ratio) g(0): the mirror's u_du in its nonretarded limit, and
+    at most 18% above its retarded one, 4 ratio g(0)/(3 - cos^2 theta).
+    The first half sets s_a above s = 0, where ratio is large (fig2's
+    rows), the second below it (past the crossover, or for a plasma with
+    small d).  Both are formed in logs, so that no power of ratio under-
+    or overflows.  Measured against the same solve with a share of 0, u_du
+    and its z-derivative move by at most 0.0524 rel_tol (fig2's plasma at
+    d = 1, theta = 0, 2 T, rel_tol 1e-9) where the first half sets it,
+    0.0477 rel_tol (fig1's plasma at z = c/omega, theta = 0, 2 T,
+    rel_tol 1e-9) where the second does, and the mirror's by 0.0087.
     For Drude and Drude-Lorentz, g(0) = 0 (their xi = 0 entry has no
     contrast), and g(0) stands in below the contrast edge s_e
     (_contrast_edge), capped at x = 1 and at s_hi, where that is above
@@ -318,16 +322,15 @@ def u_du(
             "the field is too weak for the imaginary-frequency sum"
         )
     s_lo = math.log(rel_tol / 4.0 * min(1.0, ratio))
-    # the static edge (at most x = 2^-32) and the row edge x_a are at
-    # most X, so at most s_hi
-    x_static = static_edge(m, z)
-    if ratio > 1.0:  # static_min_d is 0 where the static edge is
-        x_a = math.pi / 2.0 * _ROW_EDGE_SHARE * rel_tol * ratio * static_min_d(m, z) / 13.0
-        x_static = max(x_static, min(x_a, _cutoff_x(rel_tol)))
-    s_static = max(s_lo, math.log(x_static * ratio)) if x_static else s_lo
+    ln_ratio = math.log(ratio)
+    # the mirror's and the plasma's row edge in logs, the higher of its
+    # bound's two halves; static_min_d is 0 for Drude and Drude-Lorentz
+    budget = math.pi / 2.0 * _ROW_EDGE_SHARE * rel_tol * static_min_d(m, z) / 13.0
+    ln_t = math.log(budget) + 2.0 * ln_ratio + min(ln_ratio, 0.0) if budget else -math.inf
+    s_a = max(ln_t, (ln_t - math.log(0.25 / -math.expm1(-0.75))) / 3.0)
     # Drude and Drude-Lorentz, where g(0) = 0: the contrast edge
-    s_static = max(s_static, _contrast_edge(
-        m, z, omega, math.log(ratio), w_xx, w_zz, _ROW_EDGE_SHARE * rel_tol, s_lo, s_hi
+    s_static = max(s_lo, min(s_a, s_hi), _contrast_edge(
+        m, z, omega, ln_ratio, w_xx, w_zz, _ROW_EDGE_SHARE * rel_tol, s_lo, s_hi
     ))
     g0 = None  # g(0), one row per sum: value, z-derivative
 

@@ -419,6 +419,25 @@ def test_cli_vanishing_field_gives_an_error_row(tmp_path, capsys, model):
     assert line.startswith("error: z=1.00000000000e-09: omega = 1.817e-155 rad/s is too small")
 
 
+def test_cli_vanishing_drude_field_names_the_overflow(tmp_path, capsys):
+    # at 1e-150 T a Drude metal's eps - 1 is about 2.5e161 i, so the
+    # (eps - 1)(eps + 1) of its r_p overflows: the error row names that,
+    # not a quadrature panel
+    out = tmp_path / "r.csv"
+    argv = [
+        "sweep", "--model", "drude", "--omega-p", "1.37e16", "--gamma", "4.1e12",
+        "--b-ext", "1e-150", "--points", "1", "--outputs", "u_resonant", "--out", str(out),
+    ]
+    assert main(argv) == 1
+    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert data[1:] == ["1.00000000000e-09,nan,error"]
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(
+        "error: z=1.00000000000e-09: omega = 1.817e-142 rad/s is too small: "
+        "(eps - 1)(eps + 1) overflows"
+    )
+
+
 def test_cli_rejects_non_finite_material_parameters():
     for args in (
         ["--model", "plasma", "--omega-p", "nan"],
@@ -624,11 +643,22 @@ def one_point_requests(draw):
 WEAK_FIELD = SweepRequest(
     b_ext=1e-300, z_min=1e-9, z_max=1e-9, points=1, outputs=("u_dd", "u_du")
 )
+# c/(z omega) = 1.6e-195, whose cube underflows: u_du's row edge is formed
+# in logs, so these rows keep status ok
+STRONG_FIELD_FAR = [
+    SweepRequest(b_ext=1e145, z_min=1e50, z_max=1e50, points=1, outputs=("u_dd", "u_du")),
+    SweepRequest(
+        model="plasma", omega_p=1e15, b_ext=1e145, z_min=1e50, z_max=1e50, points=1,
+        outputs=("u_dd", "u_du"),
+    ),
+]
 
 
 @given(one_point_requests())
 @example(WEAK_FIELD)  # c/(z omega) overflows
 @example(dataclasses.replace(WEAK_FIELD, z_min=1e-40, z_max=1e-40))  # z omega underflows to 0
+@example(STRONG_FIELD_FAR[0])
+@example(STRONG_FIELD_FAR[1])
 @settings(max_examples=150, deadline=None)
 def test_no_accepted_request_makes_a_row_raise(req):
     # whatever fails in a row the CLI accepts makes it an error row with
@@ -640,6 +670,8 @@ def test_no_accepted_request_makes_a_row_raise(req):
     row = cli._sweep_point((req, req.z_min))
     assert row["status"] in ("ok", "error")
     assert row["status"] == "ok" or row["error"]
+    if req in STRONG_FIELD_FAR:
+        assert row["status"] == "ok", row
 
 
 FIG1 = ROOT / "configs" / "fig1.cfg"

@@ -54,7 +54,7 @@ FIG2_COUNTS = {
 
 
 # the same for fig1's plasma at 1 m, rel_tol 1e-8, with z-derivative rows
-FIG1_COUNTS = (1, 1, 21896)
+FIG1_COUNTS = (1, 1, 10472)
 
 
 def _counts(m, z, rel_tol, z_derivative=False):

@@ -413,7 +413,7 @@ def test_u_du_meets_rel_tol_of_the_tight_solve(name, u, log_tol, theta):
 #
 # u_du's sum in s = ln(xi/omega) stops at x = xi z/c = X(rel_tol), where the
 # mirror bound (1 + 2x + 4x^2) e^(-2x) falls below 1e-6 rel_tol, and takes
-# g(0) for g(xi) below the static edge.  The ideal mirror must stay within
+# g(0) for g(xi) below its lower edges.  The ideal mirror must stay within
 # 0.05 rel_tol of its closed form at rel_tol 1e-14, where the margin is
 # thinnest: a fixed X = 20 reads 0.167 at 820 m and 0.100 at 100 m.  The
 # bound is a few ulp, so it is checked at the decades and 820 m only: a
@@ -456,57 +456,56 @@ def test_cutoff_spends_a_tenth_of_rel_tol(monkeypatch, name, rel_tol):
         assert (np.abs(got - full) <= 0.1 * rel_tol * np.abs(full)).all()
 
 
-# For the mirror and the plasma, where c/(z omega) > 1, u_du also takes
-# g(0) below the row edge x_a = (pi/2) 0.05 rel_tol (c/(z omega))
-# min(d, 1)/13, which by static_edge's bound spends 0.05 rel_tol.  Against
-# the same solve without it, every value and z-derivative must move by
-# at most a tenth of rel_tol, at d = contrast z^2 from 1e-8 to 1e6 (the
-# mirror at the plasmas' heights), fields from 1 mT to 50 T, and theta 0,
-# pi/2 and the average.  Measured: 0.0524 rel_tol for fig2's plasma at
-# d = 1, theta = 0, 2 T and rel_tol 1e-9; 0.0087 for the mirror.
+# u_du's lower edges take g(0) for g below them: for the mirror and the
+# plasma the row edge, from |g/g(0) - 1| < 13 x^2/min(d, 1) and
+# sech(s)/2 <= min(e^s, e^-s); for Drude and Drude-Lorentz, where
+# g(0) = 0, the contrast edge, from closed-form bounds on both sides.
+# Each may spend 0.05 rel_tol of |u|.  Against the same solve with the
+# share at 0 (no edge), every value and z-derivative must move by at most
+# a tenth of rel_tol, over fields from 1 mT to 50 T and theta 0, pi/2 and
+# the average.  The mirror and the plasmas run at d = contrast z^2 from
+# 1e-8 to 1e6 (the mirror at the plasmas' heights); fig1's plasma also at
+# the decades of its crossover z_c = c/omega at 2 T, from 1e-3 z_c to
+# 1e3 z_c, where the row edge takes its cubic half; fig2's Drude and
+# Drude-Lorentz, and one of each with its material frequency near the
+# 2 T transition frequency (3.7e8 rad/s), at z by decades from 0.1 nm to
+# 100 m.  Measured: 0.0524 rel_tol for fig2's plasma at d = 1, theta = 0,
+# 2 T and rel_tol 1e-9, 0.0477 for fig1's plasma at z_c (theta = 0, 2 T,
+# rel_tol 1e-9), 0.0087 for the mirror, and 0.0062 for fig2's Drude at
+# 1 nm, 50 T, theta = 0 and rel_tol 1e-12.
 
 
-@pytest.mark.parametrize(
-    "m, plasma",
-    [(PC, GOLD_PLASMA), (GOLD_PLASMA, GOLD_PLASMA), (PC, FIG1_PLASMA), (FIG1_PLASMA, FIG1_PLASMA)],
-    ids=["pc-at-plasma-heights", "plasma", "pc-at-fig1-plasma-heights", "fig1-plasma"],
-)
+def _plasma_heights(plasma):
+    # d = (omega_p z/c)^2 = 10^-8 .. 10^6
+    return [K.c * math.sqrt(10.0**log_d) / plasma.omega_p for log_d in range(-8, 7)]
+
+
+_EDGE_FIELDS = (1e-3, 2.0, 50.0)
+_Z_C = K.c / transition_frequency(FieldConfig(2.0))
+EDGE_CASES = {
+    "pc-at-plasma-heights": (PC, _plasma_heights(GOLD_PLASMA), _EDGE_FIELDS),
+    "plasma": (GOLD_PLASMA, _plasma_heights(GOLD_PLASMA), _EDGE_FIELDS),
+    "pc-at-fig1-plasma-heights": (PC, _plasma_heights(FIG1_PLASMA), _EDGE_FIELDS),
+    "fig1-plasma": (FIG1_PLASMA, _plasma_heights(FIG1_PLASMA), _EDGE_FIELDS),
+    "fig1-plasma-at-crossover": (FIG1_PLASMA, [_Z_C * 10.0**k for k in range(-3, 4)], (2.0,)),
+    **{
+        name: (m, list(np.geomspace(1e-10, 1e2, 13)), _EDGE_FIELDS)
+        for name, m in [
+            ("drude", GOLD_DRUDE),
+            ("drude-lorentz", SILICON_DL),
+            ("drude-gamma-near-omega", Drude(omega_p=1.37e16, gamma=4e8)),
+            ("drude-lorentz-omega-t-near-omega", DrudeLorentz(2.3e16, 4e8)),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_CASES))
 @pytest.mark.parametrize("rel_tol", [1e-7, 1e-9, 1e-12])
-def test_row_edge_spends_a_tenth_of_rel_tol(monkeypatch, m, plasma, rel_tol):
-    for log_d in range(-8, 7):
-        z = K.c * math.sqrt(10.0**log_d) / plasma.omega_p
-        for b_ext in (1e-3, 2.0, 50.0):
-            for theta in (0.0, math.pi / 2, None):
-                cfg = FieldConfig(b_ext, theta)
-                got = np.ravel(u_du(z, cfg, m, rel_tol=rel_tol, z_derivative=True))
-                with monkeypatch.context() as patch:
-                    patch.setattr(potential, "_ROW_EDGE_SHARE", 0.0)
-                    full = np.ravel(u_du(z, cfg, m, rel_tol=rel_tol, z_derivative=True))
-                assert (np.abs(got - full) <= 0.1 * rel_tol * np.abs(full)).all(), (
-                    log_d, b_ext, theta
-                )
-
-
-# For Drude and Drude-Lorentz, where g(0) = 0, u_du drops the nodes below
-# the contrast edge, whose closed-form bound spends 0.05 rel_tol of a
-# lower bound of |u|.  Against the same solve without it, every value and
-# z-derivative must move by at most a tenth of rel_tol: fig2's two media,
-# and one of each with its material frequency near the 2 T transition
-# frequency (3.7e8 rad/s), z by decades from 0.1 nm to 100 m, fields from
-# 1 mT to 50 T, and theta 0, pi/2 and the average.  Measured: 0.0062
-# rel_tol for fig2's Drude at 1 nm, 50 T, theta = 0 and rel_tol 1e-12;
-# with the share raised from 0.05 to 1, 5 of the 12 cases fail.
-
-
-@pytest.mark.parametrize(
-    "m",
-    [GOLD_DRUDE, SILICON_DL, Drude(omega_p=1.37e16, gamma=4e8), DrudeLorentz(2.3e16, 4e8)],
-    ids=["drude", "drude-lorentz", "drude-gamma-near-omega", "drude-lorentz-omega-t-near-omega"],
-)
-@pytest.mark.parametrize("rel_tol", [1e-7, 1e-9, 1e-12])
-def test_drude_edge_spends_a_tenth_of_rel_tol(monkeypatch, m, rel_tol):
-    for z in np.geomspace(1e-10, 1e2, 13):
-        for b_ext in (1e-3, 2.0, 50.0):
+def test_lower_edges_spend_a_tenth_of_rel_tol(monkeypatch, case, rel_tol):
+    m, zs, fields = EDGE_CASES[case]
+    for z in zs:
+        for b_ext in fields:
             for theta in (0.0, math.pi / 2, None):
                 cfg = FieldConfig(b_ext, theta)
                 got = np.ravel(u_du(z, cfg, m, rel_tol=rel_tol, z_derivative=True))
