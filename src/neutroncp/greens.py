@@ -57,31 +57,35 @@ quadrature, from x in extended precision.  The real axis is integrated
 over the vacuum normal wavevector k_z z with the adaptive rule.
 
 Both axes share one reflection kernel, _reflection, written in the
-vacuum and medium decay constants q, q_m of the imaginary axis and the
-frequency term s2 = xi^2/c^2:
+vacuum and medium decay constants q, q_m of the imaginary axis, the
+frequency term s2 = xi^2/c^2 and the contrast q_m^2 - q^2 = (eps - 1) s2:
 
     r_s = -contrast / (q + q_m)^2
-    r_p = (eps - 1) ((eps + 1) q^2 - s2) / (eps q + q_m)^2
+    r_p = (eps q - q_m) / (eps q + q_m) = (a q^2 - b) / (e q + f q_m)^2,
 
-It takes the per-entry constants once (contrast, s2, eps - 1 and the
-weight of r_p) and returns the function of q, q^2 and q_m that a
-quadrature calls per node.  With weights w_xx, w_zz and d = contrast z^2,
-the imaginary-axis integrand of an entry is then, per node,
+r_p's parts over sigma^2, sigma = |s2| + |contrast|/1e100 (|contrast|
+where that is 0): c = contrast/sigma, f = s2/sigma, e = c + f,
+a = c (2f + c), b = c f s2.  sigma = |s2| wherever |eps - 1| < 1e84,
+and there this is (eps - 1)((eps + 1) q^2 - s2)/(eps q + q_m)^2 to rounding;
+beyond it no per-entry constant exceeds about 1e200, so r_p cannot
+overflow however large eps - 1 is.  The kernel forms them once per
+entry (a and b times the weight of r_p) and returns the function of q,
+q^2 and q_m that a quadrature calls per node.  With weights w_xx, w_zz
+and d = contrast z^2, the imaginary-axis integrand of an entry is then,
+per node,
 
     rho = x + v,   t^2 = v (x + rho),   q_m = sqrt(rho^2 + d),
     acc = d (w_xx rho^2 + 2 w_zz t^2) / (rho + q_m)^2
-          + (a rho^2 - b) / (eps rho + q_m)^2,
+          + (a rho^2 - b) / (e rho + f q_m)^2,
 
-times e^(-2v) v, with a = w_xx x^2 (eps - 1)(2 + (eps - 1)),
-b = w_xx x^2 (eps - 1) x^2 and eps = 1 + (eps - 1) formed once per
-entry (the ideal mirror's acc is w_xx (rho^2 + x^2) + 2 w_zz t^2).
+times e^(-2v) v, with the kernel's contrast d and s2 = x^2, and r_p's
+weight w_xx x^2 (the ideal mirror's acc is w_xx (rho^2 + x^2) + 2 w_zz t^2).
 
-The wavevector contrast q_m^2 - q^2 = (eps - 1) s2 comes per model from
-the materials module rather than from eps, which keeps r_s exact in the
-xi -> 0 limit; neither numerator is a difference of nearly equal squares.
-The kernel takes eps - 1 itself, as contrast / s2, so r_p keeps its
-relative accuracy where eps is close to 1 (xi or omega far above the
-material frequencies); 1 + (eps - 1) would cancel there.
+The contrast comes per model from the materials module rather than from
+eps, which keeps r_s exact in the xi -> 0 limit; neither numerator is a
+difference of nearly equal squares.  c/f is eps - 1 itself, so r_p
+keeps its relative accuracy where eps is close to 1 (xi or omega far
+above the material frequencies); 1 + (eps - 1) would cancel there.
 
 z-derivative.  In the k variable z enters only through e^(-2 kappa z),
 so z dh/dz is the same k-integral with the integrand times -2 kappa z
@@ -99,7 +103,6 @@ flips the sign of Im h there.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import replace
 from typing import Union
@@ -164,15 +167,14 @@ def _require_height(z: float) -> None:
         raise ValueError("z must be positive and finite")
 
 
-def _reflection(contrast, s2, eps_m1, weight_p=1.0):
+def _reflection(contrast, s2, weight_p=1.0):
     """r_s and r_p of fixed media entries, as a function of the decay constants.
 
-    contrast, s2 and eps_m1 are the arguments of "Numerical form" above:
-    scalars or columns with one entry per medium, real or complex.
-    eps_m1 is eps - 1, which the caller takes as contrast / s2 (exact
-    per model); eps_m1 = 0, for an entry without a finite permittivity,
-    gives r_p = 0 exactly.  The per-entry products are formed here once;
-    the returned function
+    contrast and s2 are the arguments of "Numerical form" above: scalars
+    or columns with one entry per medium, real or complex.  contrast = 0
+    gives r_s = r_p = 0, or nan where s2 = 0 too, so callers skip such
+    entries.  The per-entry products are formed here once; the returned
+    function
 
         reflect(q, q2, q_m, out=None) -> (r_s, weight_p r_p)
 
@@ -182,20 +184,25 @@ def _reflection(contrast, s2, eps_m1, weight_p=1.0):
     is work space, and nothing else is allocated.
     """
     minus = -contrast
-    # r_p weight_p = (a q^2 - b) / (eps q + q_m)^2
-    scale = weight_p * eps_m1
-    eps, a, b = 1.0 + eps_m1, scale * (2.0 + eps_m1), scale * s2
+    # r_p's parts over sigma^2, as in "Numerical form"
+    size = abs(contrast)
+    sigma = abs(s2) + size / 1e100
+    sigma = np.where(sigma > 0.0, sigma, size)
+    c, f = contrast / sigma, s2 / sigma
+    scale = weight_p * c
+    e, a, b = c + f, scale * (2.0 * f + c), scale * f * s2
 
     def reflect(q, q2, q_m, out=None):
         r_s, r_p, work = (None, None, None) if out is None else out
         den = np.add(q, q_m, out=work)
         den *= den
         r_s = np.divide(minus, den, out=r_s)
+        # (e q + f q_m)^2, with r_p's array as work space
+        den = np.multiply(f, q_m, out=work)
+        den += np.multiply(e, q, out=r_p)
+        den *= den
         r_p = np.multiply(q2, a, out=r_p)
         r_p -= b
-        den = np.multiply(eps, q, out=work)
-        den += q_m
-        den *= den
         r_p /= den
         return r_s, r_p
 
@@ -265,15 +272,15 @@ def contracted_green_imag(
     mirror = isinstance(m, PerfectConductor)
 
     # An entry is zero past the underflow cut-off, and for a medium where
-    # it has no wavevector contrast (then r_s = r_p = 0)
+    # its z-scaled wavevector contrast d is 0 (then r_s = r_p = 0)
     x = flat * z / c
     live = ~(x > _UNDERFLOW_X)
     if mirror:
         if np.count_nonzero(flat < 0.0):
             raise ValueError("xi must be >= 0")
     else:  # raises the same ValueError for xi < 0
-        contrast = wavevector_contrast_imag(m, flat)
-        live &= contrast != 0.0
+        d = wavevector_contrast_imag(m, flat) * z * z
+        live &= d != 0.0
     n = np.count_nonzero(live)
     if not n:
         zeros = [0.0 if xis.ndim == 0 else np.zeros(xis.shape) for _ in range(1 + z_derivative)]
@@ -286,20 +293,8 @@ def contracted_green_imag(
     # per-entry columns against the nodes of w = ln v
     weight_p = w_xx * x2[:, None]  # the weight of r_p in acc
     if not mirror:
-        d = contrast[pick] * z * z
-        # eps - 1 = contrast / s2.  It is set to 0, which zeroes r_p, where
-        # r_p x^2 cannot reach the value: with |r_p| <= 1 that term
-        # integrates to at most x^2/2, while for x this small the r_s part
-        # is above min(d, 1)/600, so below x^2 = 2^-64 min(d, 1) the term
-        # is under half an ulp.  That covers xi = 0, and xi so far below
-        # the plasma frequency that (eps q + q_m)^2 overflows.  For a
-        # contrast that does not depend on xi the entry then equals the
-        # xi = 0 one to a few ulp
-        s2 = (xl / c) ** 2
-        keep_rp = (s2 > 0.0) & (x2 > 2.0**-64 * np.minimum(d, 1.0))
-        eps_m1 = np.where(keep_rp, contrast[pick] / np.where(keep_rp, s2, 1.0), 0.0)
-        d = d[:, None]
-        reflect = _reflection(d, x2[:, None], eps_m1[:, None], weight_p)
+        d = d[pick][:, None]
+        reflect = _reflection(d, x2[:, None], weight_p)
     x = x[:, None]
     # acc = weight_p r_p - r_s (w_xx rho^2 + 2 w_zz t^2); the bracket is
     # formed with the sign of -r_s's factor: + for the mirror's r_s = -1,
@@ -381,9 +376,9 @@ def contracted_green_real(
     parts share that absolute error, so a part much smaller than the
     modulus is known to fewer digits.  Raises UnsupportedModelError for a
     lossless medium with eps(omega) <= -1 (surface-mode pole), ValueError
-    for a medium at an omega so small that (omega/c)^2 underflows or
-    (eps - 1)(eps + 1) overflows, and IntegrationError, with the
-    segment's value in 1/m^3, if a segment misses rel_tol.
+    for a medium at an omega so small that (omega/c)^2 underflows, and
+    IntegrationError, with the segment's value in 1/m^3, if a segment
+    misses rel_tol.
     """
     _require_height(z)
     if omega <= 0.0:
@@ -404,23 +399,19 @@ def contracted_green_real(
         if s2 == 0.0:
             raise ValueError(
                 f"omega = {omega:.3e} rad/s is too small: (omega/c)^2 underflows to 0, "
-                "so eps - 1 = contrast / (omega/c)^2 is undefined"
+                "so eps = 1 + contrast / (omega/c)^2 is undefined"
             )
-        eps_m1 = contrast / s2
-        # A lossless permittivity below -1 puts the p-polarized surface-mode
-        # pole directly on the evanescent integration path; the integral
-        # does not exist there without dissipation.
-        eps = 1.0 + eps_m1
-        if eps.imag == 0.0 and eps.real <= -1.0:
+        # A lossless permittivity eps = 1 + contrast / s2 <= -1 puts the
+        # p-polarized surface-mode pole directly on the evanescent
+        # integration path; the integral does not exist there without
+        # dissipation.
+        if contrast.imag == 0.0 and contrast.real <= -2.0 * s2:
             raise UnsupportedModelError(
-                f"eps({omega:.3e} rad/s) = {eps.real:.3e} <= -1 for a lossless medium: "
-                "the surface-mode pole lies on the evanescent integration path and the "
+                f"eps({omega:.3e} rad/s) = {1.0 + contrast.real / s2:.3e} <= -1 for a lossless "
+                "medium: the surface-mode pole lies on the evanescent integration path and the "
                 "real-frequency response is undefined without dissipation"
             )
-        if not cmath.isfinite(eps_m1 * (2.0 + eps_m1)):  # in r_p; a product does not raise
-            raise ValueError(f"omega = {omega:.3e} rad/s is too small: (eps - 1)(eps + 1) overflows")
-
-        reflect = _reflection(-dq2z2, -w2, eps_m1)
+        reflect = _reflection(-dq2z2, -w2)
 
     # k-integrand at vacuum normal wavevector k_z (times z): k_z = v in
     # (0, w) on the propagating segment, k_z = i u on the evanescent tail

@@ -149,8 +149,9 @@ def wavevector_contrast_imag(
     Written per model so the xi -> 0 limit is exact instead of a 0 * inf
     product: the plasma keeps a finite static contrast omega_p^2/c^2,
     Drude and Drude-Lorentz lose theirs.  xi = 0 is therefore allowed
-    here, unlike in permittivity_imag.  xi may be an array, which gives
-    an array of its shape; a scalar gives a float.
+    here, unlike in permittivity_imag.  Each is (omega_p/c)^2 times a
+    ratio, which does not overflow.  xi may be an array, which gives an
+    array of its shape; a scalar gives a float.
     """
     xi = np.asarray(xi, dtype=float)
     if (xi < 0.0).any():
@@ -159,14 +160,13 @@ def wavevector_contrast_imag(
     if isinstance(m, Plasma):
         contrast = np.full(xi.shape, (m.omega_p / c) ** 2)
     elif isinstance(m, Drude):
-        contrast = m.omega_p**2 * xi / ((xi + m.gamma) * c**2)
+        contrast = (m.omega_p / c) ** 2 * (xi / (xi + m.gamma))
     elif isinstance(m, DrudeLorentz):
         # omega_t > 0, so an xi whose square underflows is the xi = 0 limit,
         # 0, also where omega_t^2 underflows too (there 0/0)
         xi2 = xi**2
-        contrast = np.divide(
-            m.omega_p**2 * xi2, (xi2 + m.omega_t**2) * c**2,
-            out=np.zeros(xi.shape), where=xi2 > 0.0,
+        contrast = (m.omega_p / c) ** 2 * np.divide(
+            xi2, xi2 + m.omega_t**2, out=np.zeros(xi.shape), where=xi2 > 0.0
         )
     else:
         raise UnsupportedModelError(
@@ -183,11 +183,11 @@ def wavevector_contrast_real(m: Material, omega: float) -> complex:
     if isinstance(m, Plasma):
         return complex(-((m.omega_p / c) ** 2))
     if isinstance(m, Drude):
-        return -m.omega_p**2 * omega / ((omega + 1j * m.gamma) * c**2)
+        return -((m.omega_p / c) ** 2) * (omega / (omega + 1j * m.gamma))
     if isinstance(m, DrudeLorentz):
         if omega**2 == m.omega_t**2:  # also where both squares underflow
             raise ValueError("permittivity is singular at omega^2 = omega_t^2")
-        return complex(m.omega_p**2 * omega**2 / ((m.omega_t**2 - omega**2) * c**2))
+        return complex((m.omega_p / c) ** 2 * (omega**2 / (m.omega_t**2 - omega**2)))
     raise UnsupportedModelError(
         "wavevector contrast is not defined for a perfect conductor"
     )

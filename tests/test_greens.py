@@ -84,14 +84,14 @@ def mirror_real(z, w):
 # integrands call.  The helpers below form its arguments the way those
 # integrands do: decay constants on the imaginary axis, and on the real
 # axis q = -i k_z, q_m = -i k_m with k_m the principal root of
-# k_z^2 + contrast; eps - 1 is the contrast over the frequency term.
+# k_z^2 + contrast.
 
 
 def reflection_imag(m, xi, k_par):
     q = math.hypot(xi / C, k_par)
     dq2 = wavevector_contrast_imag(m, xi)
     s2 = (xi / C) ** 2
-    return greens._reflection(dq2, s2, dq2 / s2)(q, q * q, math.sqrt(q * q + dq2))
+    return greens._reflection(dq2, s2)(q, q * q, math.sqrt(q * q + dq2))
 
 
 def reflection_real(m, omega, k_par):
@@ -99,7 +99,7 @@ def reflection_real(m, omega, k_par):
     dq2 = wavevector_contrast_real(m, omega)
     k_z = np.sqrt(complex(w2 - k_par**2))
     k_m = np.sqrt(k_z**2 + dq2)
-    return greens._reflection(-dq2, -w2, dq2 / w2)(-1j * k_z, -(k_z**2), -1j * k_m)
+    return greens._reflection(-dq2, -w2)(-1j * k_z, -(k_z**2), -1j * k_m)
 
 
 def test_mirror_reflection():
@@ -294,8 +294,9 @@ def test_static_limit_continuous():
 
 @pytest.mark.parametrize("xi", [1e-60, 1.37e-84])
 def test_plasma_far_below_omega_p_is_the_static_limit(xi):
-    # eps - 1 is up to 1e200 here, so (eps q + q_m)^2 in r_p overflows;
-    # r_p x^2 is far below the value and r_p must be dropped, not raise
+    # eps - 1 is up to 1e200 here, past where (eps q + q_m)^2 would
+    # overflow; _reflection's scaled r_p stays finite, and r_p x^2 is far
+    # below the value
     static = contracted_green_imag(GOLD_PLASMA, 1e-9, 0.0, 1.0, 0.0)
     got = contracted_green_imag(GOLD_PLASMA, 1e-9, xi, 1.0, 0.0)
     assert abs(got - static) <= 1e-15 * abs(static)
@@ -335,6 +336,21 @@ def test_real_axis_static_continuity():
     static_xx, static_zz = diag_imag(PC, z, 0.0)
     assert h_xx.real == pytest.approx(static_xx, rel=1e-5)
     assert h_zz.real == pytest.approx(static_zz, rel=1e-5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_drude_real_axis_scales_down_to_vanishing_fields():
+    # fig2's Drude metal at 1 nm: far below gamma, Re h goes like B^2 and
+    # Im h like B, down to 1e-150 T, where eps - 1 is about 2.5e161 i and
+    # r_p's (eps q + q_m)^2 would overflow
+    z = 1e-9
+    for weights in ((1.0, 0.0), (0.0, 1.0)):
+        ref = None
+        for b in 10.0 ** np.arange(-100.0, -151.0, -5.0):
+            h = contracted_green_real(GOLD_DRUDE, z, transition_frequency(FieldConfig(b)), *weights)
+            scaled = (h.real / b**2, h.imag / b)
+            ref = ref or scaled
+            assert scaled == pytest.approx(ref, rel=1e-14)
 
 
 def test_surface_mode_region_rejected():
@@ -495,7 +511,7 @@ def test_reflection_takes_scalars_and_complex_arrays():
         k_m = np.sqrt(k_z**2 + dq2)
         q, q2, q_m = -1j * k_z, -(k_z**2), -1j * k_m
         kept = [np.copy(a) for a in (q, q2, q_m)]
-        reflect = greens._reflection(-dq2, -w2, dq2 / w2, weight_p=0.5)
+        reflect = greens._reflection(-dq2, -w2, weight_p=0.5)
         r_s, r_p = reflect(q, q2, q_m)
         for a, b in zip((q, q2, q_m), kept):
             assert np.array_equal(a, b)
@@ -512,12 +528,12 @@ def test_reflection_takes_scalars_and_complex_arrays():
         q = np.hypot((xi / C)[:, None], k_par)
         q_m = np.sqrt(q * q + dq2[:, None])
         kept = [np.copy(a) for a in (dq2, s2, q, q_m)]
-        column = greens._reflection(dq2[:, None], s2[:, None], (dq2 / s2)[:, None])
+        column = greens._reflection(dq2[:, None], s2[:, None])
         r_s, r_p = column(q, q * q, q_m)
         for a, b in zip((dq2, s2, q, q_m), kept):
             assert np.array_equal(a, b)
         for i in range(xi.size):
-            s_i, p_i = greens._reflection(dq2[i], s2[i], dq2[i] / s2[i])(q[i], q[i] ** 2, q_m[i])
+            s_i, p_i = greens._reflection(dq2[i], s2[i])(q[i], q[i] ** 2, q_m[i])
             assert np.array_equal(r_s[i], s_i) and np.array_equal(r_p[i], p_i)
         # with out, the same bits are formed in out's first two arrays and
         # nothing but out is written
@@ -527,11 +543,11 @@ def test_reflection_takes_scalars_and_complex_arrays():
             assert np.array_equal(a, b)
         for got, want, plane in zip(into, (r_s, r_p), out):
             assert np.shares_memory(got, plane) and np.array_equal(got, want)
-    # the imaginary axis with Python floats, and with eps - 1 = 0
+    # the imaginary axis with Python floats, and with contrast = 0
     r_s, r_p = reflection_imag(GOLD_DRUDE, 1e15, 1e7)
     assert -1.0 < r_s < 0.0 < r_p < 1.0
-    r_s, r_p = greens._reflection(4.0, 1.0, 0.0)(2.0, 4.0, math.sqrt(8.0))
-    assert r_p == 0.0 and r_s == pytest.approx(-4.0 / (2.0 + math.sqrt(8.0)) ** 2, rel=1e-15)
+    r_s, r_p = greens._reflection(0.0, 1.0)(2.0, 4.0, 2.0)
+    assert r_s == 0.0 and r_p == 0.0
 
 
 def test_batch_names_the_xi_that_did_not_converge(monkeypatch):

@@ -206,6 +206,21 @@ def test_asymptote_margins():
         assert abs(dev) < 0.01
 
 
+@pytest.mark.parametrize("omega_p", [1e85, 1e100, 1e150, 1.3e154])
+@pytest.mark.parametrize("z, b_ext", [(1.0, 1.0), (1e-6, 2.0), (1e-9, 2.0)])
+@pytest.mark.parametrize("rel_tol", [1e-2, 1e-9])
+def test_plasma_far_above_every_frequency_is_the_mirror(omega_p, z, b_ext, rel_tol):
+    # eps - 1 = (omega_p/xi)^2 is above 1e130 on these rows, past where
+    # r_p's (eps q + q_m)^2 would overflow; the plasma is then the ideal
+    # mirror.  1.3e154 rad/s is about the largest omega_p whose square is
+    # finite
+    cfg = FieldConfig(b_ext)
+    got = u_du(z, cfg, Plasma(omega_p), rel_tol=rel_tol)
+    want = u_du(z, cfg, PC, rel_tol=rel_tol)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= rel_tol * abs(w)
+
+
 def test_retarded_asymptote_requires_field():
     with pytest.raises(ValueError):
         retarded_mirror_u_du(1.0, FieldConfig(0.0, 0.3))
